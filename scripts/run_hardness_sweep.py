@@ -9,33 +9,18 @@ builder and the extractor. Exits nonzero on any mismatch.
 """
 
 import argparse
-import itertools
 import sys
 import time
 
 from controlforge.hardness import (
     ENCODED_CONTROL_TYPE,
-    HittingSetInstance,
     brute_force_hitting_set,
     encode_hitting_set,
     extract_hitting_set,
     forward_partition,
+    iter_hitting_set_instances,
 )
 from controlforge.solvers import brute_force_search
-
-
-def iter_instances(max_elements, max_sets):
-    for m in range(1, max_elements + 1):
-        elements = tuple(f"b{i}" for i in range(1, m + 1))
-        subsets = [
-            frozenset(combo)
-            for size in range(1, m + 1)
-            for combo in itertools.combinations(elements, size)
-        ]
-        for n in range(max_sets + 1):
-            for family in itertools.combinations(subsets, n):
-                for k in range(1, m + 1):
-                    yield HittingSetInstance(elements, family, k)
 
 
 def main() -> int:
@@ -46,7 +31,7 @@ def main() -> int:
 
     started = time.perf_counter()
     total = feasible = mismatches = round_trips = 0
-    for hs in iter_instances(args.max_elements, args.max_sets):
+    for hs in iter_hitting_set_instances(args.max_elements, args.max_sets):
         total += 1
         encoded = encode_hitting_set(hs)
         witness = brute_force_hitting_set(hs)

@@ -12,7 +12,7 @@ import time
 
 from controlforge import verify_solution
 from controlforge.reductions import ALL_TRANSFER_RULES
-from controlforge.solvers import Universe, enumerate_partitions, iter_instances
+from controlforge.solvers import Universe, iter_instances, verifying_partitions
 
 
 def main() -> int:
@@ -38,11 +38,7 @@ def main() -> int:
         for instance in instances[rule.system]:
             key = (rule.target_type, instance)
             if key not in verifying:
-                verifying[key] = tuple(
-                    p
-                    for p in enumerate_partitions(instance, rule.target_type.partition_kind)
-                    if verify_solution(rule.target_type, instance, p)
-                )
+                verifying[key] = tuple(verifying_partitions(rule.target_type, instance))
             for solution in verifying[key]:
                 outcome = rule.apply(instance, solution)
                 transferred += 1

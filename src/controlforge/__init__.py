@@ -42,6 +42,7 @@ from .hardness import (
     encode_hitting_set,
     extract_hitting_set,
     forward_partition,
+    iter_hitting_set_instances,
 )
 from .reductions import (
     ALL_TRANSFER_RULES,
@@ -50,11 +51,7 @@ from .reductions import (
     compose,
     find_transfer_chain,
     rules_for,
-    transfer_empty_block,
     transfer_fallback,
-    transfer_identity,
-    transfer_te_cycle,
-    transfer_tp_nuw,
 )
 from .solvers import (
     BruteForceOracle,
@@ -71,6 +68,7 @@ from .solvers import (
     iter_elections,
     iter_instances,
     lex_min_search_with_oracle,
+    verifying_partitions,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,9 +16,11 @@ The two-stage semantics:
 * PC: only the first block runs a subelection; its survivors face the entire
   second block.
 
-Every round is evaluated under the instance's election system with votes
-masked down to the round's candidate set, and the final round always uses
-the full original vote collection.
+Every round is a candidate set scored under the instance's election system
+against the instance's full votes (each ballot counts only for the round's
+candidates, as if masked down to them); PV rounds score the full candidate
+set against their voter block's ballots. No round builds an election of its
+own, and the final round always uses the full original vote collection.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,6 @@ from .elections import (
     Election,
     System,
     VoteCollection,
-    unique_winner_if_any,
     winners,
 )
 
@@ -84,7 +85,9 @@ class ControlTypeId:
         if len(parts) != 4:
             raise ValueError(f"control type tag {text!r} is not of the form CC-PC-TE-UW")
         try:
-            return cls(Direction(parts[0]), Action(parts[1]), TieRule(parts[2]), WinnerModel(parts[3]))
+            return cls(
+                Direction(parts[0]), Action(parts[1]), TieRule(parts[2]), WinnerModel(parts[3])
+            )
         except ValueError:
             raise ValueError(f"unknown control type tag {text!r}") from None
 
@@ -167,6 +170,10 @@ def partition_problems(
     return problems
 
 
+def _advancing(won: frozenset[str], tie_rule: TieRule) -> frozenset[str]:
+    return won if tie_rule is TieRule.TP or len(won) == 1 else frozenset()
+
+
 def survivors(
     system: System,
     candidates: "frozenset[str] | tuple[str, ...]",
@@ -174,9 +181,7 @@ def survivors(
     tie_rule: TieRule,
 ) -> frozenset[str]:
     """Subelection winners that advance under the tie-handling rule."""
-    if tie_rule is TieRule.TP:
-        return winners(system, candidates, votes)
-    return unique_winner_if_any(system, candidates, votes)
+    return _advancing(winners(system, candidates, votes), tie_rule)
 
 
 @dataclass(frozen=True)
@@ -184,13 +189,9 @@ class SubElectionRound:
     """One first-round subelection with its outcome."""
 
     label: str
-    election: Election
+    candidates: frozenset[str]
     winners: frozenset[str]
     survivors: frozenset[str]
-
-    @property
-    def candidates(self) -> frozenset[str]:
-        return frozenset(self.election.candidates)
 
 
 @dataclass(frozen=True)
@@ -199,20 +200,34 @@ class TwoStageTrace:
 
     control_type: ControlTypeId
     first_rounds: tuple[SubElectionRound, ...]
-    final_election: Election
+    final_candidates: frozenset[str]
     final_winners: frozenset[str]
 
-    @property
-    def final_candidates(self) -> frozenset[str]:
-        return frozenset(self.final_election.candidates)
+    def round_focus_lost(self, focus: str) -> frozenset[str]:
+        """Candidates of the first round the focus sat in and did not survive.
+
+        When the focus survived (or skipped) every first round, this is the
+        final round's candidate set. On a verified destructive trace of a
+        candidate partition under TE, or under TP with the cowinner goal,
+        the focus would not survive a first round on this set under the
+        same tie rule; the transfers and the Hitting-Set extractor rely on
+        that.
+        """
+        for stage in self.first_rounds:
+            if focus in stage.candidates and focus not in stage.survivors:
+                return stage.candidates
+        return self.final_candidates
 
 
 def _play_round(
-    label: str, system: System, election: Election, tie_rule: TieRule
+    label: str,
+    system: System,
+    candidates: frozenset[str],
+    votes: VoteCollection,
+    tie_rule: TieRule,
 ) -> SubElectionRound:
-    won = winners(system, election.candidates, election.votes)
-    alive = won if tie_rule is TieRule.TP else (won if len(won) == 1 else frozenset())
-    return SubElectionRound(label, election, won, alive)
+    won = winners(system, candidates, votes)
+    return SubElectionRound(label, candidates, won, _advancing(won, tie_rule))
 
 
 def run_two_stage(
@@ -237,52 +252,25 @@ def _run_validated(
     tie_rule = control_type.tie_rule
 
     if control_type.action is Action.PV:
-        rounds = (
-            _play_round(
-                "voter block 1",
-                system,
-                Election(system, votes.select_voters(partition.first)),
-                tie_rule,
-            ),
-            _play_round(
-                "voter block 2",
-                system,
-                Election(system, votes.select_voters(partition.second)),
-                tie_rule,
-            ),
+        everyone = frozenset(votes.universe)
+        rounds = tuple(
+            _play_round(f"voter block {i}", system, everyone, votes.select_voters(block), tie_rule)
+            for i, block in ((1, partition.first), (2, partition.second))
         )
         final_candidates = rounds[0].survivors | rounds[1].survivors
     elif control_type.action is Action.RPC:
-        rounds = (
-            _play_round(
-                "candidate block 1",
-                system,
-                Election(system, votes.masked(partition.first)),
-                tie_rule,
-            ),
-            _play_round(
-                "candidate block 2",
-                system,
-                Election(system, votes.masked(partition.second)),
-                tie_rule,
-            ),
+        rounds = tuple(
+            _play_round(f"candidate block {i}", system, block, votes, tie_rule)
+            for i, block in ((1, partition.first), (2, partition.second))
         )
         final_candidates = rounds[0].survivors | rounds[1].survivors
     else:
-        rounds = (
-            _play_round(
-                "candidate block 1",
-                system,
-                Election(system, votes.masked(partition.first)),
-                tie_rule,
-            ),
-        )
+        rounds = (_play_round("candidate block 1", system, partition.first, votes, tie_rule),)
         # In PC the second block skips the first round entirely.
         final_candidates = rounds[0].survivors | partition.second
 
-    final_election = Election(system, votes.masked(final_candidates))
     final_winners = winners(system, final_candidates, votes)
-    return TwoStageTrace(control_type, rounds, final_election, final_winners)
+    return TwoStageTrace(control_type, rounds, final_candidates, final_winners)
 
 
 def goal_satisfied(

@@ -9,7 +9,7 @@ are pure functions.
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class ElectionError(ValueError):
@@ -46,7 +46,9 @@ def vote_kind_for(system: System) -> VoteKind:
     return VoteKind.APPROVAL if system is System.APPROVAL else VoteKind.ORDER
 
 
-_FORBIDDEN_NAME_CHARS = frozenset(">,{}")
+# Characters the text formats reserve: ballot separators, approval braces,
+# "#" (starts a comment) and ":" (ends a header key).
+_FORBIDDEN_NAME_CHARS = frozenset(">,{}#:")
 
 
 def check_candidate_name(name: str) -> str:
@@ -155,12 +157,6 @@ class VoteCollection:
     @property
     def total(self) -> int:
         return sum(count for _, count in self.groups)
-
-    def expand(self) -> Iterator[Vote]:
-        """Yield one ballot per canonical voter index, in index order."""
-        for vote, count in self.groups:
-            for _ in range(count):
-                yield vote
 
     def masked(self, keep: frozenset[str]) -> "VoteCollection":
         kept_universe = tuple(c for c in self.universe if c in keep)

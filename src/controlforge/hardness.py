@@ -17,6 +17,7 @@ with at most k elements.
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .control import ControlInstance, ControlTypeId, Partition, check_solution
 from .elections import Election, System, Vote, VoteCollection, check_candidate_name
@@ -164,12 +165,7 @@ def extract_hitting_set(
     checked = check_solution(ENCODED_CONTROL_TYPE, encoded.instance, solution)
     if not checked.ok:
         return None
-    first_round = checked.trace.first_rounds[0]
-    if FOCUS_NAME in first_round.candidates and FOCUS_NAME not in first_round.winners:
-        arena = first_round.candidates
-    else:
-        arena = checked.trace.final_candidates
-    return arena & frozenset(encoded.source.elements)
+    return checked.trace.round_focus_lost(FOCUS_NAME) & frozenset(encoded.source.elements)
 
 
 def brute_force_hitting_set(hs: HittingSetInstance) -> "frozenset[str] | None":
@@ -180,3 +176,21 @@ def brute_force_hitting_set(hs: HittingSetInstance) -> "frozenset[str] | None":
             if hs.hits_all(chosen):
                 return chosen
     return None
+
+
+def iter_hitting_set_instances(
+    max_elements: int = 3, max_sets: int = 3
+) -> Iterator[HittingSetInstance]:
+    """Every instance with <= max_elements elements ``b1, b2, ...``, every
+    family of <= max_sets distinct nonempty sets, and every bound 1 <= k <= m."""
+    for m in range(1, max_elements + 1):
+        elements = tuple(f"b{i}" for i in range(1, m + 1))
+        subsets = [
+            frozenset(combo)
+            for size in range(1, m + 1)
+            for combo in itertools.combinations(elements, size)
+        ]
+        for n in range(max_sets + 1):
+            for family in itertools.combinations(subsets, n):
+                for k in range(1, m + 1):
+                    yield HittingSetInstance(elements, family, k)

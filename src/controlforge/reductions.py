@@ -2,17 +2,32 @@
 
 A transfer rule consumes a verifying partition for one control type (its
 target) and constructs, on the same instance, a verifying partition for a
-type that coincides with it as a set (its source). Constructive rules run in
-time polynomial in the instance and the given solution. Where the known
-constructive route lives in work we do not reproduce, an exponential
-brute-force fallback stands in at desk scale and is labeled as such.
+type that coincides with it as a set (its source). Each rule is one row of
+``_RULE_TABLE`` naming one of four constructions:
 
-Every transfer first checks its input and rejects non-solutions explicitly:
-verification is cheap here because all three systems have polynomial winner
-evaluation.
+* ``focus_lost_round`` (destructive candidate-partition types sharing a tie
+  rule): the verified input's trace shows the round the focus took part in
+  and did not survive; putting that round's candidate set D in the first
+  block, ``(D, C - D)``, replays it as round one of either game, so the
+  focus is out before the final.
+* ``pass_through``: cowinner failure implies unique-winner failure, so a
+  destructive cowinner solution already solves the unique-winner type.
+* ``empty_block`` (approval): both types coincide with a plain winnership
+  condition on the unpartitioned election, which the do-nothing partition
+  ``(empty, C)`` satisfies whenever any verified input exists.
+* ``transfer_fallback``: where the known constructive route lives in work we
+  do not reproduce, an exponential brute-force search stands in at desk
+  scale and is labeled as such.
+
+The first three run in time polynomial in the instance and the given
+solution. Every transfer first checks its input and rejects non-solutions
+explicitly: verification is cheap here because all three systems have
+polynomial winner evaluation.
 """
 
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .control import (
@@ -22,8 +37,8 @@ from .control import (
     check_solution,
     verify_solution,
 )
-from .elections import System, unique_winner_if_any
-from .solvers import DEFAULT_MAX_EVALS, brute_force_search, collapses_with
+from .elections import System
+from .solvers import DEFAULT_MAX_EVALS, brute_force_search, collapses_with, encoding_length
 
 
 class TransferError(ValueError):
@@ -50,6 +65,13 @@ class TransferOutcome:
         return cls(None)
 
 
+# A construction maps (source type, target type, instance, verifying target
+# solution) to a source solution, or rejects an input that does not verify.
+Construction = Callable[
+    [ControlTypeId, ControlTypeId, ControlInstance, Partition], TransferOutcome
+]
+
+
 @dataclass(frozen=True)
 class TransferRule:
     """One registered transfer: produces source_type solutions from target_type ones."""
@@ -59,9 +81,7 @@ class TransferRule:
     system: System
     tag: str
     note: str
-    _run: Callable[[ControlInstance, Partition], TransferOutcome] = field(
-        compare=False, repr=False
-    )
+    construction: Construction = field(compare=False, repr=False)
 
     def apply(self, instance: ControlInstance, solution: Partition) -> TransferOutcome:
         if instance.election.system is not self.system:
@@ -69,190 +89,56 @@ class TransferRule:
                 f"rule {self.source_type}<-{self.target_type} is scoped to "
                 f"{self.system.value} elections"
             )
-        return self._run(instance, solution)
+        return self.construction(self.source_type, self.target_type, instance, solution)
 
     def describe(self) -> str:
         return f"{self.system.value}: {self.source_type} <- {self.target_type} [{self.tag}]"
 
 
-def _round_where_focus_lost(instance, trace) -> frozenset[str]:
-    """Candidate set of the election in which the focus took part and lost.
-
-    Valid for verified destructive cowinner traces: the focus either lost
-    the one first round it appeared in, or reached and lost the final.
-    """
-    focus = instance.focus
-    for stage in trace.first_rounds:
-        if focus in stage.candidates:
-            if focus not in stage.winners:
-                return stage.candidates
-            break
-    return trace.final_candidates
-
-
-_DC_RPC_TP_NUW = ControlTypeId.parse("DC-RPC-TP-NUW")
-_DC_PC_TP_NUW = ControlTypeId.parse("DC-PC-TP-NUW")
-
-
-def transfer_tp_nuw(
-    direction: str, instance: ControlInstance, solution: Partition
-) -> TransferOutcome:
-    """Transfer between the destructive ties-promote cowinner partition types.
-
-    pc_from_rpc: with a runoff-partition solution, the focus candidate lost
-    some election it took part in; putting that election's candidate set in
-    the first block eliminates the focus in round one of the plain-partition
-    game. rpc_from_pc: if the focus already lost the first block's
-    subelection the blocks carry over; otherwise the focus lost the final
-    round, whose candidate set D becomes the first runoff block.
-    """
-    election = instance.election
-    all_candidates = frozenset(election.candidates)
-    if direction == "pc_from_rpc":
-        checked = check_solution(_DC_RPC_TP_NUW, instance, solution)
-        if not checked.ok:
-            return TransferOutcome.reject()
-        lost_in = _round_where_focus_lost(instance, checked.trace)
-        return TransferOutcome(
-            Partition.of_candidates(lost_in, all_candidates - lost_in)
-        )
-    if direction == "rpc_from_pc":
-        checked = check_solution(_DC_PC_TP_NUW, instance, solution)
-        if not checked.ok:
-            return TransferOutcome.reject()
-        first_round = checked.trace.first_rounds[0]
-        if instance.focus in first_round.candidates and instance.focus not in first_round.winners:
-            return TransferOutcome(
-                Partition.of_candidates(solution.first, solution.second)
-            )
-        merged = solution.second | first_round.winners
-        return TransferOutcome(
-            Partition.of_candidates(merged, all_candidates - merged)
-        )
-    raise TransferError(f"unknown transfer direction {direction!r}")
-
-
-_TE_CYCLE_STEPS = {
-    # step name: (source type, target type)
-    "uwrpc_from_nuwrpc": ("DC-RPC-TE-UW", "DC-RPC-TE-NUW"),
-    "nuwrpc_from_nuwpc": ("DC-RPC-TE-NUW", "DC-PC-TE-NUW"),
-    "nuwpc_from_uwpc": ("DC-PC-TE-NUW", "DC-PC-TE-UW"),
-    "uwpc_from_uwrpc": ("DC-PC-TE-UW", "DC-RPC-TE-UW"),
-}
-
-
-def transfer_te_cycle(
-    step: str, instance: ControlInstance, solution: Partition
-) -> TransferOutcome:
-    """One step of the cycle of transfers through the four destructive TE types.
-
-    uwrpc_from_nuwrpc passes the partition through unchanged: failing to be a
-    cowinner is stronger than failing to be the unique winner. The remaining
-    steps share one case analysis on the verified input (C1, C2): either the
-    focus sat in C1 and failed to uniquely win there, in which case the same
-    blocks already eliminate it in the new game's first round, or the focus
-    fell at the final hurdle, in which case the final round's candidate set D
-    becomes the new first block so the focus falls in round one instead.
-    """
-    try:
-        _, target_tag = _TE_CYCLE_STEPS[step]
-    except KeyError:
-        raise TransferError(f"unknown cycle step {step!r}") from None
-    target = ControlTypeId.parse(target_tag)
-    if not verify_solution(target, instance, solution):
-        return TransferOutcome.reject()
-
-    if step == "uwrpc_from_nuwrpc":
-        return TransferOutcome(solution)
-
-    election = instance.election
-    system = election.system
-    votes = election.votes
-    all_candidates = frozenset(election.candidates)
-    focus = instance.focus
-    first, second = solution.first, solution.second
-    if step == "uwpc_from_uwrpc" and focus in second:
-        # Runoff blocks are symmetric; keep the focus in the first block.
-        first, second = second, first
-
-    in_first = focus in first
-    uniquely_wins_first = unique_winner_if_any(system, first, votes) == frozenset((focus,))
-    if in_first and not uniquely_wins_first:
-        return TransferOutcome(Partition.of_candidates(first, second))
-
-    if step == "uwpc_from_uwrpc":
-        merged = unique_winner_if_any(system, first, votes) | unique_winner_if_any(
-            system, second, votes
-        )
-    else:
-        merged = unique_winner_if_any(system, first, votes) | second
-    return TransferOutcome(Partition.of_candidates(merged, all_candidates - merged))
-
-
-_EMPTY_BLOCK_VARIANTS = {
-    # variant name: (one type, other type); both directions output (empty, C)
-    "uwarp_dc": ("DC-PC-TP-UW", "DC-PC-TE-UW"),
-    "uwarp_cc": ("CC-PC-TP-UW", "CC-RPC-TP-UW"),
-    "approval_dc_tp_uw": ("DC-RPC-TP-UW", "DC-PC-TP-UW"),
-    "approval_cc_tp_nuw": ("CC-PC-TP-NUW", "CC-RPC-TP-NUW"),
-}
-
-
-def transfer_empty_block(
-    variant: str,
+def focus_lost_round(
+    source_type: ControlTypeId,
+    target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
-    reverse: bool = False,
 ) -> TransferOutcome:
-    """Transfer via the do-nothing partition, for approval's collapsed pairs.
+    """``(D, C - D)`` with D the candidates of the round the focus lost.
 
-    Each variant names two types that, for approval, both coincide with a
-    plain winnership condition on the unpartitioned election (the focus not
-    being / being the unique winner or a winner). Any verified input
-    certifies that condition, and under it the partition with an empty first
-    block always succeeds, so that is what both directions output.
-    ``reverse`` swaps which of the pair is consumed and which is produced.
+    Every round scores its candidate set against the full votes, so the
+    round on D has the same outcome as a first block; the focus does not
+    survive it under the tie rule source and target share.
     """
-    try:
-        one, other = (ControlTypeId.parse(t) for t in _EMPTY_BLOCK_VARIANTS[variant])
-    except KeyError:
-        raise TransferError(f"unknown empty-block variant {variant!r}") from None
-    target = one if reverse else other
-    if instance.election.system is not System.APPROVAL:
-        raise TransferError("empty-block transfers are scoped to approval elections")
-    if not verify_solution(target, instance, solution):
+    checked = check_solution(target_type, instance, solution)
+    if not checked.ok:
+        return TransferOutcome.reject()
+    lost_in = checked.trace.round_focus_lost(instance.focus)
+    everyone = frozenset(instance.election.candidates)
+    return TransferOutcome(Partition.of_candidates(lost_in, everyone - lost_in))
+
+
+def pass_through(
+    source_type: ControlTypeId,
+    target_type: ControlTypeId,
+    instance: ControlInstance,
+    solution: Partition,
+) -> TransferOutcome:
+    """The verified input itself: it already solves the (weaker) source type."""
+    if not verify_solution(target_type, instance, solution):
+        return TransferOutcome.reject()
+    return TransferOutcome(solution)
+
+
+def empty_block(
+    source_type: ControlTypeId,
+    target_type: ControlTypeId,
+    instance: ControlInstance,
+    solution: Partition,
+) -> TransferOutcome:
+    """The do-nothing partition ``(empty, C)``, once the input verifies."""
+    if not verify_solution(target_type, instance, solution):
         return TransferOutcome.reject()
     return TransferOutcome(
         Partition.of_candidates(frozenset(), frozenset(instance.election.candidates))
     )
-
-
-_IDENTITY_PAIRS = {
-    "veto_dc_pv_te": System.VETO,
-    "approval_dc_pv_te": System.APPROVAL,
-}
-_DC_PV_TE_UW = ControlTypeId.parse("DC-PV-TE-UW")
-_DC_PV_TE_NUW = ControlTypeId.parse("DC-PV-TE-NUW")
-
-
-def transfer_identity(
-    pair: str, instance: ControlInstance, solution: Partition
-) -> TransferOutcome:
-    """Unique-winner solutions from cowinner ones, by passing them through.
-
-    A voter split under which the focus is not even a cowinner of the final
-    round a fortiori stops it from being the unique winner, so a verified
-    DC-PV-TE-NUW solution is already a DC-PV-TE-UW solution.
-    """
-    try:
-        system = _IDENTITY_PAIRS[pair]
-    except KeyError:
-        raise TransferError(f"unknown identity pair {pair!r}") from None
-    if instance.election.system is not system:
-        raise TransferError(f"pair {pair!r} is scoped to {system.value} elections")
-    if not verify_solution(_DC_PV_TE_NUW, instance, solution):
-        return TransferOutcome.reject()
-    return TransferOutcome(solution)
 
 
 def transfer_fallback(
@@ -274,11 +160,7 @@ def transfer_fallback(
         raise TransferError(
             f"{source_type} and {target_type} are not a collapsing pair for {system.value}"
         )
-    size = 1 << (
-        instance.voter_count
-        if source_type.partition_kind.value == "voter"
-        else len(instance.election.candidates)
-    )
+    size = 1 << encoding_length(instance, source_type.partition_kind)
     if size > max_evaluations:
         raise TransferError(
             f"fallback search needs {size} evaluations, above the cap of {max_evaluations}"
@@ -297,130 +179,61 @@ def transfer_fallback(
 # ---------------------------------------------------------------------------
 # Registry
 
+_EVERY_SYSTEM = (System.PLURALITY, System.VETO, System.APPROVAL)
+_VETO_APPROVAL = (System.VETO, System.APPROVAL)
+_APPROVAL = (System.APPROVAL,)
+_VETO = (System.VETO,)
 
-def _tp_nuw_rules(system: System) -> list[TransferRule]:
-    return [
-        TransferRule(
-            _DC_PC_TP_NUW,
-            _DC_RPC_TP_NUW,
-            system,
-            "tp_nuw",
-            "first block := the election the focus lost",
-            lambda inst, s: transfer_tp_nuw("pc_from_rpc", inst, s),
-        ),
-        TransferRule(
-            _DC_RPC_TP_NUW,
-            _DC_PC_TP_NUW,
-            system,
-            "tp_nuw",
-            "carry blocks over, or first block := the lost final round",
-            lambda inst, s: transfer_tp_nuw("rpc_from_pc", inst, s),
-        ),
-    ]
+_LOST = "first block := the round the focus lost"
+_WEAKER = "pass-through: cowinner failure implies unique-winner failure"
+_EMPTY = "any verified input certifies the winnership condition; output (empty, C)"
+_SEARCH = "verified input, then brute-force search (desk scale only)"
 
-
-def _te_cycle_rules(system: System) -> list[TransferRule]:
-    notes = {
-        "uwrpc_from_nuwrpc": "pass-through: cowinner failure implies unique-winner failure",
-        "nuwrpc_from_nuwpc": "carry blocks over, or first block := the lost final round",
-        "nuwpc_from_uwpc": "carry blocks over, or first block := the lost final round",
-        "uwpc_from_uwrpc": "normalize focus into block one, then the same case split",
-    }
-    rules = []
-    for step, (source_tag, target_tag) in _TE_CYCLE_STEPS.items():
-        rules.append(
-            TransferRule(
-                ControlTypeId.parse(source_tag),
-                ControlTypeId.parse(target_tag),
-                system,
-                "te_cycle_step",
-                notes[step],
-                lambda inst, s, step=step: transfer_te_cycle(step, inst, s),
-            )
-        )
-    return rules
-
-
-def _empty_block_rules() -> list[TransferRule]:
-    rules = []
-    for variant, (one_tag, other_tag) in _EMPTY_BLOCK_VARIANTS.items():
-        one, other = ControlTypeId.parse(one_tag), ControlTypeId.parse(other_tag)
-        note = "any verified input certifies the winnership condition; output (empty, C)"
-        rules.append(
-            TransferRule(
-                one,
-                other,
-                System.APPROVAL,
-                "empty_block",
-                note,
-                lambda inst, s, v=variant: transfer_empty_block(v, inst, s),
-            )
-        )
-        rules.append(
-            TransferRule(
-                other,
-                one,
-                System.APPROVAL,
-                "empty_block",
-                note,
-                lambda inst, s, v=variant: transfer_empty_block(v, inst, s, reverse=True),
-            )
-        )
-    return rules
-
-
-def _identity_rules() -> list[TransferRule]:
-    rules = []
-    for pair, system in _IDENTITY_PAIRS.items():
-        rules.append(
-            TransferRule(
-                _DC_PV_TE_UW,
-                _DC_PV_TE_NUW,
-                system,
-                "identity",
-                "pass-through: cowinner failure implies unique-winner failure",
-                lambda inst, s, p=pair: transfer_identity(p, inst, s),
-            )
-        )
-    return rules
-
-
-_FALLBACK_EDGES: tuple[tuple[System, str, str], ...] = (
-    (System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW"),
-    (System.APPROVAL, "DC-PV-TE-NUW", "DC-PV-TE-UW"),
-    (System.APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW"),
-    (System.APPROVAL, "CC-RPC-TE-NUW", "CC-PC-TE-NUW"),
-    (System.APPROVAL, "CC-PC-TE-UW", "CC-RPC-TE-UW"),
-    (System.APPROVAL, "CC-RPC-TE-UW", "CC-PC-TE-UW"),
+# (systems, source, target, tag, note, construction). find_transfer_chain
+# takes the first route it meets, so the order of the rules is behaviour:
+# a run of consecutive rows with the same systems expands system by system.
+_RULE_TABLE = (
+    (_EVERY_SYSTEM, "DC-PC-TP-NUW", "DC-RPC-TP-NUW", "tp_nuw", _LOST, focus_lost_round),
+    (_EVERY_SYSTEM, "DC-RPC-TP-NUW", "DC-PC-TP-NUW", "tp_nuw", _LOST, focus_lost_round),
+    (_EVERY_SYSTEM, "DC-RPC-TE-UW", "DC-RPC-TE-NUW", "te_cycle_step", _WEAKER, pass_through),
+    (_EVERY_SYSTEM, "DC-RPC-TE-NUW", "DC-PC-TE-NUW", "te_cycle_step", _LOST, focus_lost_round),
+    (_EVERY_SYSTEM, "DC-PC-TE-NUW", "DC-PC-TE-UW", "te_cycle_step", _LOST, focus_lost_round),
+    (_EVERY_SYSTEM, "DC-PC-TE-UW", "DC-RPC-TE-UW", "te_cycle_step", _LOST, focus_lost_round),
+    (_APPROVAL, "DC-PC-TP-UW", "DC-PC-TE-UW", "empty_block", _EMPTY, empty_block),
+    (_APPROVAL, "DC-PC-TE-UW", "DC-PC-TP-UW", "empty_block", _EMPTY, empty_block),
+    (_APPROVAL, "CC-PC-TP-UW", "CC-RPC-TP-UW", "empty_block", _EMPTY, empty_block),
+    (_APPROVAL, "CC-RPC-TP-UW", "CC-PC-TP-UW", "empty_block", _EMPTY, empty_block),
+    (_APPROVAL, "DC-RPC-TP-UW", "DC-PC-TP-UW", "empty_block", _EMPTY, empty_block),
+    (_APPROVAL, "DC-PC-TP-UW", "DC-RPC-TP-UW", "empty_block", _EMPTY, empty_block),
+    (_APPROVAL, "CC-PC-TP-NUW", "CC-RPC-TP-NUW", "empty_block", _EMPTY, empty_block),
+    (_APPROVAL, "CC-RPC-TP-NUW", "CC-PC-TP-NUW", "empty_block", _EMPTY, empty_block),
+    (_VETO_APPROVAL, "DC-PV-TE-UW", "DC-PV-TE-NUW", "identity", _WEAKER, pass_through),
+    (_VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW", "fallback", _SEARCH, transfer_fallback),
+    (_APPROVAL, "DC-PV-TE-NUW", "DC-PV-TE-UW", "fallback", _SEARCH, transfer_fallback),
+    (_APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW", "fallback", _SEARCH, transfer_fallback),
+    (_APPROVAL, "CC-RPC-TE-NUW", "CC-PC-TE-NUW", "fallback", _SEARCH, transfer_fallback),
+    (_APPROVAL, "CC-PC-TE-UW", "CC-RPC-TE-UW", "fallback", _SEARCH, transfer_fallback),
+    (_APPROVAL, "CC-RPC-TE-UW", "CC-PC-TE-UW", "fallback", _SEARCH, transfer_fallback),
 )
-
-
-def _fallback_rules() -> list[TransferRule]:
-    rules = []
-    for system, source_tag, target_tag in _FALLBACK_EDGES:
-        source, target = ControlTypeId.parse(source_tag), ControlTypeId.parse(target_tag)
-        rules.append(
-            TransferRule(
-                source,
-                target,
-                system,
-                "fallback",
-                "verified input, then brute-force search (desk scale only)",
-                lambda inst, s, src=source, tgt=target: transfer_fallback(src, tgt, inst, s),
-            )
-        )
-    return rules
 
 
 def transfer_registry() -> tuple[TransferRule, ...]:
     """Every implemented transfer rule, constructive rules first."""
-    rules: list[TransferRule] = []
-    for system in (System.PLURALITY, System.VETO, System.APPROVAL):
-        rules.extend(_tp_nuw_rules(system))
-        rules.extend(_te_cycle_rules(system))
-    rules.extend(_empty_block_rules())
-    rules.extend(_identity_rules())
-    rules.extend(_fallback_rules())
+    rules = []
+    for systems, run in itertools.groupby(_RULE_TABLE, key=itemgetter(0)):
+        run = tuple(run)
+        for system in systems:
+            for _, source, target, tag, note, construction in run:
+                rules.append(
+                    TransferRule(
+                        ControlTypeId.parse(source),
+                        ControlTypeId.parse(target),
+                        system,
+                        tag,
+                        note,
+                        construction,
+                    )
+                )
     return tuple(rules)
 
 

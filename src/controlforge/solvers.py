@@ -19,10 +19,9 @@ from .control import (
     Action,
     ControlInstance,
     ControlTypeId,
-    Direction,
     Partition,
     PartitionKind,
-    WinnerModel,
+    goal_satisfied,
     verify_solution,
 )
 from .elections import (
@@ -117,6 +116,15 @@ def partition_from_bits(
     return Partition(kind, first, frozenset(items) - first)
 
 
+def verifying_partitions(
+    control_type: ControlTypeId, instance: ControlInstance
+) -> Iterator[Partition]:
+    """Every partition of the type's kind that verifies, lexicographically."""
+    for partition in enumerate_partitions(instance, control_type.partition_kind):
+        if verify_solution(control_type, instance, partition):
+            yield partition
+
+
 def brute_force_search(
     control_type: ControlTypeId,
     instance: ControlInstance,
@@ -131,11 +139,7 @@ def brute_force_search(
         key = (control_type, instance)
         if key in cache:
             return SolveOutcome(cache[key])
-    solution = None
-    for partition in enumerate_partitions(instance, control_type.partition_kind):
-        if verify_solution(control_type, instance, partition):
-            solution = partition
-            break
+    solution = next(verifying_partitions(control_type, instance), None)
     if cache is not None:
         cache[key] = solution
     return SolveOutcome(solution)
@@ -176,15 +180,9 @@ def immunity_search_approval(
         )
     election = instance.election
     won = winners(election.system, election.candidates, election.votes)
-    is_unique = won == frozenset((instance.focus,))
-    is_winner = instance.focus in won
-    if control_type.direction is Direction.DC:
-        blocked = is_unique if control_type.winner_model is WinnerModel.UW else is_winner
-    else:
-        blocked = not (
-            is_unique if control_type.winner_model is WinnerModel.UW else is_winner
-        )
-    if blocked:
+    if not goal_satisfied(
+        control_type.direction, control_type.winner_model, instance.focus, won
+    ):
         return SolveOutcome(None)
     return SolveOutcome(_full_partition(instance))
 

@@ -23,6 +23,7 @@ from controlforge.hardness import (
     encode_hitting_set,
     extract_hitting_set,
     forward_partition,
+    iter_hitting_set_instances,
 )
 from controlforge.reductions import ALL_TRANSFER_RULES
 from controlforge.solvers import (
@@ -35,13 +36,11 @@ from controlforge.solvers import (
     collapse_pairs,
     collapse_scan,
     encoding_length,
-    enumerate_partitions,
     immunity_search_approval,
     iter_instances,
     lex_min_search_with_oracle,
+    verifying_partitions,
 )
-
-from desk_universe import iter_hitting_set_instances
 
 T = ControlTypeId.parse
 
@@ -68,11 +67,7 @@ def cached_search(control_type, instance):
 def verifying_partitions_cached(control_type, instance):
     key = (control_type, instance)
     if key not in _verifying_cache:
-        _verifying_cache[key] = tuple(
-            p
-            for p in enumerate_partitions(instance, control_type.partition_kind)
-            if verify_solution(control_type, instance, p)
-        )
+        _verifying_cache[key] = tuple(verifying_partitions(control_type, instance))
     return _verifying_cache[key]
 
 

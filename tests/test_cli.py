@@ -1,8 +1,11 @@
 import json
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from controlforge import Vote, make_election
+from controlforge import ControlInstance, Election, System, Vote, VoteCollection, make_election
 from controlforge.cli import (
     DocumentParseError,
     ElectionDocument,
@@ -16,7 +19,15 @@ from controlforge.cli import (
     serialize_partition,
 )
 from controlforge.control import Partition, PartitionKind
-from controlforge.hardness import HittingSetInstance, encode_hitting_set
+from controlforge.elections import InvalidCandidateError, check_candidate_name
+from controlforge.hardness import (
+    FOCUS_NAME,
+    SPOILER_NAME,
+    HittingSetInstance,
+    encode_hitting_set,
+)
+
+from election_strategies import ballots, partitions_for
 
 PLURALITY_DOC = """\
 # a small plurality race
@@ -121,6 +132,66 @@ class TestPartitionDocuments:
         partition = Partition.of_candidates({"a"}, {"p"})
         text = serialize_partition(partition, self.ELECTION)
         assert parse_partition(text, PartitionKind.CANDIDATE, self.ELECTION) == partition
+
+
+def _accepted(name):
+    try:
+        check_candidate_name(name)
+    except InvalidCandidateError:
+        return False
+    return True
+
+
+# Any name the model accepts, not just the tame ones the other tests use;
+# punctuation is drawn often because the formats give some of it a meaning.
+names = st.text(
+    st.characters() | st.sampled_from(string.punctuation), min_size=1, max_size=3
+).filter(_accepted)
+
+
+@st.composite
+def election_documents(draw):
+    system = draw(st.sampled_from(list(System)))
+    candidates = tuple(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
+    groups = draw(
+        st.lists(st.tuples(ballots(system, candidates), st.integers(1, 3)), max_size=4)
+    )
+    distinguished = draw(st.none() | st.sampled_from(candidates))
+    election = Election(system, VoteCollection(candidates, tuple(groups)))
+    return ElectionDocument(election, distinguished)
+
+
+@st.composite
+def hitting_sets(draw):
+    elements = draw(
+        st.lists(
+            names.filter(lambda n: n not in (FOCUS_NAME, SPOILER_NAME)),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    subsets = st.sets(st.sampled_from(elements), min_size=1).map(frozenset)
+    sets = draw(st.lists(subsets, max_size=3))
+    bound = draw(st.integers(1, len(elements)))
+    return HittingSetInstance(tuple(elements), tuple(sets), bound)
+
+
+class TestDocumentRoundTrips:
+    @given(election_documents())
+    def test_election_documents(self, doc):
+        assert parse_election(serialize_election(doc)) == doc
+
+    @given(election_documents(), st.sampled_from(list(PartitionKind)), st.data())
+    def test_partition_documents(self, doc, kind, data):
+        instance = ControlInstance(doc.election, doc.election.candidates[0])
+        partition = data.draw(partitions_for(instance, kind))
+        text = serialize_partition(partition, doc.election)
+        assert parse_partition(text, kind, doc.election) == partition
+
+    @given(hitting_sets())
+    def test_hitting_set_documents(self, hs):
+        assert parse_hitting_set(serialize_hitting_set(hs)) == hs
 
 
 class TestHittingSetDocuments:

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 from controlforge import (
     ControlInstance,
     ControlTypeId,
+    Election,
     Partition,
+    System,
     check_solution,
     goal_satisfied,
     make_election,
+    mask_votes,
     run_two_stage,
     survivors,
     verify_solution,
@@ -24,7 +27,7 @@ from controlforge.control import (
     WinnerModel,
     partition_problems,
 )
-from controlforge.solvers import enumerate_partitions
+from controlforge.solvers import Universe, enumerate_partitions, iter_elections
 
 from election_strategies import control_instances, control_types, partitions_for
 
@@ -95,7 +98,7 @@ class TestRunTwoStage:
         instance = ControlInstance(election, "p")
         partition = Partition.of_candidates(set(), {"p", "a"})
         trace = run_two_stage(T(f"CC-PC-{tie_rule}-NUW"), instance, partition)
-        assert trace.final_election == election
+        assert trace.final_candidates == set(election.candidates)
         assert trace.final_winners == {"a"}
 
     def test_kind_mismatch_raises(self):
@@ -146,6 +149,37 @@ class TestRunTwoStage:
         rpc = run_two_stage(T(f"CC-RPC-{tie_rule.value}-NUW"), instance, partition)
         assert pc.final_candidates == rpc.final_candidates
         assert pc.final_winners == rpc.final_winners
+
+
+def _winners_of_built_election(system, votes):
+    election = Election(system, votes)
+    return winners(system, election.candidates, election.votes)
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_rounds_match_explicitly_built_elections(system):
+    """Scoring a round's candidates against the full votes gives the winners
+    of the round's own election, built from masked or selected votes."""
+    for election in iter_elections(Universe(system, 3, 3)):
+        instance = ControlInstance(election, election.candidates[0])
+        votes = election.votes
+        for control_type in ALL_CONTROL_TYPES:
+            for partition in enumerate_partitions(instance, control_type.partition_kind):
+                trace = run_two_stage(control_type, instance, partition)
+                blocks = (partition.first, partition.second)
+                if control_type.action is Action.PV:
+                    expected = [votes.select_voters(block) for block in blocks]
+                else:
+                    rounds = 1 if control_type.action is Action.PC else 2
+                    expected = [mask_votes(votes, block) for block in blocks[:rounds]]
+                assert [r.winners for r in trace.first_rounds] == [
+                    _winners_of_built_election(system, sub) for sub in expected
+                ]
+                assert [r.candidates for r in trace.first_rounds] == [
+                    frozenset(sub.universe) for sub in expected
+                ]
+                final = mask_votes(votes, trace.final_candidates)
+                assert trace.final_winners == _winners_of_built_election(system, final)
 
 
 class TestGoal:

@@ -39,7 +39,9 @@ class TestNames:
         for name in ("a", "b1", "x_y", "Zed"):
             assert check_candidate_name(name) == name
 
-    @pytest.mark.parametrize("name", ["", "a b", "a>b", "a,b", "{a", "a}"])
+    @pytest.mark.parametrize(
+        "name", ["", "a b", "a>b", "a,b", "{a", "a}", "a#b", "#", "system:x", ":"]
+    )
     def test_rejects_bad_tokens(self, name):
         with pytest.raises(InvalidCandidateError):
             check_candidate_name(name)

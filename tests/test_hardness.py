@@ -19,10 +19,9 @@ from controlforge.hardness import (
     encode_hitting_set,
     extract_hitting_set,
     forward_partition,
+    iter_hitting_set_instances,
 )
 from controlforge.solvers import brute_force_search
-
-from desk_universe import iter_hitting_set_instances
 
 HS_ONE = HittingSetInstance(("b1",), (frozenset({"b1"}),), 1)
 HS_TWO = HittingSetInstance(("b1", "b2"), (frozenset({"b1", "b2"}),), 1)

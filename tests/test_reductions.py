@@ -16,11 +16,7 @@ from controlforge.reductions import (
     compose,
     find_transfer_chain,
     rules_for,
-    transfer_empty_block,
     transfer_fallback,
-    transfer_identity,
-    transfer_te_cycle,
-    transfer_tp_nuw,
 )
 from controlforge.solvers import Universe, enumerate_partitions, iter_instances
 
@@ -40,37 +36,52 @@ def approval_instance(candidates, approvals, focus):
 THREE_WAY = plurality_instance("pab", [("apb", 1), ("abp", 1), ("pab", 1)], "p")
 
 
+def _rule(system, source, target):
+    matching = rules_for(system=system, source_type=T(source), target_type=T(target))
+    assert len(matching) == 1
+    return matching[0]
+
+
+PC_FROM_RPC_TP = _rule(System.PLURALITY, "DC-PC-TP-NUW", "DC-RPC-TP-NUW")
+RPC_FROM_PC_TP = _rule(System.PLURALITY, "DC-RPC-TP-NUW", "DC-PC-TP-NUW")
+UWRPC_FROM_NUWRPC = _rule(System.PLURALITY, "DC-RPC-TE-UW", "DC-RPC-TE-NUW")
+NUWRPC_FROM_NUWPC = _rule(System.PLURALITY, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
+NUWPC_FROM_UWPC = _rule(System.PLURALITY, "DC-PC-TE-NUW", "DC-PC-TE-UW")
+UWPC_FROM_UWRPC = _rule(System.PLURALITY, "DC-PC-TE-UW", "DC-RPC-TE-UW")
+UWARP_DC = _rule(System.APPROVAL, "DC-PC-TP-UW", "DC-PC-TE-UW")
+UWARP_DC_REVERSE = _rule(System.APPROVAL, "DC-PC-TE-UW", "DC-PC-TP-UW")
+APPROVAL_CC_TP_NUW = _rule(System.APPROVAL, "CC-PC-TP-NUW", "CC-RPC-TP-NUW")
+VETO_DC_PV_TE = _rule(System.VETO, "DC-PV-TE-UW", "DC-PV-TE-NUW")
+APPROVAL_DC_PV_TE = _rule(System.APPROVAL, "DC-PV-TE-UW", "DC-PV-TE-NUW")
+
+
 class TestTpNuwTransfer:
     def test_focus_lost_its_own_first_round(self):
         instance = plurality_instance("pa", [("ap", 1)], "p")
         rpc_solution = Partition.of_candidates({"p", "a"}, set())
         assert verify_solution(T("DC-RPC-TP-NUW"), instance, rpc_solution)
-        outcome = transfer_tp_nuw("pc_from_rpc", instance, rpc_solution)
+        outcome = PC_FROM_RPC_TP.apply(instance, rpc_solution)
         assert outcome.solution == Partition.of_candidates({"p", "a"}, set())
         assert verify_solution(T("DC-PC-TP-NUW"), instance, outcome.solution)
 
     def test_focus_lost_the_final_round(self):
         rpc_solution = Partition.of_candidates({"p"}, {"a", "b"})
         assert verify_solution(T("DC-RPC-TP-NUW"), THREE_WAY, rpc_solution)
-        outcome = transfer_tp_nuw("pc_from_rpc", THREE_WAY, rpc_solution)
+        outcome = PC_FROM_RPC_TP.apply(THREE_WAY, rpc_solution)
         assert outcome.solution == Partition.of_candidates({"p", "a"}, {"b"})
         assert verify_solution(T("DC-PC-TP-NUW"), THREE_WAY, outcome.solution)
 
     def test_rpc_from_pc_direction(self):
         pc_solution = Partition.of_candidates({"p", "a"}, {"b"})
         assert verify_solution(T("DC-PC-TP-NUW"), THREE_WAY, pc_solution)
-        outcome = transfer_tp_nuw("rpc_from_pc", THREE_WAY, pc_solution)
+        outcome = RPC_FROM_PC_TP.apply(THREE_WAY, pc_solution)
         assert verify_solution(T("DC-RPC-TP-NUW"), THREE_WAY, outcome.solution)
 
     def test_non_solution_rejected(self):
         instance = plurality_instance("pa", [("pa", 1)], "p")
         losing = Partition.of_candidates(set(), {"p", "a"})
-        assert transfer_tp_nuw("pc_from_rpc", instance, losing).rejected
-        assert transfer_tp_nuw("rpc_from_pc", instance, losing).rejected
-
-    def test_unknown_direction(self):
-        with pytest.raises(TransferError):
-            transfer_tp_nuw("sideways", THREE_WAY, Partition.of_candidates(set(), set()))
+        assert PC_FROM_RPC_TP.apply(instance, losing).rejected
+        assert RPC_FROM_PC_TP.apply(instance, losing).rejected
 
 
 class TestTeCycleTransfer:
@@ -78,14 +89,14 @@ class TestTeCycleTransfer:
         instance = plurality_instance("pa", [("ap", 1)], "p")
         solution = Partition.of_candidates({"p", "a"}, set())
         assert verify_solution(T("DC-RPC-TE-NUW"), instance, solution)
-        outcome = transfer_te_cycle("uwrpc_from_nuwrpc", instance, solution)
+        outcome = UWRPC_FROM_NUWRPC.apply(instance, solution)
         assert outcome.solution == solution
         assert verify_solution(T("DC-RPC-TE-UW"), instance, outcome.solution)
 
     def test_focus_fell_at_the_final_hurdle(self):
         pc_solution = Partition.of_candidates({"a"}, {"p", "b"})
         assert verify_solution(T("DC-PC-TE-NUW"), THREE_WAY, pc_solution)
-        outcome = transfer_te_cycle("nuwrpc_from_nuwpc", THREE_WAY, pc_solution)
+        outcome = NUWRPC_FROM_NUWPC.apply(THREE_WAY, pc_solution)
         assert outcome.solution == Partition.of_candidates({"p", "a", "b"}, set())
         assert verify_solution(T("DC-RPC-TE-NUW"), THREE_WAY, outcome.solution)
 
@@ -93,25 +104,21 @@ class TestTeCycleTransfer:
         instance = plurality_instance("pa", [("ap", 1)], "p")
         solution = Partition.of_candidates({"a"}, {"p"})
         assert verify_solution(T("DC-RPC-TE-UW"), instance, solution)
-        outcome = transfer_te_cycle("uwpc_from_uwrpc", instance, solution)
+        outcome = UWPC_FROM_UWRPC.apply(instance, solution)
         assert outcome.solution == Partition.of_candidates({"p", "a"}, set())
         assert verify_solution(T("DC-PC-TE-UW"), instance, outcome.solution)
 
     def test_nuwpc_from_uwpc_step(self):
         pc_solution = Partition.of_candidates({"a"}, {"p", "b"})
         assert verify_solution(T("DC-PC-TE-UW"), THREE_WAY, pc_solution)
-        outcome = transfer_te_cycle("nuwpc_from_uwpc", THREE_WAY, pc_solution)
+        outcome = NUWPC_FROM_UWPC.apply(THREE_WAY, pc_solution)
         assert verify_solution(T("DC-PC-TE-NUW"), THREE_WAY, outcome.solution)
 
     def test_non_solution_rejected(self):
         winning = Partition.of_candidates(set(), {"p", "a", "b"})
         # The focus wins the full election outright, so nothing is verified.
         instance = plurality_instance("pab", [("pab", 2), ("abp", 1)], "p")
-        assert transfer_te_cycle("nuwrpc_from_nuwpc", instance, winning).rejected
-
-    def test_unknown_step(self):
-        with pytest.raises(TransferError):
-            transfer_te_cycle("shortcut", THREE_WAY, Partition.of_candidates(set(), set()))
+        assert NUWRPC_FROM_NUWPC.apply(instance, winning).rejected
 
 
 class TestEmptyBlockTransfer:
@@ -119,7 +126,7 @@ class TestEmptyBlockTransfer:
         instance = approval_instance("pa", [(("p", "a"), 1), (("a",), 1)], "p")
         verified = Partition.of_candidates({"p"}, {"a"})
         assert verify_solution(T("DC-PC-TE-UW"), instance, verified)
-        outcome = transfer_empty_block("uwarp_dc", instance, verified)
+        outcome = UWARP_DC.apply(instance, verified)
         assert outcome.solution == Partition.of_candidates(set(), {"p", "a"})
         assert verify_solution(T("DC-PC-TP-UW"), instance, outcome.solution)
 
@@ -127,7 +134,7 @@ class TestEmptyBlockTransfer:
         instance = approval_instance("p", [], "p")
         verified = Partition.of_candidates(set(), {"p"})
         assert verify_solution(T("CC-RPC-TP-NUW"), instance, verified)
-        outcome = transfer_empty_block("approval_cc_tp_nuw", instance, verified)
+        outcome = APPROVAL_CC_TP_NUW.apply(instance, verified)
         assert outcome.solution == Partition.of_candidates(set(), {"p"})
         assert verify_solution(T("CC-PC-TP-NUW"), instance, outcome.solution)
 
@@ -135,18 +142,18 @@ class TestEmptyBlockTransfer:
         instance = approval_instance("pa", [(("p", "a"), 1), (("a",), 1)], "p")
         verified = Partition.of_candidates(set(), {"p", "a"})
         assert verify_solution(T("DC-PC-TP-UW"), instance, verified)
-        outcome = transfer_empty_block("uwarp_dc", instance, verified, reverse=True)
+        outcome = UWARP_DC_REVERSE.apply(instance, verified)
         assert verify_solution(T("DC-PC-TE-UW"), instance, outcome.solution)
 
     def test_unverified_input_rejected(self):
         winner = approval_instance("pa", [(("p",), 1)], "p")
         attempt = Partition.of_candidates(set(), {"p", "a"})
-        assert transfer_empty_block("uwarp_dc", winner, attempt).rejected
+        assert UWARP_DC.apply(winner, attempt).rejected
 
     def test_scoped_to_approval(self):
         instance = plurality_instance("pa", [("ap", 1)], "p")
         with pytest.raises(TransferError):
-            transfer_empty_block("uwarp_dc", instance, Partition.of_candidates(set(), {"p", "a"}))
+            UWARP_DC.apply(instance, Partition.of_candidates(set(), {"p", "a"}))
 
 
 class TestIdentityTransfer:
@@ -155,7 +162,7 @@ class TestIdentityTransfer:
         instance = ControlInstance(election, "p")
         solution = Partition.of_voters({0}, set())
         assert verify_solution(T("DC-PV-TE-NUW"), instance, solution)
-        outcome = transfer_identity("veto_dc_pv_te", instance, solution)
+        outcome = VETO_DC_PV_TE.apply(instance, solution)
         assert outcome.solution == solution
         assert verify_solution(T("DC-PV-TE-UW"), instance, outcome.solution)
 
@@ -163,21 +170,19 @@ class TestIdentityTransfer:
         instance = approval_instance("pa", [(("a",), 1)], "p")
         solution = Partition.of_voters({0}, set())
         assert verify_solution(T("DC-PV-TE-NUW"), instance, solution)
-        outcome = transfer_identity("approval_dc_pv_te", instance, solution)
+        outcome = APPROVAL_DC_PV_TE.apply(instance, solution)
         assert outcome.solution == solution
         assert verify_solution(T("DC-PV-TE-UW"), instance, outcome.solution)
 
     def test_unverified_input_rejected(self):
         instance = approval_instance("pa", [(("p",), 1)], "p")
         attempt = Partition.of_voters({0}, set())
-        assert transfer_identity("approval_dc_pv_te", instance, attempt).rejected
+        assert APPROVAL_DC_PV_TE.apply(instance, attempt).rejected
 
     def test_scope_checks(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
         with pytest.raises(TransferError):
-            transfer_identity("veto_dc_pv_te", instance, Partition.of_voters({0}, set()))
-        with pytest.raises(TransferError):
-            transfer_identity("nonsense", instance, Partition.of_voters({0}, set()))
+            VETO_DC_PV_TE.apply(instance, Partition.of_voters({0}, set()))
 
 
 class TestFallbackTransfer:
@@ -186,7 +191,7 @@ class TestFallbackTransfer:
         instance = ControlInstance(election, "p")
         uw_solution = Partition.of_voters(set(), {0, 1})
         assert verify_solution(T("DC-PV-TE-UW"), instance, uw_solution)
-        outcome = transfer_fallback(T("DC-PV-TE-NUW"), T("DC-PV-TE-UW"), instance, uw_solution)
+        outcome = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW").apply(instance, uw_solution)
         assert outcome.via_fallback
         assert outcome.solution == Partition.of_voters(set(), {0, 1})
         assert verify_solution(T("DC-PV-TE-NUW"), instance, outcome.solution)
@@ -195,8 +200,8 @@ class TestFallbackTransfer:
         instance = approval_instance("pa", [(("p",), 1)], "p")
         rpc_solution = Partition.of_candidates({"p"}, {"a"})
         assert verify_solution(T("CC-RPC-TE-NUW"), instance, rpc_solution)
-        outcome = transfer_fallback(
-            T("CC-PC-TE-NUW"), T("CC-RPC-TE-NUW"), instance, rpc_solution
+        outcome = _rule(System.APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW").apply(
+            instance, rpc_solution
         )
         assert outcome.via_fallback
         assert outcome.solution == Partition.of_candidates(set(), {"p", "a"})
@@ -205,9 +210,8 @@ class TestFallbackTransfer:
     def test_unverified_input_rejected(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
         attempt = Partition.of_candidates({"p"}, {"a"})
-        assert transfer_fallback(
-            T("CC-PC-TE-NUW"), T("CC-RPC-TE-NUW"), instance, attempt
-        ).rejected
+        rule = _rule(System.APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW")
+        assert rule.apply(instance, attempt).rejected
 
     def test_non_collapsing_pair_refused(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
@@ -215,12 +219,6 @@ class TestFallbackTransfer:
             transfer_fallback(
                 T("CC-PC-TE-NUW"), T("DC-PC-TE-NUW"), instance, Partition.of_candidates(set(), {"p", "a"})
             )
-
-
-def _rule(system, source, target):
-    matching = rules_for(system=system, source_type=T(source), target_type=T(target))
-    assert len(matching) == 1
-    return matching[0]
 
 
 class TestComposeAndRegistry:
