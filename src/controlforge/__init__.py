@@ -32,7 +32,6 @@ from .elections import (
     make_election,
     mask_votes,
     scores,
-    unique_winner_if_any,
     winners,
 )
 from .hardness import (
@@ -60,7 +59,6 @@ from .solvers import (
     Universe,
     brute_force_search,
     cc_rpc_te_nuw_search_approval,
-    collapse_groups,
     collapse_pairs,
     collapse_scan,
     enumerate_partitions,

@@ -34,6 +34,7 @@ from .control import (
     Partition,
     PartitionKind,
     check_solution,
+    partition_problems,
 )
 from .elections import (
     Election,
@@ -51,19 +52,16 @@ from .hardness import (
     encode_hitting_set,
     extract_hitting_set,
 )
-from .reductions import TransferError, find_transfer_chain
+from .reductions import TransferError, compose, find_transfer_chain
 from .solvers import (
-    BruteForceOracle,
-    CC_RPC_TE_NUW,
     DEFAULT_MAX_EVALS,
-    IMMUNE_APPROVAL_TYPES,
+    POLYNOMIAL_SEARCHES,
+    BruteForceOracle,
     Universe,
     UniverseTooLargeError,
     brute_force_search,
-    cc_rpc_te_nuw_search_approval,
     collapse_scan,
     encoding_length,
-    immunity_search_approval,
     lex_min_search_with_oracle,
 )
 
@@ -97,6 +95,12 @@ class ElectionDocument:
 
 def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
+
+
+def _in_order(items, names) -> list:
+    """The items sorted by their position in ``names``."""
+    position = {name: i for i, name in enumerate(names)}
+    return sorted(items, key=position.__getitem__)
 
 
 _MULT_RE = re.compile(r"^(\d+)\s*x\s+(.*)$")
@@ -212,42 +216,22 @@ def parse_partition(text: str, kind: PartitionKind, election: Election) -> Parti
         raise DocumentParseError(
             "expected 'block1: ... | block2: ...'"
         )
-    raw_blocks = (matched.group(1).split(), matched.group(2).split())
-    if kind is PartitionKind.CANDIDATE:
-        universe = list(election.candidates)
-        blocks = raw_blocks
-    else:
-        universe = list(range(election.votes.total))
-        blocks = []
-        for tokens in raw_blocks:
-            indices = []
-            for token in tokens:
-                if not token.isdigit():
-                    raise DocumentParseError(f"voter index {token!r} is not a number")
-                indices.append(int(token))
-            blocks.append(indices)
-    first, second = (frozenset(b) for b in blocks)
-    known = set(universe)
-    for item in sorted(first | second, key=str):
-        if item not in known:
-            raise DocumentParseError(f"unknown {kind.value} {item!r}")
-    overlap = first & second
-    if overlap:
-        raise DocumentParseError(
-            f"{kind.value} {sorted(overlap, key=str)[0]!r} appears in both blocks"
-        )
-    missing = known - (first | second)
-    if missing:
-        raise DocumentParseError(
-            f"{kind.value} {sorted(missing, key=str)[0]!r} is in neither block"
-        )
-    return Partition(kind, first, second)
+    blocks = (matched.group(1).split(), matched.group(2).split())
+    if kind is PartitionKind.VOTER:
+        for token in blocks[0] + blocks[1]:
+            if not token.isdecimal():
+                raise DocumentParseError(f"voter index {token!r} is not a number")
+        blocks = tuple([int(token) for token in tokens] for tokens in blocks)
+    partition = Partition(kind, frozenset(blocks[0]), frozenset(blocks[1]))
+    problems = partition_problems(partition, kind, election)
+    if problems:
+        raise DocumentParseError(problems[0])
+    return partition
 
 
 def serialize_partition(partition: Partition, election: Election) -> str:
     if partition.kind is PartitionKind.CANDIDATE:
-        order = {c: i for i, c in enumerate(election.candidates)}
-        fmt = lambda block: " ".join(sorted(block, key=order.__getitem__))
+        fmt = lambda block: " ".join(_in_order(block, election.candidates))
     else:
         fmt = lambda block: " ".join(str(i) for i in sorted(block))
     first, second = fmt(partition.first), fmt(partition.second)
@@ -289,10 +273,9 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
 
 
 def serialize_hitting_set(hs: HittingSetInstance) -> str:
-    order = {name: i for i, name in enumerate(hs.elements)}
     lines = [f"elements: {' '.join(hs.elements)}", f"k: {hs.bound}"]
     for subset in hs.sets:
-        lines.append(f"set: {' '.join(sorted(subset, key=order.__getitem__))}")
+        lines.append(f"set: {' '.join(_in_order(subset, hs.elements))}")
     return "\n".join(lines) + "\n"
 
 
@@ -339,46 +322,40 @@ def exit_code_for(outcome: str) -> int:
     return _EXIT_BY_OUTCOME[outcome]
 
 
-def _fmt_set(items, election: "Election | None" = None) -> str:
-    if election is not None:
-        order = {c: i for i, c in enumerate(election.candidates)}
-        ordered = sorted(items, key=order.__getitem__)
-    else:
-        ordered = sorted(items, key=str)
-    return "{" + ",".join(str(i) for i in ordered) + "}"
-
-
-def _trace_lines(trace, election: Election) -> list[str]:
-    lines = []
-    for stage in trace.first_rounds:
-        lines.append(
-            f"  {stage.label}: candidates {_fmt_set(stage.candidates, election)}, "
-            f"winners {_fmt_set(stage.winners, election)}, "
-            f"survivors {_fmt_set(stage.survivors, election)}"
-        )
-    lines.append(
-        f"  final: candidates {_fmt_set(trace.final_candidates, election)}, "
-        f"winners {_fmt_set(trace.final_winners, election)}"
-    )
-    return lines
+def _fmt_set(ordered) -> str:
+    return "{" + ",".join(ordered) + "}"
 
 
 def _trace_payload(trace, election: Election) -> dict:
-    order = {c: i for i, c in enumerate(election.candidates)}
-    by_order = lambda items: sorted(items, key=lambda x: order.get(x, x))
+    in_order = lambda items: _in_order(items, election.candidates)
     return {
         "first_rounds": [
             {
                 "label": stage.label,
-                "candidates": by_order(stage.candidates),
-                "winners": by_order(stage.winners),
-                "survivors": by_order(stage.survivors),
+                "candidates": in_order(stage.candidates),
+                "winners": in_order(stage.winners),
+                "survivors": in_order(stage.survivors),
             }
             for stage in trace.first_rounds
         ],
-        "final_candidates": by_order(trace.final_candidates),
-        "final_winners": by_order(trace.final_winners),
+        "final_candidates": in_order(trace.final_candidates),
+        "final_winners": in_order(trace.final_winners),
     }
+
+
+def _trace_lines(payload: dict) -> list[str]:
+    """The report lines of a trace, rendered from its ``_trace_payload``."""
+    lines = [
+        f"  {stage['label']}: candidates {_fmt_set(stage['candidates'])}, "
+        f"winners {_fmt_set(stage['winners'])}, "
+        f"survivors {_fmt_set(stage['survivors'])}"
+        for stage in payload["first_rounds"]
+    ]
+    lines.append(
+        f"  final: candidates {_fmt_set(payload['final_candidates'])}, "
+        f"winners {_fmt_set(payload['final_winners'])}"
+    )
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -496,40 +473,37 @@ def _cmd_winners(args, argv) -> RunReport:
     election = doc.election
     tally = scores(election.system, election.candidates, election.votes)
     won = winners(election.system, election.candidates, election.votes)
+    won = _in_order(won, election.candidates)
     lines = [
-        f"winners: {_fmt_set(won, election)}",
+        f"winners: {_fmt_set(won)}",
         "scores: " + ", ".join(f"{c}={tally[c]}" for c in election.candidates),
     ]
     payload = {
         "election": serialize_election(doc),
         "scores": tally,
-        "winners": sorted(won, key=list(election.candidates).index),
+        "winners": won,
     }
     return RunReport(tuple(argv), "winners", payload, tuple(lines))
 
 
-def _checked_partition(args, control_type, doc, instance) -> Partition:
-    return parse_partition(
-        _read(args.partition), control_type.partition_kind, doc.election
-    )
-
-
-def _cmd_evaluate(args, argv, verdict_only: bool) -> RunReport:
+def _cmd_evaluate(args, argv) -> RunReport:
     control_type = _control_type(args.type)
     doc, instance = _instance_from(args)
-    partition = _checked_partition(args, control_type, doc, instance)
+    partition = parse_partition(
+        _read(args.partition), control_type.partition_kind, doc.election
+    )
     checked = check_solution(control_type, instance, partition)
-    trace = checked.trace
+    trace = _trace_payload(checked.trace, doc.election)
     satisfied = checked.ok
-    if verdict_only:
+    if args.subcommand == "verify":
         outcome = "verified-true" if satisfied else "verified-false"
         lines = [f"verdict: {str(satisfied).lower()}"]
         if args.trace:
-            lines += _trace_lines(trace, doc.election)
+            lines += _trace_lines(trace)
     else:
         outcome = "goal-satisfied" if satisfied else "goal-not-satisfied"
         lines = [f"two-stage run of {control_type} for focus {instance.focus!r}:"]
-        lines += _trace_lines(trace, doc.election)
+        lines += _trace_lines(trace)
         lines.append(f"goal satisfied: {str(satisfied).lower()}")
     payload = {
         "type": str(control_type),
@@ -537,63 +511,53 @@ def _cmd_evaluate(args, argv, verdict_only: bool) -> RunReport:
         "focus": instance.focus,
         "partition": serialize_partition(partition, doc.election),
         "verdict": satisfied,
-        "trace": _trace_payload(trace, doc.election),
+        "trace": trace,
     }
     return RunReport(tuple(argv), outcome, payload, tuple(lines))
-
-
-def _pick_algorithm(control_type: ControlTypeId, instance: ControlInstance, requested: str):
-    approval = instance.election.system is System.APPROVAL
-    has_poly = approval and (
-        control_type in IMMUNE_APPROVAL_TYPES or control_type == CC_RPC_TE_NUW
-    )
-    if requested == "poly" and not has_poly:
-        raise UsageError(
-            f"no polynomial algorithm is in scope for {instance.election.system.value} "
-            f"{control_type}"
-        )
-    if requested in ("poly", "auto") and has_poly:
-        if control_type in IMMUNE_APPROVAL_TYPES:
-            return "approval-immunity", lambda: immunity_search_approval(control_type, instance)
-        return "approval-isolate", lambda: cc_rpc_te_nuw_search_approval(instance)
-    if requested == "oracle":
-        oracle = BruteForceOracle()
-        outcome = lambda: lex_min_search_with_oracle(control_type, instance, oracle)
-        return "oracle-binary-search", outcome, oracle
-    return "brute-force", lambda: brute_force_search(control_type, instance)
 
 
 def _cmd_solve(args, argv) -> RunReport:
     control_type = _control_type(args.type)
     doc, instance = _instance_from(args)
     cap = _max_evals(args)
-    space = 1 << encoding_length(instance, control_type.partition_kind)
-    picked = _pick_algorithm(control_type, instance, args.algorithm)
-    algorithm, runner = picked[0], picked[1]
-    if algorithm in ("brute-force", "oracle-binary-search") and space > cap:
+    system = instance.election.system
+    polynomial = POLYNOMIAL_SEARCHES.get((system, control_type))
+    if args.algorithm == "poly" and polynomial is None:
         raise UsageError(
-            f"search space of {space} partitions exceeds the cap of {cap} "
-            f"(set {MAX_EVALS_ENV} to raise it)"
+            f"no polynomial algorithm is in scope for {system.value} {control_type}"
         )
-    outcome = runner()
     payload = {
         "type": str(control_type),
-        "algorithm": algorithm,
         "election": serialize_election(doc),
         "focus": instance.focus,
-        "solution": None
-        if outcome.solution is None
-        else serialize_partition(outcome.solution, doc.election),
     }
-    if len(picked) == 3:
-        payload["oracle_calls"] = picked[2].calls
+    if args.algorithm in ("poly", "auto") and polynomial is not None:
+        algorithm, search = polynomial
+        outcome = search(control_type, instance)
+    else:
+        oracle = BruteForceOracle() if args.algorithm == "oracle" else None
+        algorithm = "brute-force" if oracle is None else "oracle-binary-search"
+        # Worst cases for encoding length L: brute force evaluates 2^L
+        # partitions, the oracle search 2^(L+1).
+        length = encoding_length(instance, control_type.partition_kind)
+        evaluations = (1 if oracle is None else 2) << length
+        if evaluations > cap:
+            raise UsageError(
+                f"{algorithm} needs up to {evaluations} two-stage evaluations, above "
+                f"the cap of {cap} (set {MAX_EVALS_ENV} to raise it)"
+            )
+        if oracle is None:
+            outcome = brute_force_search(control_type, instance)
+        else:
+            outcome = lex_min_search_with_oracle(control_type, instance, oracle)
+            payload["oracle_calls"] = oracle.calls
+    payload["algorithm"] = algorithm
     if outcome.solution is None:
+        payload["solution"] = None
         lines = [f"no solution ({algorithm})"]
         return RunReport(tuple(argv), "no-solution", payload, tuple(lines))
-    lines = [
-        f"solution found ({algorithm}): "
-        + serialize_partition(outcome.solution, doc.election).strip()
-    ]
+    payload["solution"] = serialize_partition(outcome.solution, doc.election)
+    lines = [f"solution found ({algorithm}): " + payload["solution"].strip()]
     return RunReport(tuple(argv), "solution-found", payload, tuple(lines))
 
 
@@ -611,26 +575,20 @@ def _cmd_reduce(args, argv) -> RunReport:
     partition = parse_partition(
         _read(args.solution), from_type.partition_kind, doc.election
     )
-    steps = []
-    current = partition
-    fallback = False
-    rejected = False
-    if not chain:
-        rejected = not check_solution(from_type, instance, partition).ok
-    for rule in chain:
-        result = rule.apply(instance, current)
-        steps.append(
-            {
-                "rule": rule.describe(),
-                "rejected": result.rejected,
-                "via_fallback": result.via_fallback,
-            }
-        )
-        if result.rejected:
-            rejected = True
-            break
-        fallback = fallback or result.via_fallback
-        current = result.solution
+    outcomes = compose(chain, instance, partition)
+    if outcomes:
+        solution = outcomes[-1].solution
+    else:
+        solution = partition if check_solution(from_type, instance, partition).ok else None
+    fallback = any(outcome.via_fallback for outcome in outcomes)
+    steps = [
+        {
+            "rule": rule.describe(),
+            "rejected": outcome.rejected,
+            "via_fallback": outcome.via_fallback,
+        }
+        for rule, outcome in zip(chain, outcomes)
+    ]
     lines = [f"route: {from_type} -> {to_type} in {len(chain)} step(s)"]
     lines += [f"  step {i + 1}: {s['rule']}" for i, s in enumerate(steps)]
     payload = {
@@ -641,20 +599,15 @@ def _cmd_reduce(args, argv) -> RunReport:
         "input": serialize_partition(partition, doc.election),
         "steps": steps,
         "via_fallback": fallback,
+        "solution": None if solution is None else serialize_partition(solution, doc.election),
     }
-    if rejected:
+    if solution is None:
         lines.append("rejected: the input does not verify for the source type")
-        payload["solution"] = None
         return RunReport(tuple(argv), "transfer-rejected", payload, tuple(lines))
-    payload["solution"] = serialize_partition(current, doc.election)
-    lines.append(
-        ("fallback " if fallback else "")
-        + "solution: "
-        + serialize_partition(current, doc.election).strip()
-    )
+    lines.append(("fallback " if fallback else "") + "solution: " + payload["solution"].strip())
     if args.trace:
-        checked = check_solution(to_type, instance, current)
-        lines += _trace_lines(checked.trace, doc.election)
+        checked = check_solution(to_type, instance, solution)
+        lines += _trace_lines(_trace_payload(checked.trace, doc.election))
     return RunReport(tuple(argv), "transfer-solution", payload, tuple(lines))
 
 
@@ -732,21 +685,23 @@ def _cmd_decode_hs(args, argv) -> RunReport:
         _read(args.solution), PartitionKind.CANDIDATE, encoded.election
     )
     extracted = extract_hitting_set(encoded, partition)
+    ordered = None if extracted is None else _in_order(extracted, hs.elements)
     payload = {
         "hitting_set": serialize_hitting_set(hs),
         "solution": serialize_partition(partition, encoded.election),
-        "extracted": None if extracted is None else sorted(extracted, key=hs.elements.index),
+        "extracted": ordered,
     }
-    if extracted is None:
+    if ordered is None:
         lines = ("rejected: the partition does not verify on the encoded instance",)
         return RunReport(tuple(argv), "extraction-rejected", payload, lines)
-    ordered = sorted(extracted, key=hs.elements.index)
-    lines = (f"hitting set: {{{','.join(ordered)}}} (size {len(ordered)}, bound {hs.bound})",)
+    lines = (f"hitting set: {_fmt_set(ordered)} (size {len(ordered)}, bound {hs.bound})",)
     return RunReport(tuple(argv), "extracted", payload, lines)
 
 
 _HANDLERS = {
     "winners": _cmd_winners,
+    "evaluate": _cmd_evaluate,
+    "verify": _cmd_evaluate,
     "solve": _cmd_solve,
     "reduce": _cmd_reduce,
     "collapse-scan": _cmd_collapse_scan,
@@ -761,12 +716,7 @@ def run_command(argv) -> tuple[int, RunReport]:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "evaluate":
-            report = _cmd_evaluate(args, argv, verdict_only=False)
-        elif args.subcommand == "verify":
-            report = _cmd_evaluate(args, argv, verdict_only=True)
-        else:
-            report = _HANDLERS[args.subcommand](args, argv)
+        report = _HANDLERS[args.subcommand](args, argv)
     except (UsageError, DocumentParseError, ElectionError, TransferError, ValueError) as err:
         report = RunReport(
             tuple(argv), "error", {"message": str(err)}, (f"error: {err}",)

@@ -141,23 +141,18 @@ class Partition:
 
 
 def partition_problems(
-    partition: Partition, control_type: ControlTypeId, instance: ControlInstance
+    partition: Partition, kind: PartitionKind, election: Election
 ) -> list[str]:
-    """Structural defects of a partition for this instance, empty if valid."""
-    problems = []
-    expected = control_type.partition_kind
-    if partition.kind is not expected:
-        problems.append(
-            f"{control_type.action.value} control partitions {expected.value}s, "
-            f"got a {partition.kind.value} partition"
-        )
-        return problems
-    if expected is PartitionKind.CANDIDATE:
-        universe = frozenset(instance.election.candidates)
+    """Structural defects of a partition of this kind for the election, empty if valid."""
+    if partition.kind is not kind:
+        return [f"expected a {kind.value} partition, got a {partition.kind.value} partition"]
+    if kind is PartitionKind.CANDIDATE:
+        universe = frozenset(election.candidates)
         label = "candidate"
     else:
-        universe = frozenset(range(instance.voter_count))
+        universe = frozenset(range(election.votes.total))
         label = "voter index"
+    problems = []
     overlap = partition.first & partition.second
     if overlap:
         problems.append(f"blocks overlap on {label} {sorted(overlap)[0]!r}")
@@ -238,7 +233,7 @@ def run_two_stage(
     Raises InvalidPartitionError when the partition's kind does not match
     the action or its blocks are not a bipartition of the right universe.
     """
-    problems = partition_problems(partition, control_type, instance)
+    problems = partition_problems(partition, control_type.partition_kind, instance.election)
     if problems:
         raise InvalidPartitionError("; ".join(problems))
     return _run_validated(control_type, instance, partition)
@@ -305,7 +300,7 @@ def check_solution(
     control_type: ControlTypeId, instance: ControlInstance, partition: Partition
 ) -> SolutionCheck:
     """Check a partition, reporting structural defects instead of raising."""
-    problems = partition_problems(partition, control_type, instance)
+    problems = partition_problems(partition, control_type.partition_kind, instance.election)
     if problems:
         return SolutionCheck(False, "; ".join(problems), None)
     trace = _run_validated(control_type, instance, partition)

@@ -140,16 +140,6 @@ class VoteCollection:
         if changed:
             object.__setattr__(self, "groups", tuple(normalized))
 
-    @classmethod
-    def of(
-        cls, universe: Iterable[str], ballots: Iterable[tuple[Vote, int]]
-    ) -> "VoteCollection":
-        return cls(tuple(universe), tuple(ballots))
-
-    @classmethod
-    def empty(cls, universe: Iterable[str]) -> "VoteCollection":
-        return cls(tuple(universe), ())
-
     @property
     def kind(self) -> VoteKind | None:
         return self.groups[0][0].kind if self.groups else None
@@ -278,11 +268,3 @@ def winners(
 ) -> frozenset[str]:
     """Winner set: argmax of scores (plurality/approval) or argmin of vetoes."""
     return _winners_cached(system, frozenset(candidates), votes)
-
-
-def unique_winner_if_any(
-    system: System, candidates: Iterable[str], votes: VoteCollection
-) -> frozenset[str]:
-    """The winner set when it is a singleton, the empty set otherwise."""
-    won = winners(system, candidates, votes)
-    return won if len(won) == 1 else frozenset()

@@ -255,29 +255,31 @@ def rules_for(
 
 
 def compose(
-    outer: TransferRule,
-    inner: TransferRule,
-    instance: ControlInstance,
-    solution: Partition,
-) -> TransferOutcome:
-    """Apply inner, then feed its solution to outer; rejection propagates."""
-    if outer.system is not inner.system:
-        raise CompositionError(
-            f"cannot compose rules for {outer.system.value} and {inner.system.value}"
-        )
-    if outer.target_type != inner.source_type:
-        raise CompositionError(
-            f"outer consumes {outer.target_type} but inner produces {inner.source_type}"
-        )
-    intermediate = inner.apply(instance, solution)
-    if intermediate.rejected:
-        return intermediate
-    final = outer.apply(instance, intermediate.solution)
-    if final.rejected:
-        return final
-    return TransferOutcome(
-        final.solution, via_fallback=final.via_fallback or intermediate.via_fallback
-    )
+    chain: "list[TransferRule]", instance: ControlInstance, solution: Partition
+) -> list[TransferOutcome]:
+    """Apply the rules in order, each to its predecessor's solution.
+
+    Returns every step's outcome, stopping after the first rejection.
+    Raises CompositionError unless each rule consumes what the one before
+    it produces, on the same system.
+    """
+    for inner, outer in zip(chain, chain[1:]):
+        if outer.system is not inner.system:
+            raise CompositionError(
+                f"cannot compose rules for {outer.system.value} and {inner.system.value}"
+            )
+        if outer.target_type != inner.source_type:
+            raise CompositionError(
+                f"outer consumes {outer.target_type} but inner produces {inner.source_type}"
+            )
+    outcomes = []
+    for rule in chain:
+        outcome = rule.apply(instance, solution)
+        outcomes.append(outcome)
+        if outcome.rejected:
+            break
+        solution = outcome.solution
+    return outcomes
 
 
 def find_transfer_chain(

@@ -190,7 +190,9 @@ def immunity_search_approval(
 CC_RPC_TE_NUW = ControlTypeId.parse("CC-RPC-TE-NUW")
 
 
-def cc_rpc_te_nuw_search_approval(instance: ControlInstance) -> SolveOutcome:
+def cc_rpc_te_nuw_search_approval(
+    control_type: ControlTypeId, instance: ControlInstance
+) -> SolveOutcome:
     """Solve approval CC-RPC-TE-NUW by isolating the focus candidate.
 
     Let Y be the top approval count. If the focus candidate misses Y and a
@@ -202,6 +204,8 @@ def cc_rpc_te_nuw_search_approval(instance: ControlInstance) -> SolveOutcome:
     """
     if instance.election.system is not System.APPROVAL:
         raise UnsupportedAlgorithmError("this search applies to approval elections only")
+    if control_type != CC_RPC_TE_NUW:
+        raise UnsupportedAlgorithmError(f"this search covers {CC_RPC_TE_NUW} only")
     election = instance.election
     tally = scores(election.system, election.candidates, election.votes)
     top = max(tally.values())
@@ -210,6 +214,19 @@ def cc_rpc_te_nuw_search_approval(instance: ControlInstance) -> SolveOutcome:
         return SolveOutcome(None)
     rest = frozenset(election.candidates) - {instance.focus}
     return SolveOutcome(Partition.of_candidates(frozenset((instance.focus,)), rest))
+
+
+PolynomialSearch = Callable[[ControlTypeId, ControlInstance], SolveOutcome]
+
+# Every (system, type) with a polynomial-time search: the algorithm's name
+# and the search itself.
+POLYNOMIAL_SEARCHES: dict[tuple[System, ControlTypeId], tuple[str, PolynomialSearch]] = {
+    **{
+        (System.APPROVAL, control_type): ("approval-immunity", immunity_search_approval)
+        for control_type in IMMUNE_APPROVAL_TYPES
+    },
+    (System.APPROVAL, CC_RPC_TE_NUW): ("approval-isolate", cc_rpc_te_nuw_search_approval),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +267,8 @@ def lex_min_search_with_oracle(
     One initial feasibility probe on the empty prefix, then the encoding is
     fixed bit by bit, preferring 0; at most 2L+1 oracle calls for encoding
     length L. With a truthful oracle the result equals brute_force_search.
+    Backed by BruteForceOracle, the search performs up to 2^(L+1) two-stage
+    evaluations, where brute force performs up to 2^L.
     """
     if not oracle(control_type, instance, ""):
         return SolveOutcome(None)
@@ -347,8 +366,8 @@ def iter_instances(universe: Universe) -> Iterator[ControlInstance]:
             yield ControlInstance(election, focus)
 
 
-def instance_count(universe: Universe) -> int:
-    total = 0
+def _universe_shapes(universe: Universe) -> Iterator[tuple[int, int, int]]:
+    """(candidates, ballots cast, instances of that shape) across the universe."""
     for m in range(1, universe.max_candidates + 1):
         ballots = ballot_space_size(universe.system, m)
         for size in range(universe.max_votes + 1):
@@ -356,27 +375,21 @@ def instance_count(universe: Universe) -> int:
                 collections = math.comb(ballots + size - 1, size)
             else:
                 collections = ballots**size
-            total += collections * m
-    return total
+            yield m, size, collections * m
+
+
+def instance_count(universe: Universe) -> int:
+    return sum(instances for _, _, instances in _universe_shapes(universe))
 
 
 def estimated_scan_evaluations(
     types: tuple[ControlTypeId, ...], universe: Universe
 ) -> int:
     """Upper estimate of two-stage evaluations to decide the types everywhere."""
-    total = 0
-    for m in range(1, universe.max_candidates + 1):
-        ballots = ballot_space_size(universe.system, m)
-        for size in range(universe.max_votes + 1):
-            if universe.as_multisets:
-                collections = math.comb(ballots + size - 1, size)
-            else:
-                collections = ballots**size
-            per_instance = sum(
-                1 << (size if t.action is Action.PV else m) for t in types
-            )
-            total += collections * m * per_instance
-    return total
+    return sum(
+        instances * sum(1 << (size if t.action is Action.PV else m) for t in types)
+        for m, size, instances in _universe_shapes(universe)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +496,6 @@ COLLAPSE_GROUPS: dict[System, tuple[tuple[ControlTypeId, ...], ...]] = {
         _types("CC-RPC-TE-NUW", "CC-PC-TE-NUW"),
     ),
 }
-
-
-def collapse_groups(system: System) -> tuple[tuple[ControlTypeId, ...], ...]:
-    return COLLAPSE_GROUPS[system]
 
 
 def collapse_pairs(system: System) -> list[tuple[ControlTypeId, ControlTypeId]]:

@@ -27,16 +27,14 @@ from controlforge.hardness import (
 )
 from controlforge.reductions import ALL_TRANSFER_RULES
 from controlforge.solvers import (
-    BruteForceOracle,
-    CC_RPC_TE_NUW,
     IMMUNE_APPROVAL_TYPES,
+    POLYNOMIAL_SEARCHES,
+    BruteForceOracle,
     Universe,
     brute_force_search,
-    cc_rpc_te_nuw_search_approval,
     collapse_pairs,
     collapse_scan,
     encoding_length,
-    immunity_search_approval,
     iter_instances,
     lex_min_search_with_oracle,
     verifying_partitions,
@@ -131,15 +129,10 @@ def test_criterion_3_polynomial_algorithm_equivalence():
     _start_timer()
     failures = []
     checks = 0
-    algorithms = [
-        (control_type, lambda inst, t=control_type: immunity_search_approval(t, inst))
-        for control_type in IMMUNE_APPROVAL_TYPES
-    ]
-    algorithms.append((CC_RPC_TE_NUW, cc_rpc_te_nuw_search_approval))
-    for control_type, algorithm in algorithms:
-        for instance in instances_of(System.APPROVAL):
+    for (system, control_type), (_, search) in POLYNOMIAL_SEARCHES.items():
+        for instance in instances_of(system):
             checks += 1
-            fast = algorithm(instance)
+            fast = search(control_type, instance)
             slow = cached_search(control_type, instance)
             if fast.found != slow.found:
                 failures.append((str(control_type), instance, "solvability mismatch"))

@@ -127,6 +127,9 @@ class TestPartitionDocuments:
         assert partition == Partition.of_voters({0, 2}, {1})
         with pytest.raises(DocumentParseError):
             parse_partition("block1: 0 | block2: 1 3", PartitionKind.VOTER, election)
+        # "²" is a digit to str.isdigit but not a number to int.
+        with pytest.raises(DocumentParseError):
+            parse_partition("block1: 0 ² | block2: 1", PartitionKind.VOTER, election)
 
     def test_round_trip(self):
         partition = Partition.of_candidates({"a"}, {"p"})
@@ -290,6 +293,18 @@ class TestRunCommand:
         assert code == 1
         assert last_json(report)["algorithm"] == "approval-immunity"
 
+    def test_solve_auto_uses_isolate_algorithm(self, tmp_path):
+        election = write(tmp_path, "e.txt", APPROVAL_DOC)
+        code, report = run_command(["solve", "--type", "CC-RPC-TE-NUW", election])
+        assert code == 1
+        assert last_json(report)["algorithm"] == "approval-isolate"
+        tied = write(tmp_path, "tied.txt", APPROVAL_DOC + "{p}\n")
+        code, report = run_command(["solve", "--type", "CC-RPC-TE-NUW", tied])
+        assert code == 0
+        payload = last_json(report)
+        assert payload["algorithm"] == "approval-isolate"
+        assert payload["solution"] == "block1: p | block2: a\n"
+
     def test_solve_oracle_reports_call_count(self, tmp_path):
         election = write(tmp_path, "e.txt", APPROVAL_DOC)
         code, report = run_command(
@@ -359,6 +374,61 @@ class TestRunCommand:
         )
         assert code == 1
         assert report.outcome == "transfer-rejected"
+
+    def test_reduce_two_step_route(self, tmp_path):
+        election = write(
+            tmp_path,
+            "e.txt",
+            "system: plurality\ncandidates: p a b\ndistinguished: p\na>p>b\na>b>p\np>a>b\n",
+        )
+        solution = write(tmp_path, "s.txt", "block1: a | block2: p b\n")
+        code, report = run_command(
+            [
+                "reduce",
+                "--from",
+                "DC-PC-TE-NUW",
+                "--to",
+                "DC-RPC-TE-UW",
+                "--solution",
+                solution,
+                election,
+            ]
+        )
+        assert code == 0
+        payload = last_json(report)
+        assert len(payload["steps"]) == 2
+        assert not any(step["rejected"] for step in payload["steps"])
+        output = write(tmp_path, "out.txt", payload["solution"])
+        code, report = run_command(
+            ["verify", "--type", "DC-RPC-TE-UW", "--partition", output, election]
+        )
+        assert code == 0
+        assert last_json(report)["outcome"] == "verified-true"
+
+    def test_reduce_zero_step_route_rejects_non_solution(self, tmp_path):
+        election = write(
+            tmp_path,
+            "e.txt",
+            "system: plurality\ncandidates: p a\ndistinguished: p\np>a\n",
+        )
+        solution = write(tmp_path, "s.txt", "block1: | block2: p a\n")
+        code, report = run_command(
+            [
+                "reduce",
+                "--from",
+                "DC-PC-TE-NUW",
+                "--to",
+                "DC-PC-TE-NUW",
+                "--solution",
+                solution,
+                election,
+            ]
+        )
+        assert code == 1
+        payload = last_json(report)
+        assert payload["outcome"] == "transfer-rejected"
+        assert payload["steps"] == []
+        assert payload["solution"] is None
 
     def test_reduce_without_route_is_usage_error(self, tmp_path):
         election = write(
@@ -430,6 +500,21 @@ class TestRunCommand:
         )
         assert code == 2
         assert "cap" in report.payload["message"]
+
+    def test_solve_cap_counts_each_algorithms_worst_case(self, tmp_path, monkeypatch):
+        # Two candidates: brute force evaluates up to 2^2 partitions, the
+        # oracle search up to 2^3.
+        election = write(tmp_path, "e.txt", PLURALITY_DOC + "distinguished: a\n")
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "4")
+        code, _ = run_command(
+            ["solve", "--type", "DC-PC-TP-NUW", "--algorithm", "brute", election]
+        )
+        assert code in (0, 1)
+        code, report = run_command(
+            ["solve", "--type", "DC-PC-TP-NUW", "--algorithm", "oracle", election]
+        )
+        assert code == 2
+        assert "8 two-stage evaluations" in report.payload["message"]
 
     def test_encode_then_decode_hitting_set(self, tmp_path):
         hs_file = write(tmp_path, "hs.txt", "elements: b1\nk: 1\nset: b1\n")

@@ -243,7 +243,9 @@ class TestVerifySolution:
     def test_verified_implies_structurally_valid(self, instance, control_type, data):
         partition = data.draw(partitions_for(instance, control_type.partition_kind))
         if verify_solution(control_type, instance, partition):
-            assert not partition_problems(partition, control_type, instance)
+            assert not partition_problems(
+                partition, control_type.partition_kind, instance.election
+            )
 
 
 def _renamed(instance, mapping):

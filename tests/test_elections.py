@@ -10,7 +10,6 @@ from controlforge import (
     make_election,
     mask_votes,
     scores,
-    unique_winner_if_any,
     winners,
 )
 from controlforge.elections import (
@@ -117,13 +116,6 @@ class TestWinners:
     def test_empty_candidate_set(self):
         votes = linear("ab", ("ab", 1))
         assert winners(System.PLURALITY, (), votes) == frozenset()
-
-    def test_unique_winner_if_any(self):
-        votes = linear("ab", ("ab", 2), ("ba", 1))
-        assert unique_winner_if_any(System.PLURALITY, "ab", votes) == {"a"}
-        tied = linear("ab", ("ab", 1), ("ba", 1))
-        assert unique_winner_if_any(System.PLURALITY, "ab", tied) == frozenset()
-        assert unique_winner_if_any(System.PLURALITY, (), tied) == frozenset()
 
     @given(elections(), st.data())
     def test_winners_within_candidates_and_nonempty(self, election, data):

@@ -234,24 +234,33 @@ class TestComposeAndRegistry:
         outer = _rule(System.PLURALITY, "DC-RPC-TE-UW", "DC-RPC-TE-NUW")
         inner = _rule(System.PLURALITY, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
         pc_solution = Partition.of_candidates({"a"}, {"p", "b"})
-        outcome = compose(outer, inner, THREE_WAY, pc_solution)
-        assert verify_solution(T("DC-RPC-TE-UW"), THREE_WAY, outcome.solution)
+        outcomes = compose([inner, outer], THREE_WAY, pc_solution)
+        assert len(outcomes) == 2
+        assert verify_solution(T("DC-RPC-TE-NUW"), THREE_WAY, outcomes[0].solution)
+        assert verify_solution(T("DC-RPC-TE-UW"), THREE_WAY, outcomes[1].solution)
 
     def test_compose_rejects_mismatched_rules(self):
         outer = _rule(System.PLURALITY, "DC-RPC-TE-UW", "DC-RPC-TE-NUW")
         inner = _rule(System.PLURALITY, "DC-PC-TP-NUW", "DC-RPC-TP-NUW")
+        nobody = Partition.of_candidates(set(), {"p", "a", "b"})
         with pytest.raises(CompositionError):
-            compose(outer, inner, THREE_WAY, Partition.of_candidates(set(), {"p", "a", "b"}))
+            compose([inner, outer], THREE_WAY, nobody)
         veto_inner = _rule(System.VETO, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
         with pytest.raises(CompositionError):
-            compose(outer, veto_inner, THREE_WAY, Partition.of_candidates(set(), {"p", "a", "b"}))
+            compose([veto_inner, outer], THREE_WAY, nobody)
+        # Every adjacent pair is checked, not only the first.
+        first = _rule(System.PLURALITY, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
+        with pytest.raises(CompositionError):
+            compose([first, outer, inner], THREE_WAY, nobody)
 
     def test_compose_propagates_rejection(self):
         outer = _rule(System.PLURALITY, "DC-RPC-TE-UW", "DC-RPC-TE-NUW")
         inner = _rule(System.PLURALITY, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
         instance = plurality_instance("pab", [("pab", 2), ("abp", 1)], "p")
         losing = Partition.of_candidates(set(), {"p", "a", "b"})
-        assert compose(outer, inner, instance, losing).rejected
+        outcomes = compose([inner, outer], instance, losing)
+        assert [outcome.rejected for outcome in outcomes] == [True]
+        assert compose([], instance, losing) == []
 
     def test_find_transfer_chain(self):
         chain = find_transfer_chain(System.PLURALITY, T("DC-RPC-TE-UW"), T("DC-PC-TE-NUW"))

@@ -131,24 +131,29 @@ class TestImmunitySearch:
 class TestIsolationSearch:
     def test_two_way_tie_at_the_top(self):
         instance = approval_instance("pab", [(("a", "b"), 2)], "p")
-        outcome = cc_rpc_te_nuw_search_approval(instance)
+        outcome = cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), instance)
         assert outcome.solution == Partition.of_candidates({"p"}, {"a", "b"})
         assert verify_solution(T("CC-RPC-TE-NUW"), instance, outcome.solution)
 
     def test_unique_leader_blocks_the_focus(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
-        assert cc_rpc_te_nuw_search_approval(instance).solution is None
+        assert cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), instance).solution is None
 
     def test_focus_at_the_top(self):
         instance = approval_instance("pa", [(("p",), 1)], "p")
-        outcome = cc_rpc_te_nuw_search_approval(instance)
+        outcome = cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), instance)
         assert outcome.solution == Partition.of_candidates({"p"}, {"a"})
         assert verify_solution(T("CC-RPC-TE-NUW"), instance, outcome.solution)
 
     def test_rejects_wrong_system(self):
         election = make_election("veto", "pa", [("pa", 1)])
         with pytest.raises(UnsupportedAlgorithmError):
-            cc_rpc_te_nuw_search_approval(ControlInstance(election, "p"))
+            cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), ControlInstance(election, "p"))
+
+    def test_rejects_uncovered_type(self):
+        instance = approval_instance("pa", [], "p")
+        with pytest.raises(UnsupportedAlgorithmError):
+            cc_rpc_te_nuw_search_approval(T("CC-PC-TE-NUW"), instance)
 
 
 class TestOracleSearch:
