@@ -18,7 +18,9 @@ Formats (UTF-8, ``#`` starts a comment anywhere on a line):
 Every command prints a human-readable report followed by one JSON line that
 alone suffices to re-verify the outcome; the exit code is a function of the
 JSON ``outcome`` field (0 success / solution found / verified / no
-counterexamples, 1 negative answer, 2 usage or parse error).
+counterexamples, 1 negative answer, 2 usage or parse error, 3 internal
+error: a library invariant failed, such as an oracle whose answers lead to
+a non-verifying partition or a collapse the fallback search contradicts).
 """
 
 import argparse
@@ -57,6 +59,7 @@ from .solvers import (
     DEFAULT_MAX_EVALS,
     POLYNOMIAL_SEARCHES,
     BruteForceOracle,
+    InvariantError,
     Universe,
     UniverseTooLargeError,
     brute_force_search,
@@ -315,6 +318,7 @@ _EXIT_BY_OUTCOME = {
     "extracted": 0,
     "extraction-rejected": 1,
     "error": 2,
+    "internal-error": 3,
 }
 
 
@@ -519,7 +523,6 @@ def _cmd_evaluate(args, argv) -> RunReport:
 def _cmd_solve(args, argv) -> RunReport:
     control_type = _control_type(args.type)
     doc, instance = _instance_from(args)
-    cap = _max_evals(args)
     system = instance.election.system
     polynomial = POLYNOMIAL_SEARCHES.get((system, control_type))
     if args.algorithm == "poly" and polynomial is None:
@@ -541,6 +544,7 @@ def _cmd_solve(args, argv) -> RunReport:
         # partitions, the oracle search 2^(L+1).
         length = encoding_length(instance, control_type.partition_kind)
         evaluations = (1 if oracle is None else 2) << length
+        cap = _max_evals(args)
         if evaluations > cap:
             raise UsageError(
                 f"{algorithm} needs up to {evaluations} two-stage evaluations, above "
@@ -721,6 +725,10 @@ def run_command(argv) -> tuple[int, RunReport]:
         report = RunReport(
             tuple(argv), "error", {"message": str(err)}, (f"error: {err}",)
         )
+    except InvariantError as err:
+        report = RunReport(
+            tuple(argv), "internal-error", {"message": str(err)}, (f"internal error: {err}",)
+        )
     return exit_code_for(report.outcome), report
 
 
@@ -731,7 +739,7 @@ def main(argv=None) -> int:
         code, report = run_command(argv)
     except SystemExit as exit_request:  # argparse --help
         return 0 if exit_request.code in (0, None) else 2
-    stream = sys.stderr if code == 2 else sys.stdout
+    stream = sys.stderr if code >= 2 else sys.stdout
     print(report.render(), file=stream)
     return code
 

@@ -21,16 +21,26 @@ against the instance's full votes (each ballot counts only for the round's
 candidates, as if masked down to them); PV rounds score the full candidate
 set against their voter block's ballots. No round builds an election of its
 own, and the final round always uses the full original vote collection.
+
+Each round's winners are one lookup in the election's ``SubsetWinners``
+tables, and two paths read them. *Deciding* (``decider``,
+``verify_solution``) maps a partition's first-block mask to a verdict and
+builds nothing. *Explaining* (``check_solution``, ``run_two_stage``) names
+the same rounds in a ``TwoStageTrace``; because both read one table, a
+verdict and its trace cannot disagree.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import Callable
 
 from .elections import (
     Election,
+    SubsetWinners,
     System,
     VoteCollection,
+    subset_winners,
     winners,
 )
 
@@ -165,10 +175,6 @@ def partition_problems(
     return problems
 
 
-def _advancing(won: frozenset[str], tie_rule: TieRule) -> frozenset[str]:
-    return won if tie_rule is TieRule.TP or len(won) == 1 else frozenset()
-
-
 def survivors(
     system: System,
     candidates: "frozenset[str] | tuple[str, ...]",
@@ -176,7 +182,8 @@ def survivors(
     tie_rule: TieRule,
 ) -> frozenset[str]:
     """Subelection winners that advance under the tie-handling rule."""
-    return _advancing(winners(system, candidates, votes), tie_rule)
+    won = winners(system, candidates, votes)
+    return won if tie_rule is TieRule.TP or len(won) == 1 else frozenset()
 
 
 @dataclass(frozen=True)
@@ -214,17 +221,6 @@ class TwoStageTrace:
         return self.final_candidates
 
 
-def _play_round(
-    label: str,
-    system: System,
-    candidates: frozenset[str],
-    votes: VoteCollection,
-    tie_rule: TieRule,
-) -> SubElectionRound:
-    won = winners(system, candidates, votes)
-    return SubElectionRound(label, candidates, won, _advancing(won, tie_rule))
-
-
 def run_two_stage(
     control_type: ControlTypeId, instance: ControlInstance, partition: Partition
 ) -> TwoStageTrace:
@@ -242,30 +238,72 @@ def run_two_stage(
 def _run_validated(
     control_type: ControlTypeId, instance: ControlInstance, partition: Partition
 ) -> TwoStageTrace:
-    system = instance.election.system
-    votes = instance.election.votes
-    tie_rule = control_type.tie_rule
-
+    """The explaining path: ``decider``'s rounds, read from the same tables, named."""
+    table = subset_winners(instance.election)
+    named = table.named
+    unique = control_type.tie_rule is TieRule.TE
+    block_won, everyone = _first_round_table(control_type.action, table)
     if control_type.action is Action.PV:
-        everyone = frozenset(votes.universe)
-        rounds = tuple(
-            _play_round(f"voter block {i}", system, everyone, votes.select_voters(block), tie_rule)
-            for i, block in ((1, partition.first), (2, partition.second))
-        )
-        final_candidates = rounds[0].survivors | rounds[1].survivors
-    elif control_type.action is Action.RPC:
-        rounds = tuple(
-            _play_round(f"candidate block {i}", system, block, votes, tie_rule)
-            for i, block in ((1, partition.first), (2, partition.second))
-        )
-        final_candidates = rounds[0].survivors | rounds[1].survivors
+        label, first = "voter block", table.voter_mask(partition.first)
     else:
-        rounds = (_play_round("candidate block 1", system, partition.first, votes, tie_rule),)
+        label, first = "candidate block", table.candidate_masks[partition.first]
+    if control_type.action is Action.PC:
         # In PC the second block skips the first round entirely.
-        final_candidates = rounds[0].survivors | partition.second
+        blocks, final = (first,), everyone ^ first
+    else:
+        blocks, final = (first, everyone ^ first), 0
+    rounds = []
+    for i, block in enumerate(blocks, start=1):
+        won = block_won[block]
+        survived = _survived(won, unique)
+        final |= survived
+        candidates = named[table.everyone if control_type.action is Action.PV else block]
+        rounds.append(SubElectionRound(f"{label} {i}", candidates, named[won], named[survived]))
+    final_winners = named[table.by_candidates[final]]
+    return TwoStageTrace(control_type, tuple(rounds), named[final], final_winners)
 
-    final_winners = winners(system, final_candidates, votes)
-    return TwoStageTrace(control_type, rounds, final_candidates, final_winners)
+
+def _first_round_table(action: Action, table: SubsetWinners) -> tuple[dict[int, int], int]:
+    """The winner table first rounds read (by voters for PV) and the mask they split."""
+    if action is Action.PV:
+        return table.by_voters, table.all_voters
+    return table.by_candidates, table.everyone
+
+
+def _survived(won: int, unique: bool) -> int:
+    """The winner mask that advances: all of it, or under TE only a unique winner."""
+    return 0 if unique and won & (won - 1) else won
+
+
+def decider(control_type: ControlTypeId, instance: ControlInstance) -> Callable[[int], bool]:
+    """The deciding path: whether a partition achieves the goal, by its first-block mask.
+
+    Items are bits as in ``SubsetWinners`` (item 0 is the highest bit), and
+    the partition is the mask and its complement, so every mask of the
+    type's kind is a valid partition. Each round is one table lookup; no
+    trace, vote or election is built.
+    """
+    table = subset_winners(instance.election)
+    won = table.by_candidates
+    block_won, everyone = _first_round_table(control_type.action, table)
+    unique = control_type.tie_rule is TieRule.TE
+    if control_type.action is Action.PC:
+
+        def final_winners(first: int) -> int:
+            # In PC the second block skips the first round entirely.
+            return won[_survived(block_won[first], unique) | (everyone ^ first)]
+
+    else:
+
+        def final_winners(first: int) -> int:
+            one = _survived(block_won[first], unique)
+            return won[one | _survived(block_won[everyone ^ first], unique)]
+
+    focus = table.bit_of[instance.focus]
+    constructive = control_type.direction is Direction.CC
+    if control_type.winner_model is WinnerModel.UW:
+        return lambda first: (final_winners(first) == focus) == constructive
+    return lambda first: (final_winners(first) & focus != 0) == constructive
 
 
 def goal_satisfied(
@@ -318,4 +356,12 @@ def verify_solution(
     Malformed partitions yield False rather than an error, so solvers can
     enumerate blindly.
     """
-    return check_solution(control_type, instance, partition).ok
+    kind = control_type.partition_kind
+    if partition_problems(partition, kind, instance.election):
+        return False
+    table = subset_winners(instance.election)
+    if kind is PartitionKind.CANDIDATE:
+        first = table.candidate_masks[partition.first]
+    else:
+        first = table.voter_mask(partition.first)
+    return decider(control_type, instance)(first)

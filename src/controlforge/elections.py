@@ -1,9 +1,14 @@
 """Candidate/vote data model, vote masking, and winner determination.
 
 Three election systems are supported: plurality and veto (linear-order
-ballots) and approval (approval ballots). Winner sets may be empty only
-for an empty candidate set; all values are immutable and all operations
-are pure functions.
+ballots) and approval (approval ballots). Every election has at least one
+candidate; a winner set is empty only for an empty candidate set. All
+values are immutable and ``winners`` is a pure function.
+
+``SubsetWinners`` holds one election's winners of every candidate set (and
+voter set) as tables keyed by bitmask and filled on demand; the two-stage
+semantics reads every round from them. ``subset_winners`` is the bounded
+cache of those tables, and the library's only cache.
 """
 
 import functools
@@ -175,6 +180,8 @@ class Election:
     votes: VoteCollection
 
     def __post_init__(self):
+        if not self.votes.universe:
+            raise InvalidCandidateError("an election needs at least one candidate")
         seen = set()
         for name in self.votes.universe:
             check_candidate_name(name)
@@ -186,6 +193,19 @@ class Election:
             raise InvalidVoteError(
                 f"{self.system} elections take {vote_kind_for(self.system)} ballots, got {kind}"
             )
+
+    def __hash__(self) -> int:
+        # Elections key the table cache: hash the ballots once, not per lookup.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.system, self.votes))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # Rebuild from the fields: string hashes differ between processes.
+        return Election, (self.system, self.votes)
 
     @property
     def candidates(self) -> tuple[str, ...]:
@@ -252,10 +272,11 @@ def scores(
     return tally
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def _winners_cached(
-    system: System, keep: frozenset[str], votes: VoteCollection
+def winners(
+    system: System, candidates: Iterable[str], votes: VoteCollection
 ) -> frozenset[str]:
+    """Winner set: argmax of scores (plurality/approval) or argmin of vetoes."""
+    keep = frozenset(candidates)
     if not keep:
         return frozenset()
     tally = scores(system, keep, votes)
@@ -263,8 +284,104 @@ def _winners_cached(
     return frozenset(c for c, s in tally.items() if s == best)
 
 
-def winners(
-    system: System, candidates: Iterable[str], votes: VoteCollection
-) -> frozenset[str]:
-    """Winner set: argmax of scores (plurality/approval) or argmin of vetoes."""
-    return _winners_cached(system, frozenset(candidates), votes)
+class _Table(dict):
+    """A dict that computes a missing entry on first lookup and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _round_winners(system: System, bits: tuple[int, ...], ballots, subset: int) -> int:
+    """Winner mask of the candidate bits in ``subset`` under weighted ballots.
+
+    A ballot is the tuple of candidate bits it credits, in order: under
+    plurality (the ranking) and veto (the ranking reversed, where the
+    point is a veto) its first bit in the subset gets its weight; approval
+    credits every approved bit.
+    """
+    tally = {bit: 0 for bit in bits if bit & subset}
+    if not tally:
+        return 0
+    credits_one = system is not System.APPROVAL
+    for ballot, weight in ballots:
+        for bit in ballot:
+            if bit & subset:
+                tally[bit] += weight
+                if credits_one:
+                    break
+    best = min(tally.values()) if system is System.VETO else max(tally.values())
+    return sum(bit for bit, score in tally.items() if score == best)
+
+
+class SubsetWinners:
+    """The winners of every candidate set (and, for PV, voter set) of one election.
+
+    Sets are bitmasks: candidate i of the canonical order is bit m-1-i and
+    voter index j is bit n-1-j, so the integer of a partition's encoding
+    (item 0 first) is its first-block mask. Two tables, keyed by mask and
+    holding winner masks:
+
+    * ``by_candidates[S]``: winners of candidate set S scored against the
+      full votes, each ballot counting only for the candidates in S (the
+      winners of the election masked down to S);
+    * ``by_voters[V]``: winners of the full candidate set under the ballots
+      of the voters in V (the winners of ``select_voters``).
+
+    Entries are filled on first lookup, so a table never holds more entries
+    than decisions asked for, by a tally over candidate bits that builds no
+    votes or elections. ``candidate_masks`` and ``named`` translate between
+    name sets and masks for the explaining path.
+    """
+
+    def __init__(self, election: Election):
+        system = election.system
+        m = len(election.candidates)
+        bits = tuple(1 << (m - 1 - i) for i in range(m))
+        bit_of = dict(zip(election.candidates, bits))
+        veto = system is System.VETO
+        ballots = tuple(
+            (tuple(bit_of[c] for c in (v.entries[::-1] if veto else v.entries)), count)
+            for v, count in election.votes.groups
+        )
+        voters = [ballot for ballot, count in ballots for _ in range(count)]
+        self.bit_of = bit_of
+        self.everyone = everyone = (1 << m) - 1
+        self.voter_count = n = len(voters)
+        self.all_voters = (1 << n) - 1
+        # The fills close over plain data, not over self: a table that
+        # refers back to its owner would stay in memory after the cache
+        # drops it, until a full garbage collection.
+        self.by_candidates = _Table(lambda subset: _round_winners(system, bits, ballots, subset))
+        self.by_voters = _Table(
+            lambda chosen: _round_winners(
+                system,
+                bits,
+                [(ballot, 1) for j, ballot in enumerate(voters) if chosen >> (n - 1 - j) & 1],
+                everyone,
+            )
+        )
+        self.candidate_masks = _Table(lambda names: sum(map(bit_of.__getitem__, names)))
+        self.named = _Table(
+            lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
+        )
+
+    def voter_mask(self, indices) -> int:
+        top = self.voter_count - 1
+        return sum(1 << (top - j) for j in indices)
+
+
+@functools.lru_cache(maxsize=256)
+def subset_winners(election: Election) -> SubsetWinners:
+    """The election's winner tables, shared by every decision about it.
+
+    The only cache in the library: it holds the tables of the 256 elections
+    used last.
+    """
+    return SubsetWinners(election)

@@ -38,7 +38,13 @@ from .control import (
     verify_solution,
 )
 from .elections import System
-from .solvers import DEFAULT_MAX_EVALS, brute_force_search, collapses_with, encoding_length
+from .solvers import (
+    DEFAULT_MAX_EVALS,
+    InvariantError,
+    brute_force_search,
+    collapses_with,
+    encoding_length,
+)
 
 
 class TransferError(ValueError):
@@ -169,7 +175,7 @@ def transfer_fallback(
         return TransferOutcome.reject()
     found = brute_force_search(source_type, instance)
     if not found.found:
-        raise RuntimeError(
+        raise InvariantError(
             f"collapse violated: {target_type} solvable but {source_type} is not "
             f"on {instance}"
         )

@@ -7,7 +7,11 @@ compares two control types as sets of instances over a bounded universe.
 
 Partitions are encoded as the characteristic bit string of the first block
 in canonical candidate/voter order (bit i set means item i is in the first
-block); "lexicographically least" always refers to this encoding.
+block); "lexicographically least" always refers to this encoding. Read as
+an integer, the encoding is the first-block mask of ``SubsetWinners`` (item
+i of L is bit L-1-i), so the searches decide the masks 0 .. 2^L - 1 in
+order through ``control.decider`` and build a ``Partition`` only for the
+answer.
 """
 
 import itertools
@@ -21,6 +25,7 @@ from .control import (
     ControlTypeId,
     Partition,
     PartitionKind,
+    decider,
     goal_satisfied,
     verify_solution,
 )
@@ -38,7 +43,11 @@ class UnsupportedAlgorithmError(ValueError):
     """A specialized solver was asked about a (system, type) it does not cover."""
 
 
-class OracleInconsistencyError(RuntimeError):
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a defect, not a problem with the input."""
+
+
+class OracleInconsistencyError(InvariantError):
     """The decision oracle's answers led to a non-verifying partition."""
 
 
@@ -81,13 +90,16 @@ def encoding_length(instance: ControlInstance, kind: PartitionKind) -> int:
     return len(partition_items(instance, kind))
 
 
+def _first_block(items: tuple, first: int) -> frozenset:
+    """The items whose bits are set in the first-block mask (item 0 is the top bit)."""
+    top = len(items) - 1
+    return frozenset(item for i, item in enumerate(items) if first >> (top - i) & 1)
+
+
 def bipartitions(items: tuple) -> Iterator[tuple[frozenset, frozenset]]:
     """All 2^len ordered bipartitions, by first-block bit string, item 0 first."""
-    length = len(items)
-    for code in range(1 << length):
-        first = frozenset(
-            item for i, item in enumerate(items) if code >> (length - 1 - i) & 1
-        )
+    for code in range(1 << len(items)):
+        first = _first_block(items, code)
         yield first, frozenset(items) - first
 
 
@@ -119,10 +131,19 @@ def partition_from_bits(
 def verifying_partitions(
     control_type: ControlTypeId, instance: ControlInstance
 ) -> Iterator[Partition]:
-    """Every partition of the type's kind that verifies, lexicographically."""
-    for partition in enumerate_partitions(instance, control_type.partition_kind):
-        if verify_solution(control_type, instance, partition):
-            yield partition
+    """Every partition of the type's kind that verifies, lexicographically.
+
+    Decides every first-block mask in increasing order, which is the
+    encoding's lexicographic order, and builds a ``Partition`` only for
+    the masks that verify.
+    """
+    kind = control_type.partition_kind
+    items = partition_items(instance, kind)
+    holds = decider(control_type, instance)
+    for first in range(1 << len(items)):
+        if holds(first):
+            block = _first_block(items, first)
+            yield Partition(kind, block, frozenset(items) - block)
 
 
 def brute_force_search(
@@ -247,14 +268,11 @@ class BruteForceOracle:
         self, control_type: ControlTypeId, instance: ControlInstance, prefix: str
     ) -> bool:
         self.calls += 1
-        kind = control_type.partition_kind
-        free = encoding_length(instance, kind) - len(prefix)
-        for code in range(1 << free):
-            bits = prefix + format(code, f"0{free}b") if free else prefix
-            partition = partition_from_bits(instance, kind, bits)
-            if verify_solution(control_type, instance, partition):
-                return True
-        return False
+        free = encoding_length(instance, control_type.partition_kind) - len(prefix)
+        # The masks extending the prefix are one run of consecutive integers.
+        start = int(prefix, 2) << free if prefix else 0
+        holds = decider(control_type, instance)
+        return any(holds(first) for first in range(start, start + (1 << free)))
 
 
 def lex_min_search_with_oracle(

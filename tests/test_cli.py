@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from controlforge import ControlInstance, Election, System, Vote, VoteCollection, make_election
+from controlforge import (
+    ControlInstance,
+    Election,
+    System,
+    Vote,
+    VoteCollection,
+    cli,
+    make_election,
+    reductions,
+)
 from controlforge.cli import (
     DocumentParseError,
     ElectionDocument,
@@ -20,6 +29,7 @@ from controlforge.cli import (
 )
 from controlforge.control import Partition, PartitionKind
 from controlforge.elections import InvalidCandidateError, check_candidate_name
+from controlforge.solvers import SolveOutcome
 from controlforge.hardness import (
     FOCUS_NAME,
     SPOILER_NAME,
@@ -195,6 +205,14 @@ class TestDocumentRoundTrips:
     @given(hitting_sets())
     def test_hitting_set_documents(self, hs):
         assert parse_hitting_set(serialize_hitting_set(hs)) == hs
+
+    def test_no_election_without_candidates(self):
+        # It would serialize to a bare "candidates:" line, which no
+        # document may carry.
+        with pytest.raises(InvalidCandidateError):
+            Election(System.PLURALITY, VoteCollection((), ()))
+        with pytest.raises(DocumentParseError):
+            parse_election("system: plurality\ncandidates:\n")
 
 
 class TestHittingSetDocuments:
@@ -515,6 +533,46 @@ class TestRunCommand:
         )
         assert code == 2
         assert "8 two-stage evaluations" in report.payload["message"]
+
+    def test_solve_cap_read_only_for_exponential_searches(self, tmp_path, monkeypatch):
+        election = write(tmp_path, "e.txt", APPROVAL_DOC + "{p}\n")
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "x")
+        code, report = run_command(["solve", "--type", "CC-RPC-TE-NUW", election])
+        assert code == 0
+        assert last_json(report)["algorithm"] == "approval-isolate"
+        code, report = run_command(
+            ["solve", "--type", "CC-RPC-TE-NUW", "--algorithm", "brute", election]
+        )
+        assert code == 2
+        assert "CONTROL_FORGE_MAX_EVALS" in report.payload["message"]
+
+    def test_lying_oracle_is_an_internal_error(self, tmp_path, monkeypatch):
+        class LyingOracle:
+            calls = 0
+
+            def __call__(self, control_type, instance, prefix):
+                return True
+
+        monkeypatch.setattr(cli, "BruteForceOracle", LyingOracle)
+        election = write(tmp_path, "e.txt", APPROVAL_DOC)
+        code, report = run_command(
+            ["solve", "--type", "CC-PC-TP-NUW", "--algorithm", "oracle", election]
+        )
+        assert (code, report.outcome) == (3, "internal-error")
+        assert "non-verifying partition" in last_json(report)["message"]
+
+    def test_violated_collapse_is_an_internal_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            reductions, "brute_force_search", lambda control_type, instance: SolveOutcome(None)
+        )
+        election = write(tmp_path, "e.txt", APPROVAL_DOC + "{p}\n")
+        solution = write(tmp_path, "s.txt", "block1: p | block2: a\n")
+        code, report = run_command(
+            ["reduce", "--from", "CC-RPC-TE-NUW", "--to", "CC-PC-TE-NUW",
+             "--solution", solution, election]
+        )
+        assert (code, report.outcome) == (3, "internal-error")
+        assert "collapse violated" in last_json(report)["message"]
 
     def test_encode_then_decode_hitting_set(self, tmp_path):
         hs_file = write(tmp_path, "hs.txt", "elements: b1\nk: 1\nset: b1\n")

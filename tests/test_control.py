@@ -152,6 +152,9 @@ class TestRunTwoStage:
 
 
 def _winners_of_built_election(system, votes):
+    if not votes.universe:
+        # No election has an empty candidate set, and no candidate wins.
+        return frozenset()
     election = Election(system, votes)
     return winners(system, election.candidates, election.votes)
 
@@ -159,7 +162,8 @@ def _winners_of_built_election(system, votes):
 @pytest.mark.parametrize("system", list(System))
 def test_rounds_match_explicitly_built_elections(system):
     """Scoring a round's candidates against the full votes gives the winners
-    of the round's own election, built from masked or selected votes."""
+    of the round's own election, built from masked or selected votes; the
+    bit-level decision agrees with the goal on those winners."""
     for election in iter_elections(Universe(system, 3, 3)):
         instance = ControlInstance(election, election.candidates[0])
         votes = election.votes
@@ -178,8 +182,24 @@ def test_rounds_match_explicitly_built_elections(system):
                 assert [r.candidates for r in trace.first_rounds] == [
                     frozenset(sub.universe) for sub in expected
                 ]
-                final = mask_votes(votes, trace.final_candidates)
-                assert trace.final_winners == _winners_of_built_election(system, final)
+                advancing = [
+                    survivors(system, sub.universe, sub, control_type.tie_rule)
+                    for sub in expected
+                ]
+                assert [r.survivors for r in trace.first_rounds] == advancing
+                final_candidates = frozenset().union(*advancing)
+                if control_type.action is Action.PC:
+                    final_candidates |= partition.second
+                assert trace.final_candidates == final_candidates
+                final = mask_votes(votes, final_candidates)
+                final_winners = _winners_of_built_election(system, final)
+                assert trace.final_winners == final_winners
+                for focus in election.candidates:
+                    assert verify_solution(
+                        control_type, ControlInstance(election, focus), partition
+                    ) == goal_satisfied(
+                        control_type.direction, control_type.winner_model, focus, final_winners
+                    )
 
 
 class TestGoal:

@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -143,6 +148,25 @@ class TestWinners:
     def test_single_candidate_always_wins(self, election, data):
         lone = data.draw(st.sampled_from(election.candidates))
         assert winners(election.system, (lone,), election.votes) == {lone}
+
+
+def test_election_pickled_in_another_process_hashes_here():
+    # Elections keep their hash once computed; it must not travel with them,
+    # because string hashes differ between processes.
+    script = (
+        "import pickle, sys\n"
+        "from controlforge import make_election\n"
+        "election = make_election('plurality', 'ab', [('ab', 2), ('ba', 1)])\n"
+        "hash(election)\n"
+        "sys.stdout.buffer.write(pickle.dumps(election))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=60
+    )
+    election = pickle.loads(done.stdout)
+    assert election in {make_election("plurality", "ab", [("ab", 2), ("ba", 1)])}
 
 
 class TestValidation:

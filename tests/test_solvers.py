@@ -1,3 +1,6 @@
+import string
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,10 +9,12 @@ from controlforge import (
     ControlTypeId,
     Partition,
     System,
+    check_solution,
     make_election,
     verify_solution,
 )
-from controlforge.control import PartitionKind
+from controlforge.control import ALL_CONTROL_TYPES, PartitionKind
+from controlforge.elections import subset_winners
 from controlforge.solvers import (
     BruteForceOracle,
     OracleInconsistencyError,
@@ -100,6 +105,51 @@ class TestBruteForce:
         assert (T("DC-PC-TP-NUW"), instance) in cache
         second = brute_force_search(T("DC-PC-TP-NUW"), instance, cache)
         assert first == second
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_searches_match_the_explaining_path(system):
+    """Brute force and the oracle search decide by bitmask; both return the
+    first partition, in encoding order, that ``check_solution`` accepts."""
+    for instance in iter_instances(Universe(system, 3, 3)):
+        for control_type in ALL_CONTROL_TYPES:
+            expected = next(
+                (
+                    partition
+                    for partition in enumerate_partitions(instance, control_type.partition_kind)
+                    if check_solution(control_type, instance, partition).ok
+                ),
+                None,
+            )
+            assert brute_force_search(control_type, instance).solution == expected
+            oracle = BruteForceOracle()
+            assert lex_min_search_with_oracle(control_type, instance, oracle).solution == expected
+
+
+def test_one_off_decisions_on_a_large_election_fill_lazily():
+    candidates = tuple(string.ascii_lowercase[:24])
+    election = make_election(
+        "plurality", candidates, [(candidates[i:] + candidates[:i], 1) for i in range(40)]
+    )
+    instance = ControlInstance(election, "a")
+    by_candidates = Partition.of_candidates(candidates[:12], candidates[12:])
+    by_voters = Partition.of_voters(range(20), range(20, 40))
+    start = time.perf_counter()
+    for control_type in (T("CC-RPC-TE-UW"), T("DC-PC-TP-NUW"), T("CC-PV-TE-NUW")):
+        voters = control_type.partition_kind is PartitionKind.VOTER
+        partition = by_voters if voters else by_candidates
+        checked = check_solution(control_type, instance, partition)
+        assert verify_solution(control_type, instance, partition) == checked.ok
+    assert time.perf_counter() - start < 2.0
+    # Tables of 2^24 and 2^40 entries would never fill; only the rounds
+    # asked for are there.
+    table = subset_winners(election)
+    assert len(table.by_candidates) <= 8
+    assert len(table.by_voters) == 2
+
+
+def test_table_cache_is_bounded():
+    assert subset_winners.cache_info().maxsize is not None
 
 
 class TestImmunitySearch:
