@@ -29,7 +29,6 @@ def main() -> int:
     args = parser.parse_args()
 
     systems = [System(args.system)] if args.system else list(System)
-    cache: dict = {}
     disagreements = 0
     started = time.perf_counter()
     for system in systems:
@@ -39,7 +38,7 @@ def main() -> int:
         print(f"== {universe.describe()}")
         for type_one, type_two in collapse_pairs(system):
             tick = time.perf_counter()
-            scan = collapse_scan(type_one, type_two, universe, cache=cache)
+            scan = collapse_scan(type_one, type_two, universe)
             verdict = "ok" if scan.agree else f"{len(scan.counterexamples)} COUNTEREXAMPLES"
             print(
                 f"  {str(type_one):>13} = {str(type_two):<13} "

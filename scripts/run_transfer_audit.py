@@ -3,7 +3,9 @@
 
 For each transfer rule, each instance, and each partition verifying the
 rule's input type, apply the transfer and check the output verifies for the
-rule's output type. Prints per-rule counts; exits nonzero on any violation.
+rule's output type. Prints per-rule counts, and in the total how many
+transfers went through a brute-force fallback and in how many rules; exits
+nonzero on any violation.
 """
 
 import argparse
@@ -25,6 +27,8 @@ def main() -> int:
     instances: dict = {}
     verifying: dict = {}
     violations = 0
+    fallbacks = 0
+    fallback_rules = 0
     started = time.perf_counter()
     for rule in ALL_TRANSFER_RULES:
         if args.tag and rule.tag != args.tag:
@@ -33,6 +37,7 @@ def main() -> int:
             universe = Universe(rule.system, args.max_candidates, args.max_votes)
             instances[rule.system] = tuple(iter_instances(universe))
         transferred = 0
+        via_fallback = 0
         bad = 0
         tick = time.perf_counter()
         for instance in instances[rule.system]:
@@ -42,17 +47,23 @@ def main() -> int:
             for solution in verifying[key]:
                 outcome = rule.apply(instance, solution)
                 transferred += 1
+                via_fallback += outcome.via_fallback
                 if outcome.rejected or not verify_solution(
                     rule.source_type, instance, outcome.solution
                 ):
                     bad += 1
         violations += bad
+        fallbacks += via_fallback
+        fallback_rules += via_fallback > 0
         verdict = "ok" if not bad else f"{bad} VIOLATIONS"
         print(
             f"{rule.describe():<60} {transferred:>6} transfers  {verdict}"
             f"  ({time.perf_counter() - tick:.2f}s)"
         )
-    print(f"total: {time.perf_counter() - started:.1f}s, {violations} violations")
+    print(
+        f"total: {time.perf_counter() - started:.1f}s, {violations} violations, "
+        f"{fallbacks} transfers via fallback in {fallback_rules} rules"
+    )
     return 1 if violations else 0
 
 

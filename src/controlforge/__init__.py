@@ -20,7 +20,6 @@ from .control import (
     WinnerModel,
     check_solution,
     goal_satisfied,
-    run_two_stage,
     survivors,
     verify_solution,
 )

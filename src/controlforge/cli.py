@@ -28,7 +28,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .control import (
     ControlInstance,
@@ -93,7 +93,6 @@ class ElectionDocument:
 
     election: Election
     distinguished: "str | None" = None
-    vote_lines: tuple[int, ...] = field(default=(), compare=False)
 
 
 def _strip(line: str) -> str:
@@ -147,7 +146,6 @@ def parse_election(text: str) -> ElectionDocument:
     candidates = None
     distinguished = None
     groups: list[tuple[Vote, int]] = []
-    vote_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -183,7 +181,6 @@ def parse_election(text: str) -> ElectionDocument:
             if mult < 1:
                 raise DocumentParseError("ballot multiplicity must be positive", lineno)
         groups.append((_parse_ballot(body, vote_kind_for(system), candidates, lineno), mult))
-        vote_lines.append(lineno)
     if system is None or candidates is None:
         raise DocumentParseError("document declares no system or candidates")
     if distinguished is not None and distinguished not in candidates:
@@ -192,7 +189,7 @@ def parse_election(text: str) -> ElectionDocument:
         election = Election(system, VoteCollection(candidates, tuple(groups)))
     except ElectionError as err:
         raise DocumentParseError(str(err)) from err
-    return ElectionDocument(election, distinguished, tuple(vote_lines))
+    return ElectionDocument(election, distinguished)
 
 
 def serialize_election(doc: ElectionDocument) -> str:
@@ -260,9 +257,10 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
         if key == "elements":
             elements = tuple(value.split())
         elif key == "k":
-            if not value.lstrip("-").isdigit():
-                raise DocumentParseError(f"k must be an integer, got {value!r}", lineno)
-            bound = int(value)
+            try:
+                bound = int(value)
+            except ValueError:
+                raise DocumentParseError(f"k must be an integer, got {value!r}", lineno) from None
         else:
             sets.append(frozenset(value.split()))
     if elements is None:

@@ -22,12 +22,14 @@ candidates, as if masked down to them); PV rounds score the full candidate
 set against their voter block's ballots. No round builds an election of its
 own, and the final round always uses the full original vote collection.
 
-Each round's winners are one lookup in the election's ``SubsetWinners``
-tables, and two paths read them. *Deciding* (``decider``,
-``verify_solution``) maps a partition's first-block mask to a verdict and
-builds nothing. *Explaining* (``check_solution``, ``run_two_stage``) names
-the same rounds in a ``TwoStageTrace``; because both read one table, a
-verdict and its trace cannot disagree.
+A partition is named by its first-block mask: item i of the L items it
+splits (``partition_items``) is bit L-1-i, and ``partition_of_mask`` builds
+the ``Partition`` a mask names. Each round's winners are one lookup in the
+election's ``SubsetWinners`` tables, and two paths read them. *Deciding*
+(``decider``, ``verify_solution``) maps a first-block mask to a verdict and
+builds nothing. *Explaining* (``check_solution``) names the same rounds in a
+``TwoStageTrace``; because both read one table, a verdict and its trace
+cannot disagree.
 """
 
 from dataclasses import dataclass
@@ -43,10 +45,6 @@ from .elections import (
     subset_winners,
     winners,
 )
-
-
-class InvalidPartitionError(ValueError):
-    """A partition is structurally invalid for the instance at hand."""
 
 
 class Direction(str, Enum):
@@ -150,6 +148,20 @@ class Partition:
         return cls(PartitionKind.VOTER, frozenset(first), frozenset(second))
 
 
+def partition_items(instance: ControlInstance, kind: PartitionKind) -> tuple:
+    """The ordered items a partition of this kind splits."""
+    if kind is PartitionKind.CANDIDATE:
+        return instance.election.candidates
+    return tuple(range(instance.voter_count))
+
+
+def partition_of_mask(kind: PartitionKind, items: tuple, mask: int) -> Partition:
+    """The partition whose first block is the items set in ``mask`` (item 0 is the top bit)."""
+    top = len(items) - 1
+    first = frozenset(item for i, item in enumerate(items) if mask >> (top - i) & 1)
+    return Partition(kind, first, frozenset(items) - first)
+
+
 def partition_problems(
     partition: Partition, kind: PartitionKind, election: Election
 ) -> list[str]:
@@ -221,20 +233,6 @@ class TwoStageTrace:
         return self.final_candidates
 
 
-def run_two_stage(
-    control_type: ControlTypeId, instance: ControlInstance, partition: Partition
-) -> TwoStageTrace:
-    """Run the two-stage election the control type prescribes.
-
-    Raises InvalidPartitionError when the partition's kind does not match
-    the action or its blocks are not a bipartition of the right universe.
-    """
-    problems = partition_problems(partition, control_type.partition_kind, instance.election)
-    if problems:
-        raise InvalidPartitionError("; ".join(problems))
-    return _run_validated(control_type, instance, partition)
-
-
 def _run_validated(
     control_type: ControlTypeId, instance: ControlInstance, partition: Partition
 ) -> TwoStageTrace:
@@ -243,10 +241,8 @@ def _run_validated(
     named = table.named
     unique = control_type.tie_rule is TieRule.TE
     block_won, everyone = _first_round_table(control_type.action, table)
-    if control_type.action is Action.PV:
-        label, first = "voter block", table.voter_mask(partition.first)
-    else:
-        label, first = "candidate block", table.candidate_masks[partition.first]
+    label = "voter block" if control_type.action is Action.PV else "candidate block"
+    first = table.mask_of[partition.first]
     if control_type.action is Action.PC:
         # In PC the second block skips the first round entirely.
         blocks, final = (first,), everyone ^ first
@@ -356,12 +352,7 @@ def verify_solution(
     Malformed partitions yield False rather than an error, so solvers can
     enumerate blindly.
     """
-    kind = control_type.partition_kind
-    if partition_problems(partition, kind, instance.election):
+    if partition_problems(partition, control_type.partition_kind, instance.election):
         return False
-    table = subset_winners(instance.election)
-    if kind is PartitionKind.CANDIDATE:
-        first = table.candidate_masks[partition.first]
-    else:
-        first = table.voter_mask(partition.first)
+    first = subset_winners(instance.election).mask_of[partition.first]
     return decider(control_type, instance)(first)

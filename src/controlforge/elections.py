@@ -336,8 +336,10 @@ class SubsetWinners:
 
     Entries are filled on first lookup, so a table never holds more entries
     than decisions asked for, by a tally over candidate bits that builds no
-    votes or elections. ``candidate_masks`` and ``named`` translate between
-    name sets and masks for the explaining path.
+    votes or elections. ``mask_of[block]`` is the mask of a block of
+    candidate names or of voter indices (names are strings and indices
+    integers, so one lookup serves both kinds), and ``named[mask]`` the
+    candidate names of a mask.
     """
 
     def __init__(self, election: Election):
@@ -351,9 +353,10 @@ class SubsetWinners:
             for v, count in election.votes.groups
         )
         voters = [ballot for ballot, count in ballots for _ in range(count)]
+        n = len(voters)
+        item_bit = {**bit_of, **{j: 1 << (n - 1 - j) for j in range(n)}}
         self.bit_of = bit_of
         self.everyone = everyone = (1 << m) - 1
-        self.voter_count = n = len(voters)
         self.all_voters = (1 << n) - 1
         # The fills close over plain data, not over self: a table that
         # refers back to its owner would stay in memory after the cache
@@ -367,14 +370,10 @@ class SubsetWinners:
                 everyone,
             )
         )
-        self.candidate_masks = _Table(lambda names: sum(map(bit_of.__getitem__, names)))
+        self.mask_of = _Table(lambda block: sum(map(item_bit.__getitem__, block)))
         self.named = _Table(
             lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
         )
-
-    def voter_mask(self, indices) -> int:
-        top = self.voter_count - 1
-        return sum(1 << (top - j) for j in indices)
 
 
 @functools.lru_cache(maxsize=256)

@@ -8,16 +8,16 @@ compares two control types as sets of instances over a bounded universe.
 Partitions are encoded as the characteristic bit string of the first block
 in canonical candidate/voter order (bit i set means item i is in the first
 block); "lexicographically least" always refers to this encoding. Read as
-an integer, the encoding is the first-block mask of ``SubsetWinners`` (item
-i of L is bit L-1-i), so the searches decide the masks 0 .. 2^L - 1 in
-order through ``control.decider`` and build a ``Partition`` only for the
-answer.
+an integer, the encoding is the partition's first-block mask (item i of L
+is bit L-1-i, as in ``control.partition_of_mask``), so the searches decide
+the masks 0 .. 2^L - 1 in order through ``control.decider`` and build a
+``Partition`` only for the answer.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, MutableMapping
+from typing import Callable, Iterator
 
 from .control import (
     Action,
@@ -27,6 +27,8 @@ from .control import (
     PartitionKind,
     decider,
     goal_satisfied,
+    partition_items,
+    partition_of_mask,
     verify_solution,
 )
 from .elections import (
@@ -65,8 +67,6 @@ class UniverseTooLargeError(ValueError):
 
 DEFAULT_MAX_EVALS = 10_000_000
 
-SearchCache = MutableMapping[tuple[ControlTypeId, ControlInstance], "Partition | None"]
-
 
 @dataclass(frozen=True)
 class SolveOutcome:
@@ -79,28 +79,8 @@ class SolveOutcome:
         return self.solution is not None
 
 
-def partition_items(instance: ControlInstance, kind: PartitionKind) -> tuple:
-    """The ordered items a partition of this kind splits."""
-    if kind is PartitionKind.CANDIDATE:
-        return instance.election.candidates
-    return tuple(range(instance.voter_count))
-
-
 def encoding_length(instance: ControlInstance, kind: PartitionKind) -> int:
     return len(partition_items(instance, kind))
-
-
-def _first_block(items: tuple, first: int) -> frozenset:
-    """The items whose bits are set in the first-block mask (item 0 is the top bit)."""
-    top = len(items) - 1
-    return frozenset(item for i, item in enumerate(items) if first >> (top - i) & 1)
-
-
-def bipartitions(items: tuple) -> Iterator[tuple[frozenset, frozenset]]:
-    """All 2^len ordered bipartitions, by first-block bit string, item 0 first."""
-    for code in range(1 << len(items)):
-        first = _first_block(items, code)
-        yield first, frozenset(items) - first
 
 
 def enumerate_partitions(
@@ -108,8 +88,8 @@ def enumerate_partitions(
 ) -> Iterator[Partition]:
     """All partitions of the given kind, lexicographically by encoding."""
     items = partition_items(instance, kind)
-    for first, second in bipartitions(items):
-        yield Partition(kind, first, second)
+    for first in range(1 << len(items)):
+        yield partition_of_mask(kind, items, first)
 
 
 def partition_bits(partition: Partition, instance: ControlInstance) -> str:
@@ -122,10 +102,9 @@ def partition_from_bits(
     instance: ControlInstance, kind: PartitionKind, bits: str
 ) -> Partition:
     items = partition_items(instance, kind)
-    if len(bits) != len(items):
-        raise ValueError(f"encoding {bits!r} has wrong length for {len(items)} items")
-    first = frozenset(item for item, bit in zip(items, bits) if bit == "1")
-    return Partition(kind, first, frozenset(items) - first)
+    if len(bits) != len(items) or set(bits) - {"0", "1"}:
+        raise ValueError(f"encoding {bits!r} is not a bit string for {len(items)} items")
+    return partition_of_mask(kind, items, int(bits or "0", 2))
 
 
 def verifying_partitions(
@@ -142,28 +121,12 @@ def verifying_partitions(
     holds = decider(control_type, instance)
     for first in range(1 << len(items)):
         if holds(first):
-            block = _first_block(items, first)
-            yield Partition(kind, block, frozenset(items) - block)
+            yield partition_of_mask(kind, items, first)
 
 
-def brute_force_search(
-    control_type: ControlTypeId,
-    instance: ControlInstance,
-    cache: "SearchCache | None" = None,
-) -> SolveOutcome:
-    """The lexicographically least verifying partition, or None if none verifies.
-
-    An optional cache maps (type, instance) to the result, letting repeated
-    scans share work.
-    """
-    if cache is not None:
-        key = (control_type, instance)
-        if key in cache:
-            return SolveOutcome(cache[key])
-    solution = next(verifying_partitions(control_type, instance), None)
-    if cache is not None:
-        cache[key] = solution
-    return SolveOutcome(solution)
+def brute_force_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
+    """The lexicographically least verifying partition, or None if none verifies."""
+    return SolveOutcome(next(verifying_partitions(control_type, instance), None))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +418,6 @@ def collapse_scan(
     type_two: ControlTypeId,
     universe: Universe,
     max_evaluations: int = DEFAULT_MAX_EVALS,
-    cache: "SearchCache | None" = None,
 ) -> ScanReport:
     """Compare two control types as sets of instances by brute force.
 
@@ -466,14 +428,12 @@ def collapse_scan(
     estimate = estimated_scan_evaluations((type_one, type_two), universe)
     if estimate > max_evaluations:
         raise UniverseTooLargeError(estimate, max_evaluations)
-    if cache is None:
-        cache = {}
     counterexamples = []
     checked = 0
     for instance in iter_instances(universe):
         checked += 1
-        first = brute_force_search(type_one, instance, cache).solution
-        second = brute_force_search(type_two, instance, cache).solution
+        first = brute_force_search(type_one, instance).solution
+        second = brute_force_search(type_two, instance).solution
         if (first is None) == (second is None):
             continue
         if first is not None:

@@ -12,8 +12,7 @@ from controlforge import (
     Vote,
     VoteCollection,
 )
-from controlforge.control import ALL_CONTROL_TYPES, PartitionKind
-from controlforge.solvers import partition_items
+from controlforge.control import ALL_CONTROL_TYPES, PartitionKind, partition_items
 
 ALL_SYSTEMS = tuple(System)
 

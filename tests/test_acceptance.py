@@ -2,8 +2,8 @@
 
 Each criterion runs over every election of its system(s) with at most 3
 candidates and 3 ballots (vote multisets), every choice of focus candidate,
-and prints one pass/fail line. Brute-force membership decisions are shared
-across criteria through a module-level cache.
+and prints one pass/fail line. Brute-force searches are shared across
+criteria 3, 4 and 6 through a module-level memo.
 """
 
 import itertools
@@ -59,7 +59,10 @@ def instances_of(system):
 
 
 def cached_search(control_type, instance):
-    return brute_force_search(control_type, instance, _search_cache)
+    key = (control_type, instance)
+    if key not in _search_cache:
+        _search_cache[key] = brute_force_search(control_type, instance)
+    return _search_cache[key]
 
 
 def verifying_partitions_cached(control_type, instance):
@@ -94,7 +97,7 @@ def test_criterion_1_collapse_matrix():
     checks = 0
     for system in System:
         for type_one, type_two in collapse_pairs(system):
-            scan = collapse_scan(type_one, type_two, UNIVERSES[system], cache=_search_cache)
+            scan = collapse_scan(type_one, type_two, UNIVERSES[system])
             pairs += 1
             checks += scan.instances_checked
             if not scan.agree:

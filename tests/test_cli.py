@@ -232,11 +232,20 @@ class TestHittingSetDocuments:
             "elements: b1\nk: 0\n",
             "elements: b1\nk: 1\nset:\n",
             "elements: b1\nk: one\n",
+            "elements: b1\nk: \u00b2\n",
+            "elements: b1\nk: --1\n",
         ],
     )
     def test_malformed_documents(self, text):
         with pytest.raises(DocumentParseError):
             parse_hitting_set(text)
+
+    @pytest.mark.parametrize("bound", ["one", "\u00b2", "--1", "1.0"])
+    def test_non_integer_bound_names_its_line(self, bound):
+        with pytest.raises(DocumentParseError) as err:
+            parse_hitting_set(f"elements: b1\nk: {bound}\nset: b1\n")
+        assert err.value.line == 2
+        assert str(err.value) == f"line 2: k must be an integer, got {bound!r}"
 
 
 def last_json(report):

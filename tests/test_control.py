@@ -12,7 +12,6 @@ from controlforge import (
     goal_satisfied,
     make_election,
     mask_votes,
-    run_two_stage,
     survivors,
     verify_solution,
     winners,
@@ -21,7 +20,6 @@ from controlforge.control import (
     ALL_CONTROL_TYPES,
     Action,
     Direction,
-    InvalidPartitionError,
     PartitionKind,
     TieRule,
     WinnerModel,
@@ -36,6 +34,13 @@ T = ControlTypeId.parse
 
 def approval(candidates, *approvals):
     return make_election("approval", candidates, [(a, m) for a, m in approvals])
+
+
+def trace_of(control_type, instance, partition):
+    """The explaining path's trace of a well-formed partition."""
+    trace = check_solution(control_type, instance, partition).trace
+    assert trace is not None
+    return trace
 
 
 class TestControlTypeId:
@@ -74,11 +79,13 @@ class TestSurvivors:
 
 
 class TestRunTwoStage:
+    """The two-stage run, as ``check_solution`` traces it."""
+
     def test_pv_tp_both_survivors_meet_on_full_votes(self):
         election = make_election("plurality", "ab", [("ab", 1), ("ba", 1)])
         instance = ControlInstance(election, "a")
         partition = Partition.of_voters({0}, {1})
-        trace = run_two_stage(T("CC-PV-TP-NUW"), instance, partition)
+        trace = trace_of(T("CC-PV-TP-NUW"), instance, partition)
         assert [r.winners for r in trace.first_rounds] == [{"a"}, {"b"}]
         assert trace.final_candidates == {"a", "b"}
         assert trace.final_winners == {"a", "b"}
@@ -87,7 +94,7 @@ class TestRunTwoStage:
         election = make_election("veto", "abc", [("abc", 1)])
         instance = ControlInstance(election, "a")
         partition = Partition.of_candidates({"a", "b"}, {"c"})
-        trace = run_two_stage(T("CC-RPC-TE-NUW"), instance, partition)
+        trace = trace_of(T("CC-RPC-TE-NUW"), instance, partition)
         assert [r.survivors for r in trace.first_rounds] == [{"a"}, {"c"}]
         assert trace.final_candidates == {"a", "c"}
         assert trace.final_winners == {"a"}
@@ -97,37 +104,45 @@ class TestRunTwoStage:
         election = approval("pa", (("p", "a"), 1), (("a",), 1))
         instance = ControlInstance(election, "p")
         partition = Partition.of_candidates(set(), {"p", "a"})
-        trace = run_two_stage(T(f"CC-PC-{tie_rule}-NUW"), instance, partition)
+        trace = trace_of(T(f"CC-PC-{tie_rule}-NUW"), instance, partition)
         assert trace.final_candidates == set(election.candidates)
         assert trace.final_winners == {"a"}
 
-    def test_kind_mismatch_raises(self):
+    def test_kind_mismatch_is_diagnosed(self):
         election = make_election("plurality", "ab", [("ab", 1)])
         instance = ControlInstance(election, "a")
-        with pytest.raises(InvalidPartitionError):
-            run_two_stage(T("CC-PV-TE-UW"), instance, Partition.of_candidates({"a"}, {"b"}))
+        checked = check_solution(
+            T("CC-PV-TE-UW"), instance, Partition.of_candidates({"a"}, {"b"})
+        )
+        assert not checked.ok and checked.trace is None
+        assert checked.diagnostic == (
+            "expected a voter partition, got a candidate partition"
+        )
 
-    def test_bad_blocks_raise(self):
+    def test_bad_blocks_are_diagnosed(self):
         election = make_election("plurality", "ab", [("ab", 1)])
         instance = ControlInstance(election, "a")
         overlapping = Partition.of_candidates({"a", "b"}, {"b"})
-        with pytest.raises(InvalidPartitionError):
-            run_two_stage(T("CC-PC-TE-UW"), instance, overlapping)
         incomplete = Partition.of_candidates({"a"}, set())
-        with pytest.raises(InvalidPartitionError):
-            run_two_stage(T("CC-PC-TE-UW"), instance, incomplete)
+        for partition, diagnostic in (
+            (overlapping, "blocks overlap on candidate 'b'"),
+            (incomplete, "candidate 'b' is in neither block"),
+        ):
+            checked = check_solution(T("CC-PC-TE-UW"), instance, partition)
+            assert not checked.ok and checked.trace is None
+            assert checked.diagnostic == diagnostic
 
     @given(control_instances(max_candidates=3, max_votes=3), control_types, st.data())
     def test_total_and_deterministic(self, instance, control_type, data):
         partition = data.draw(partitions_for(instance, control_type.partition_kind))
-        first = run_two_stage(control_type, instance, partition)
-        second = run_two_stage(control_type, instance, partition)
+        first = trace_of(control_type, instance, partition)
+        second = trace_of(control_type, instance, partition)
         assert first == second
 
     @given(control_instances(max_candidates=3, max_votes=3), control_types, st.data())
     def test_final_candidates_come_from_survivors(self, instance, control_type, data):
         partition = data.draw(partitions_for(instance, control_type.partition_kind))
-        trace = run_two_stage(control_type, instance, partition)
+        trace = trace_of(control_type, instance, partition)
         survived = frozenset().union(*(r.survivors for r in trace.first_rounds))
         if control_type.action is Action.PC:
             assert trace.final_candidates == survived | partition.second
@@ -145,8 +160,8 @@ class TestRunTwoStage:
         )
         if second_survivors != partition.second:
             return
-        pc = run_two_stage(T(f"CC-PC-{tie_rule.value}-NUW"), instance, partition)
-        rpc = run_two_stage(T(f"CC-RPC-{tie_rule.value}-NUW"), instance, partition)
+        pc = trace_of(T(f"CC-PC-{tie_rule.value}-NUW"), instance, partition)
+        rpc = trace_of(T(f"CC-RPC-{tie_rule.value}-NUW"), instance, partition)
         assert pc.final_candidates == rpc.final_candidates
         assert pc.final_winners == rpc.final_winners
 
@@ -169,7 +184,7 @@ def test_rounds_match_explicitly_built_elections(system):
         votes = election.votes
         for control_type in ALL_CONTROL_TYPES:
             for partition in enumerate_partitions(instance, control_type.partition_kind):
-                trace = run_two_stage(control_type, instance, partition)
+                trace = trace_of(control_type, instance, partition)
                 blocks = (partition.first, partition.second)
                 if control_type.action is Action.PV:
                     expected = [votes.select_voters(block) for block in blocks]
@@ -252,7 +267,7 @@ class TestVerifySolution:
         election = make_election("plurality", "ab", [("ab", 1), ("ba", 1)])
         instance = ControlInstance(election, "a")
         both_then_none = Partition.of_voters({0, 1}, set())
-        trace = run_two_stage(T("DC-PV-TE-NUW"), instance, both_then_none)
+        trace = trace_of(T("DC-PV-TE-NUW"), instance, both_then_none)
         assert trace.final_candidates == frozenset()
         assert trace.final_winners == frozenset()
         assert verify_solution(T("DC-PV-TE-NUW"), instance, both_then_none)
