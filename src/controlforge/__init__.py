@@ -20,7 +20,6 @@ from .control import (
     WinnerModel,
     check_solution,
     goal_satisfied,
-    survivors,
     verify_solution,
 )
 from .elections import (

@@ -24,6 +24,7 @@ a non-verifying partition or a collapse the fallback search contradicts).
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -369,7 +370,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message reads it
+    return parse
+
+
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on the first request; parsing
+    never changes it, so every later request reuses it."""
     parser = _Parser(prog="controlforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -410,8 +427,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("collapse-scan", help="compare two types as sets over a universe")
     p.add_argument("--pair", required=True, metavar="T1,T2")
     p.add_argument("--system", required=True, choices=[s.value for s in System])
-    p.add_argument("--max-candidates", type=int, required=True)
-    p.add_argument("--max-votes", type=int, required=True)
+    p.add_argument("--max-candidates", type=_at_least(1), required=True)
+    p.add_argument("--max-votes", type=_at_least(0), required=True)
     p.add_argument(
         "--sequences",
         action="store_true",
@@ -715,9 +732,8 @@ _HANDLERS = {
 def run_command(argv) -> tuple[int, RunReport]:
     """Execute one CLI invocation, returning (exit code, report)."""
     argv = list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         report = _HANDLERS[args.subcommand](args, argv)
     except (UsageError, DocumentParseError, ElectionError, TransferError, ValueError) as err:
         report = RunReport(

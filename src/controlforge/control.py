@@ -37,14 +37,7 @@ from enum import Enum
 from itertools import product
 from typing import Callable
 
-from .elections import (
-    Election,
-    SubsetWinners,
-    System,
-    VoteCollection,
-    subset_winners,
-    winners,
-)
+from .elections import Election, SubsetWinners, subset_winners
 
 
 class Direction(str, Enum):
@@ -185,17 +178,6 @@ def partition_problems(
     if missing:
         problems.append(f"{label} {sorted(missing)[0]!r} is in neither block")
     return problems
-
-
-def survivors(
-    system: System,
-    candidates: "frozenset[str] | tuple[str, ...]",
-    votes: VoteCollection,
-    tie_rule: TieRule,
-) -> frozenset[str]:
-    """Subelection winners that advance under the tie-handling rule."""
-    won = winners(system, candidates, votes)
-    return won if tie_rule is TieRule.TP or len(won) == 1 else frozenset()
 
 
 @dataclass(frozen=True)

@@ -92,12 +92,6 @@ def enumerate_partitions(
         yield partition_of_mask(kind, items, first)
 
 
-def partition_bits(partition: Partition, instance: ControlInstance) -> str:
-    """The encoding of a partition: first-block membership, item by item."""
-    items = partition_items(instance, partition.kind)
-    return "".join("1" if item in partition.first else "0" for item in items)
-
-
 def partition_from_bits(
     instance: ControlInstance, kind: PartitionKind, bits: str
 ) -> Partition:

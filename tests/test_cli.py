@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import string
 
@@ -528,6 +530,19 @@ class TestRunCommand:
         assert code == 2
         assert "cap" in report.payload["message"]
 
+    @pytest.mark.parametrize(
+        "candidates, votes, flag",
+        [("-1", "2", "--max-candidates"), ("0", "2", "--max-candidates"),
+         ("2", "-1", "--max-votes")],
+    )
+    def test_collapse_scan_refuses_an_empty_universe(self, candidates, votes, flag):
+        code, report = run_command(
+            ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
+             "--max-candidates", candidates, "--max-votes", votes]
+        )
+        assert (code, report.outcome) == (2, "error")
+        assert report.payload["message"].startswith(f"argument {flag}: must be at least")
+
     def test_solve_cap_counts_each_algorithms_worst_case(self, tmp_path, monkeypatch):
         # Two candidates: brute force evaluates up to 2^2 partitions, the
         # oracle search up to 2^3.
@@ -624,6 +639,68 @@ class TestRunCommand:
         ):
             code, report = run_command(args)
             assert code == exit_code_for(last_json(report)["outcome"])
+
+
+# Each subcommand with its optional flags present and then absent, a usage
+# error and a --help exit, each followed by a valid command.
+_PARSER_SEQUENCE = [
+    ["winners", "e.txt"],
+    ["evaluate", "--type", "CC-PC-TE-UW", "--partition", "p.txt", "--candidate", "b", "e.txt"],
+    ["evaluate", "--type", "CC-PC-TE-UW", "--partition", "p.txt", "e.txt"],
+    ["verify", "--type", "DC-RPC-TP-NUW", "--partition", "p.txt", "--candidate", "a",
+     "--trace", "e.txt"],
+    ["verify", "--type", "DC-RPC-TP-NUW", "--partition", "p.txt", "e.txt"],
+    ["solve", "--type", "CC-PV-TE-UW", "--algorithm", "oracle", "--candidate", "a", "e.txt"],
+    ["solve", "--type", "CC-PV-TE-UW", "e.txt"],
+    ["reduce", "--from", "CC-RPC-TE-NUW", "--to", "CC-PC-TE-NUW", "--solution", "s.txt",
+     "--candidate", "p", "--trace", "e.txt"],
+    ["reduce", "--from", "CC-RPC-TE-NUW", "--to", "CC-PC-TE-NUW", "--solution", "s.txt",
+     "e.txt"],
+    ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "veto",
+     "--max-candidates", "3", "--max-votes", "0", "--sequences", "--max-evals", "100"],
+    ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
+     "--max-candidates", "2", "--max-votes", "2"],
+    ["encode-hs", "hs.txt"],
+    ["decode-hs", "--solution", "s.txt", "hs.txt"],
+    ["solve", "--algorithm", "fast", "e.txt"],
+    ["solve", "--type", "CC-PV-TE-UW", "e.txt"],
+    ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
+     "--max-candidates", "0", "--max-votes", "2"],
+    ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
+     "--max-candidates", "2", "--max-votes", "2", "--sequences"],
+    [],
+    ["--help"],
+    ["winners", "e.txt"],
+    ["verify", "--help"],
+    ["verify", "--type", "DC-RPC-TP-NUW", "--partition", "p.txt", "--trace", "e.txt"],
+]
+
+
+def _parse(parser, argv):
+    """What parsing ``argv`` gives: the namespace, the usage error, or the
+    exit ``--help`` requests together with the text it prints."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return ("namespace", vars(parser.parse_args(argv)))
+    except cli.UsageError as err:
+        return ("usage-error", str(err))
+    except SystemExit as err:
+        return ("exit", err.code, printed.getvalue())
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reuse_parses_like_a_fresh_parser(self):
+        shared = cli._build_parser()
+        reused = [_parse(shared, argv) for argv in _PARSER_SEQUENCE]
+        fresh = [_parse(cli._build_parser.__wrapped__(), argv) for argv in _PARSER_SEQUENCE]
+        assert reused == fresh
+        kinds = [outcome[0] for outcome in reused]
+        assert kinds.count("usage-error") == 3
+        assert kinds.count("exit") == 2
 
 
 class TestSerializationDefaults:

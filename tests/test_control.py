@@ -12,7 +12,6 @@ from controlforge import (
     goal_satisfied,
     make_election,
     mask_votes,
-    survivors,
     verify_solution,
     winners,
 )
@@ -66,16 +65,35 @@ class TestControlTypeId:
         assert T("CC-RPC-TE-UW").partition_kind is PartitionKind.CANDIDATE
 
 
+def survivors(system, candidates, votes, tie_rule):
+    """The subelection winners that advance under the tie rule: a reference
+    built from ``winners``, independent of the library's rule on masks."""
+    won = winners(system, candidates, votes)
+    return won if tie_rule is TieRule.TP or len(won) == 1 else frozenset()
+
+
 class TestSurvivors:
+    """The tie rule on hand-checked rounds, in the reference and in a trace
+    of the round that runs the whole candidate set."""
+
+    @staticmethod
+    def first_round_survivors(election, tie_rule):
+        instance = ControlInstance(election, "a")
+        partition = Partition.of_candidates(election.candidates, ())
+        trace = trace_of(T(f"CC-PC-{tie_rule.value}-NUW"), instance, partition)
+        return trace.first_rounds[0].survivors
+
     def test_te_tie_eliminates(self):
         election = make_election("plurality", "ab", [("ab", 1), ("ba", 1)])
         assert winners(election.system, "ab", election.votes) == {"a", "b"}
-        assert survivors(election.system, "ab", election.votes, TieRule.TE) == frozenset()
-        assert survivors(election.system, "ab", election.votes, TieRule.TP) == {"a", "b"}
+        for tie_rule, expected in ((TieRule.TE, frozenset()), (TieRule.TP, {"a", "b"})):
+            assert survivors(election.system, "ab", election.votes, tie_rule) == expected
+            assert self.first_round_survivors(election, tie_rule) == expected
 
     def test_te_unique_winner_advances(self):
         election = make_election("plurality", "ab", [("ab", 2), ("ba", 1)])
         assert survivors(election.system, "ab", election.votes, TieRule.TE) == {"a"}
+        assert self.first_round_survivors(election, TieRule.TE) == {"a"}
 
 
 class TestRunTwoStage:
