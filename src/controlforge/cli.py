@@ -434,7 +434,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="enumerate ballot sequences instead of multisets",
     )
-    p.add_argument("--max-evals", type=int, default=None)
+    p.add_argument("--max-evals", type=_at_least(0), default=None)
 
     p = sub.add_parser("encode-hs", help="encode a hitting-set file as an election")
     p.add_argument("hitting_set")
@@ -481,9 +481,12 @@ def _max_evals(args=None) -> int:
     env = os.environ.get(MAX_EVALS_ENV)
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise UsageError(f"{MAX_EVALS_ENV} must be an integer, got {env!r}") from None
+        if cap < 0:
+            raise UsageError(f"the evaluation cap {MAX_EVALS_ENV} must be at least 0, got {cap}")
+        return cap
     return DEFAULT_MAX_EVALS
 
 

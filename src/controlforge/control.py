@@ -167,14 +167,17 @@ def partition_problems(
     else:
         universe = frozenset(range(election.votes.total))
         label = "voter index"
-    problems = []
     overlap = partition.first & partition.second
+    covered = partition.first | partition.second
+    if not overlap and covered == universe:
+        return []
+    problems = []
     if overlap:
         problems.append(f"blocks overlap on {label} {sorted(overlap)[0]!r}")
-    stray = (partition.first | partition.second) - universe
+    stray = covered - universe
     if stray:
         problems.append(f"unknown {label} {sorted(stray)[0]!r}")
-    missing = universe - (partition.first | partition.second)
+    missing = universe - covered
     if missing:
         problems.append(f"{label} {sorted(missing)[0]!r} is in neither block")
     return problems

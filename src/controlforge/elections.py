@@ -9,6 +9,13 @@ values are immutable and ``winners`` is a pure function.
 voter set) as tables keyed by bitmask and filled on demand; the two-stage
 semantics reads every round from them. ``subset_winners`` is the bounded
 cache of those tables, and the library's only cache.
+
+Validation: ``Election`` and ``VoteCollection`` accept a valid value by a
+few whole-value checks (the names joined and split back, a duplicate-free
+name set, each ballot compared with the universe as a set). Only when those
+checks fail does the per-item walk run, to name the first defect with the
+same error and message it always gave; nothing is cached and there is no
+unchecked constructor.
 """
 
 import functools
@@ -56,8 +63,24 @@ def vote_kind_for(system: System) -> VoteKind:
 _FORBIDDEN_NAME_CHARS = frozenset(">,{}#:")
 
 
+def _plain_names(names) -> bool:
+    """Whole-value test: every name is a nonempty string with no whitespace or reserved character.
+
+    ``split()`` and ``isspace()`` read the same whitespace table, so the
+    joined names split back into themselves exactly when no name is empty
+    or holds whitespace. False sends the caller to its per-name walk.
+    """
+    try:
+        joined = " ".join(names)
+    except TypeError:
+        return False
+    return joined.split() == list(names) and _FORBIDDEN_NAME_CHARS.isdisjoint(joined)
+
+
 def check_candidate_name(name: str) -> str:
     """Validate a candidate name token and return it unchanged."""
+    if _plain_names((name,)):
+        return name
     if not name:
         raise InvalidCandidateError("candidate name must be nonempty")
     if any(ch.isspace() for ch in name):
@@ -100,6 +123,38 @@ class Vote:
         return "{" + ",".join(self.entries) + "}"
 
 
+def _canonical_groups(universe, groups) -> bool:
+    """Whole-value test: True only if ``VoteCollection._normalize`` would keep the groups as given.
+
+    Each multiplicity must be positive and every ballot of the first
+    ballot's kind: an order ballot a permutation of the (duplicate-free)
+    universe, an approval ballot a subset of it in canonical order. False
+    leaves the verdict, and any reordering, to the walk.
+    """
+    universe_set = frozenset(universe)
+    if not groups:
+        return True
+    try:
+        m = len(universe)
+        if len(universe_set) != m:
+            return False
+        kind = groups[0][0].kind
+        order = kind is VoteKind.ORDER
+        for vote, count in groups:
+            if count <= 0 or vote.kind is not kind:
+                return False
+            entries = vote.entries
+            if order:
+                if len(entries) != m or universe_set != set(entries):
+                    return False
+            elif tuple(filter(set(entries).__contains__, universe)) != entries:
+                return False
+    except (TypeError, ValueError, AttributeError):
+        # An ill-formed group or ballot: the walk names its first defect.
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class VoteCollection:
     """An ordered list of (ballot, multiplicity) groups over a fixed universe.
@@ -113,6 +168,11 @@ class VoteCollection:
     groups: tuple[tuple[Vote, int], ...]
 
     def __post_init__(self):
+        if not _canonical_groups(self.universe, self.groups):
+            self._normalize()
+
+    def _normalize(self):
+        """Walk the ballots: raise on the first defect, put approval ballots in canonical order."""
         universe_set = frozenset(self.universe)
         position = {name: i for i, name in enumerate(self.universe)}
         normalized = []
@@ -172,6 +232,18 @@ class VoteCollection:
         return VoteCollection(self.universe, tuple(picked))
 
 
+def _check_names(names) -> None:
+    """Walk an election's candidate names and raise on the first defect."""
+    if not names:
+        raise InvalidCandidateError("an election needs at least one candidate")
+    seen = set()
+    for name in names:
+        check_candidate_name(name)
+        if name in seen:
+            raise InvalidCandidateError(f"duplicate candidate name {name!r}")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class Election:
     """A candidate set with votes of the matching kind under one system."""
@@ -180,14 +252,9 @@ class Election:
     votes: VoteCollection
 
     def __post_init__(self):
-        if not self.votes.universe:
-            raise InvalidCandidateError("an election needs at least one candidate")
-        seen = set()
-        for name in self.votes.universe:
-            check_candidate_name(name)
-            if name in seen:
-                raise InvalidCandidateError(f"duplicate candidate name {name!r}")
-            seen.add(name)
+        names = self.votes.universe
+        if not (names and _plain_names(names) and len(set(names)) == len(names)):
+            _check_names(names)
         kind = self.votes.kind
         if kind is not None and kind is not vote_kind_for(self.system):
             raise InvalidVoteError(

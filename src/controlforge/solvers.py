@@ -317,19 +317,25 @@ def ballot_space_size(system: System, candidate_count: int) -> int:
 
 
 def iter_elections(universe: Universe) -> Iterator[Election]:
-    """All elections in the universe, deterministically ordered."""
+    """All elections in the universe, deterministically ordered.
+
+    Pools of ballot indices are enumerated (multisets, or sequences) in the
+    order of ``all_ballots``, and each run of equal indices becomes one
+    (ballot, multiplicity) group.
+    """
     for m in range(1, universe.max_candidates + 1):
         candidates = candidate_names(m)
         ballots = all_ballots(universe.system, candidates)
+        codes = range(len(ballots))
         for size in range(universe.max_votes + 1):
             if universe.as_multisets:
-                pools = itertools.combinations_with_replacement(ballots, size)
+                pools = itertools.combinations_with_replacement(codes, size)
             else:
-                pools = itertools.product(ballots, repeat=size)
+                pools = itertools.product(codes, repeat=size)
             for pool in pools:
                 groups = tuple(
-                    (vote, len(list(copies)))
-                    for vote, copies in itertools.groupby(pool)
+                    (ballots[code], len(list(copies)))
+                    for code, copies in itertools.groupby(pool)
                 )
                 yield Election(universe.system, VoteCollection(candidates, groups))
 

@@ -543,6 +543,43 @@ class TestRunCommand:
         assert (code, report.outcome) == (2, "error")
         assert report.payload["message"].startswith(f"argument {flag}: must be at least")
 
+    def test_negative_cap_flag_is_a_usage_error(self):
+        code, report = run_command(
+            ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
+             "--max-candidates", "2", "--max-votes", "1", "--max-evals", "-1"]
+        )
+        assert (code, report.outcome) == (2, "error")
+        assert report.payload["message"] == "argument --max-evals: must be at least 0, got -1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
+             "--max-candidates", "2", "--max-votes", "1"],
+            ["solve", "--type", "DC-PC-TP-NUW", "--algorithm", "brute"],
+            ["solve", "--type", "DC-PC-TP-NUW", "--algorithm", "oracle"],
+        ],
+        ids=["collapse-scan", "brute", "oracle"],
+    )
+    def test_negative_cap_env_is_a_usage_error(self, argv, tmp_path, monkeypatch):
+        if argv[0] == "solve":
+            argv = argv + [write(tmp_path, "e.txt", PLURALITY_DOC + "distinguished: a\n")]
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "-5")
+        code, report = run_command(argv)
+        assert (code, report.outcome) == (2, "error")
+        assert report.payload["message"] == (
+            "the evaluation cap CONTROL_FORGE_MAX_EVALS must be at least 0, got -5"
+        )
+
+    def test_zero_cap_refuses_the_scan(self, monkeypatch):
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
+        code, report = run_command(
+            ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
+             "--max-candidates", "2", "--max-votes", "1"]
+        )
+        assert code == 2
+        assert report.payload["message"].endswith("above the cap of 0")
+
     def test_solve_cap_counts_each_algorithms_worst_case(self, tmp_path, monkeypatch):
         # Two candidates: brute force evaluates up to 2^2 partitions, the
         # oracle search up to 2^3.

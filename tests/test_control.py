@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,6 +301,61 @@ class TestVerifySolution:
             assert not partition_problems(
                 partition, control_type.partition_kind, instance.election
             )
+
+
+def reference_partition_problems(partition, kind, election):
+    """Every structural check of a partition, walked in turn."""
+    if partition.kind is not kind:
+        return [f"expected a {kind.value} partition, got a {partition.kind.value} partition"]
+    if kind is PartitionKind.CANDIDATE:
+        universe = frozenset(election.candidates)
+        label = "candidate"
+    else:
+        universe = frozenset(range(election.votes.total))
+        label = "voter index"
+    problems = []
+    overlap = partition.first & partition.second
+    if overlap:
+        problems.append(f"blocks overlap on {label} {sorted(overlap)[0]!r}")
+    stray = (partition.first | partition.second) - universe
+    if stray:
+        problems.append(f"unknown {label} {sorted(stray)[0]!r}")
+    missing = universe - (partition.first | partition.second)
+    if missing:
+        problems.append(f"{label} {sorted(missing)[0]!r} is in neither block")
+    return problems
+
+
+def _subsets(items):
+    return [
+        frozenset(chosen)
+        for size in range(len(items) + 1)
+        for chosen in itertools.combinations(items, size)
+    ]
+
+
+class TestPartitionProblemsMatchReference:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_pair_of_blocks(self, m, n):
+        # Every pair of blocks over the items plus one stray, of either
+        # kind, checked against either expected kind: overlaps, strays,
+        # missing items and kind mismatches, alone and together.
+        candidates = "abc"[:m]
+        election = make_election("plurality", candidates, [(candidates, n)] if n else [])
+        pools = {
+            PartitionKind.CANDIDATE: _subsets(tuple(candidates) + ("z",)),
+            PartitionKind.VOTER: _subsets(tuple(range(n + 1))),
+        }
+        valid = 0
+        for kind, blocks in pools.items():
+            for first, second in itertools.product(blocks, repeat=2):
+                partition = Partition(kind, first, second)
+                for expected in PartitionKind:
+                    ours = partition_problems(partition, expected, election)
+                    assert ours == reference_partition_problems(partition, expected, election)
+                    valid += not ours
+        assert valid == 2**m + 2**n  # one valid partition per first block of each kind
 
 
 def _renamed(instance, mapping):

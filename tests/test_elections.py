@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from controlforge import (
@@ -20,6 +20,7 @@ from controlforge import (
 from controlforge.elections import (
     InvalidCandidateError,
     InvalidVoteError,
+    VoteKind,
     check_candidate_name,
 )
 
@@ -193,6 +194,220 @@ class TestValidation:
     def test_approval_entries_normalized_to_canonical_order(self):
         votes = VoteCollection(("a", "b", "c"), ((Vote.approval(("c", "a")), 1),))
         assert votes.groups[0][0].entries == ("a", "c")
+
+
+# ---------------------------------------------------------------------------
+# The per-item walks, written out as the reference that the whole-value
+# accept tests must match: the same values accepted (after the same
+# normalization), and the same first defect named otherwise.
+
+
+def reference_name(name):
+    if not name:
+        raise InvalidCandidateError("candidate name must be nonempty")
+    if any(ch.isspace() for ch in name):
+        raise InvalidCandidateError(f"candidate name {name!r} contains whitespace")
+    bad = frozenset(">,{}#:").intersection(name)
+    if bad:
+        raise InvalidCandidateError(
+            f"candidate name {name!r} contains reserved character {sorted(bad)[0]!r}"
+        )
+    return name
+
+
+def reference_groups(universe, groups):
+    universe_set = frozenset(universe)
+    position = {name: i for i, name in enumerate(universe)}
+    normalized = []
+    changed = False
+    kind = None
+    for vote, count in groups:
+        if count <= 0:
+            raise InvalidVoteError("vote multiplicity must be positive")
+        if kind is None:
+            kind = vote.kind
+        elif vote.kind is not kind:
+            raise InvalidVoteError("mixed ballot kinds in one collection")
+        unknown = [c for c in vote.entries if c not in universe_set]
+        if unknown:
+            raise InvalidCandidateError(f"ballot names unknown candidate {unknown[0]!r}")
+        if len(set(vote.entries)) != len(vote.entries):
+            raise InvalidVoteError(f"ballot {vote} repeats a candidate")
+        if vote.kind is VoteKind.ORDER:
+            if len(vote.entries) != len(universe):
+                raise InvalidVoteError(
+                    f"ballot {vote} is not a permutation of the candidate set"
+                )
+        else:
+            canonical = tuple(sorted(vote.entries, key=position.__getitem__))
+            if canonical != vote.entries:
+                vote = Vote(VoteKind.APPROVAL, canonical)
+                changed = True
+        normalized.append((vote, count))
+    return tuple(normalized) if changed else groups
+
+
+def reference_election(system, universe, groups):
+    groups = reference_groups(universe, groups)
+    if not universe:
+        raise InvalidCandidateError("an election needs at least one candidate")
+    seen = set()
+    for name in universe:
+        reference_name(name)
+        if name in seen:
+            raise InvalidCandidateError(f"duplicate candidate name {name!r}")
+        seen.add(name)
+    kind = groups[0][0].kind if groups else None
+    expected = VoteKind.APPROVAL if system is System.APPROVAL else VoteKind.ORDER
+    if kind is not None and kind is not expected:
+        raise InvalidVoteError(f"{system} elections take {expected} ballots, got {kind}")
+    return groups
+
+
+def library_election(system, universe, groups):
+    return Election(system, VoteCollection(universe, groups)).votes.groups
+
+
+def outcome(build, *args):
+    """("accepted", result), or the type and message of the error raised."""
+    try:
+        return "accepted", build(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def same_verdict(system, universe, groups):
+    ours = outcome(library_election, system, universe, groups)
+    assert ours == outcome(reference_election, system, universe, groups)
+    return ours
+
+
+# Every character str.isspace() accepts on this interpreter, some
+# look-alikes it does not (zero-width space, byte order mark, the Mongolian
+# vowel separator that Unicode 6.3 stopped counting as a space), controls
+# and a lone surrogate.
+ODD_CHARACTERS = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()) + (
+    "\u200b\ufeff\u180e\x00\x07\x7f\ud800"
+)
+RESERVED = ">,{}#:"
+
+O, A = Vote.order, Vote.approval
+P, V, AP = System.PLURALITY, System.VETO, System.APPROVAL
+
+# In order: valid orders; unknown, repeated, missing and extra entries; zero
+# and negative multiplicities; two defects in either order; mixed kinds; a
+# system/kind mismatch; approval ballots out of order, empty, unknown,
+# repeated, or reordered behind a later defect; list entries; kinds given
+# as plain strings; a universe with a duplicate; a bad name behind valid and
+# behind bad ballots; the empty universe; no ballots.
+BALLOT_CASES = [
+    (P, "abc", ((O("abc"), 2), (O("cab"), 1))),
+    (P, "abc", ((O("abz"), 1),)),
+    (P, "abc", ((O("aab"), 1),)),
+    (P, "abc", ((O("ab"), 1),)),
+    (P, "abc", ((O("abcd"), 1),)),
+    (P, "abc", ((O("abc"), 0),)),
+    (V, "abc", ((O("abc"), 1), (O("bca"), -1))),
+    (P, "abc", ((O("abz"), 1), (O("abc"), 0))),
+    (P, "abc", ((O("abc"), 0), (O("abz"), 1))),
+    (P, "abc", ((O("abc"), 1), (A("a"), 1))),
+    (AP, "abc", ((A("a"), 1), (O("abc"), 1))),
+    (P, "abc", ((A("ab"), 1),)),
+    (AP, "abc", ((O("abc"), 1),)),
+    (AP, "abc", ((A("ca"), 1), (A("b"), 2))),
+    (AP, "abc", ((A("bac"), 1), (A(""), 1))),
+    (AP, "abc", ((A("z"), 1),)),
+    (AP, "abc", ((A("aa"), 1),)),
+    (AP, "abc", ((A("ac"), 1), (A("ca"), 0))),
+    (AP, "abc", ((Vote(VoteKind.APPROVAL, ["a", "c"]), 1),)),
+    (P, "abc", ((Vote(VoteKind.ORDER, ["c", "b", "a"]), 1),)),
+    (AP, "abc", ((Vote("approval", ("c", "a")), 1),)),
+    (P, "abc", ((Vote("order", tuple("abc")), 1),)),
+    (P, "abc", ((O("abc"), 1), (Vote("order", tuple("abc")), 1))),
+    (P, ("a", "a"), ((O("aa"), 1),)),
+    (AP, ("a", "a"), ((A("a"), 1),)),
+    (P, ("a b", "c"), ((O("abc"), 1),)),
+    (P, ("a b", "c"), ((Vote(VoteKind.ORDER, ("a b", "c")), 1),)),
+    (P, "", ((O(""), 1),)),
+    (P, "abc", ()),
+]
+
+NAME_CASES = (
+    [(), ("",), ("a", ""), ("", "a"), ("a", "b", "c")]
+    + [(f"a{ch}b",) for ch in ODD_CHARACTERS]
+    + [(ch,) for ch in ODD_CHARACTERS]
+    + [("x", f"{ch}a") for ch in ODD_CHARACTERS]
+    + [(f"a{ch}",) for ch in RESERVED]
+    + [(ch, "b") for ch in RESERVED]
+    + [("a", "a"), ("a", "b", "a"), ("a", "a", "b c"), ("a b", "a", "a"), ("a", "b>", "a")]
+    + [("a{b}",), ("a#:",), ("a b>",), (0,), (1,), (("a",),), ("a", ("a",))]
+)
+
+
+# Names over the whole alphabet, surrogates included: mostly valid, or with
+# the odd and reserved characters drawn often enough to matter.
+plain_name = st.text(st.characters(exclude_categories=()), min_size=1, max_size=3)
+any_name = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from(ODD_CHARACTERS + RESERVED)),
+    max_size=3,
+)
+
+
+@st.composite
+def raw_elections(draw):
+    """(system, universe, groups): half well formed (approval ballots in any
+    order), half free to break any rule."""
+    wild = draw(st.booleans())
+    system = draw(st.sampled_from(System))
+    universe = tuple(draw(st.lists(any_name if wild else plain_name, max_size=4)))
+    stray = st.sampled_from(universe + tuple(draw(st.lists(any_name, max_size=1))) or ("?",))
+    fitting = VoteKind.APPROVAL if system is AP else VoteKind.ORDER
+    groups = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = fitting
+        if wild:
+            kind = draw(st.sampled_from([fitting, VoteKind.ORDER, VoteKind.APPROVAL]))
+        if kind is VoteKind.ORDER:
+            shaped = st.permutations(universe)
+        else:
+            shaped = st.lists(st.sampled_from(universe), unique=True) if universe else st.just([])
+        entries = draw(st.one_of(shaped, st.lists(stray, max_size=5)) if wild else shaped)
+        count = draw(st.integers(-1, 3) if wild else st.integers(1, 3))
+        groups.append((Vote(kind, tuple(entries)), count))
+    return system, universe, tuple(groups)
+
+
+class TestDiagnosticsMatchReference:
+    def test_split_and_isspace_share_a_whitespace_table(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        split_on = set(every) - set("".join("x".join(every).split()))
+        assert split_on == {ch for ch in every if ch.isspace()}
+        assert {"\x1c", "\xa0", "\u2028"} <= split_on
+
+    @pytest.mark.parametrize("names", NAME_CASES, ids=repr)
+    def test_names(self, names):
+        for system in System:
+            same_verdict(system, names, ())
+        for name in names:
+            assert outcome(check_candidate_name, name) == outcome(reference_name, name)
+
+    @pytest.mark.parametrize("system, universe, groups", BALLOT_CASES, ids=repr)
+    def test_ballots(self, system, universe, groups):
+        same_verdict(system, tuple(universe), groups)
+
+    def test_cases_reach_acceptance_as_given_and_reordered(self):
+        verdicts = [same_verdict(s, tuple(u), g) for s, u, g in BALLOT_CASES]
+        kept = [v[1] == g for v, (_, _, g) in zip(verdicts, BALLOT_CASES) if v[0] == "accepted"]
+        assert True in kept and False in kept
+
+    @given(st.text(st.characters(exclude_categories=())))
+    def test_any_name(self, name):
+        assert outcome(check_candidate_name, name) == outcome(reference_name, name)
+
+    @settings(max_examples=500)
+    @given(raw_elections())
+    def test_any_election(self, raw):
+        same_verdict(*raw)
 
 
 class TestVoterSelection:

@@ -1,3 +1,4 @@
+import itertools
 import string
 import time
 import tracemalloc
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from controlforge import (
     ControlInstance,
     ControlTypeId,
+    Election,
     Partition,
     System,
+    Vote,
+    VoteCollection,
     check_solution,
     make_election,
     verify_solution,
@@ -32,6 +36,7 @@ from controlforge.solvers import (
     estimated_scan_evaluations,
     immunity_search_approval,
     instance_count,
+    iter_elections,
     iter_instances,
     lex_min_search_with_oracle,
     partition_from_bits,
@@ -90,6 +95,48 @@ class TestEnumeration:
         instance = approval_instance("abc", [], "a")
         with pytest.raises(ValueError):
             partition_from_bits(instance, PartitionKind.CANDIDATE, bits)
+
+
+def reference_elections(universe):
+    """The enumeration as it was written over ``Vote`` values: ballots grouped by ``==``."""
+    for m in range(1, universe.max_candidates + 1):
+        candidates = tuple(string.ascii_lowercase[:m])
+        if universe.system is System.APPROVAL:
+            ballots = [
+                Vote.approval(c for i, c in enumerate(candidates) if code >> (m - 1 - i) & 1)
+                for code in range(1 << m)
+            ]
+        else:
+            ballots = [Vote.order(p) for p in itertools.permutations(candidates)]
+        for size in range(universe.max_votes + 1):
+            if universe.as_multisets:
+                pools = itertools.combinations_with_replacement(ballots, size)
+            else:
+                pools = itertools.product(ballots, repeat=size)
+            for pool in pools:
+                groups = tuple(
+                    (vote, len(list(copies))) for vote, copies in itertools.groupby(pool)
+                )
+                yield Election(universe.system, VoteCollection(candidates, groups))
+
+
+class TestEnumerationMatchesReference:
+    @pytest.mark.parametrize(
+        "universe",
+        [Universe(system, 3, 3) for system in System]
+        + [Universe(system, 4, 2) for system in System]
+        + [Universe(system, 3, 2, as_multisets=False) for system in System],
+        ids=lambda universe: universe.describe(),
+    )
+    def test_same_elections_in_the_same_order(self, universe):
+        missing = object()
+        count = 0
+        for ours, theirs in itertools.zip_longest(
+            iter_elections(universe), reference_elections(universe), fillvalue=missing
+        ):
+            assert ours == theirs
+            count += len(ours.candidates)
+        assert count == instance_count(universe)
 
 
 class TestBruteForce:
