@@ -38,6 +38,7 @@ from .control import (
     PartitionKind,
     check_solution,
     partition_problems,
+    verify_solution,
 )
 from .elections import (
     Election,
@@ -55,7 +56,7 @@ from .hardness import (
     encode_hitting_set,
     extract_hitting_set,
 )
-from .reductions import TransferError, compose, find_transfer_chain
+from .reductions import TransferError, compose, find_transfer_chain, transfer_fallback
 from .solvers import (
     DEFAULT_MAX_EVALS,
     POLYNOMIAL_SEARCHES,
@@ -597,11 +598,14 @@ def _cmd_reduce(args, argv) -> RunReport:
     partition = parse_partition(
         _read(args.solution), from_type.partition_kind, doc.election
     )
-    outcomes = compose(chain, instance, partition)
+    # Only a fallback step searches: a malformed cap never refuses a constructive route.
+    searches = any(rule.construction is transfer_fallback for rule in chain)
+    cap = _max_evals(args) if searches else DEFAULT_MAX_EVALS
+    outcomes = compose(chain, instance, partition, max_evaluations=cap)
     if outcomes:
         solution = outcomes[-1].solution
     else:
-        solution = partition if check_solution(from_type, instance, partition).ok else None
+        solution = partition if verify_solution(from_type, instance, partition) else None
     fallback = any(outcome.via_fallback for outcome in outcomes)
     steps = [
         {

@@ -105,6 +105,14 @@ class Vote:
     kind: VoteKind
     entries: tuple[str, ...]
 
+    def __post_init__(self):
+        # A kind given by its value ("order") means that member; others are refused.
+        if type(self.kind) is not VoteKind:
+            try:
+                object.__setattr__(self, "kind", VoteKind(self.kind))
+            except ValueError:
+                raise InvalidVoteError(f"unknown ballot kind {self.kind!r}") from None
+
     @classmethod
     def order(cls, ranking: Iterable[str]) -> "Vote":
         return cls(VoteKind.ORDER, tuple(ranking))

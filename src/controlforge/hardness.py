@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .control import ControlInstance, ControlTypeId, Partition, check_solution
+from .control import ControlInstance, ControlTypeId, Partition, round_focus_lost
 from .elections import Election, System, Vote, VoteCollection, check_candidate_name
 
 
@@ -162,10 +162,10 @@ def extract_hitting_set(
     the final round; intersecting that round's candidate set with the ground
     set yields a hitting set within the bound.
     """
-    checked = check_solution(ENCODED_CONTROL_TYPE, encoded.instance, solution)
-    if not checked.ok:
+    lost_in = round_focus_lost(ENCODED_CONTROL_TYPE, encoded.instance, solution)
+    if lost_in is None:
         return None
-    return checked.trace.round_focus_lost(FOCUS_NAME) & frozenset(encoded.source.elements)
+    return lost_in & frozenset(encoded.source.elements)
 
 
 def brute_force_hitting_set(hs: HittingSetInstance) -> "frozenset[str] | None":

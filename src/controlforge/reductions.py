@@ -6,10 +6,10 @@ type that coincides with it as a set (its source). Each rule is one row of
 ``_RULE_TABLE`` naming one of four constructions:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
-  rule): the verified input's trace shows the round the focus took part in
-  and did not survive; putting that round's candidate set D in the first
-  block, ``(D, C - D)``, replays it as round one of either game, so the
-  focus is out before the final.
+  rule): ``control.round_focus_lost`` reads off the winner tables the round
+  the focus took part in and did not survive; putting that round's
+  candidate set D in the first block, ``(D, C - D)``, replays it as round
+  one of either game, so the focus is out before the final.
 * ``pass_through``: cowinner failure implies unique-winner failure, so a
   destructive cowinner solution already solves the unique-winner type.
 * ``empty_block`` (approval): both types coincide with a plain winnership
@@ -17,12 +17,12 @@ type that coincides with it as a set (its source). Each rule is one row of
   ``(empty, C)`` satisfies whenever any verified input exists.
 * ``transfer_fallback``: where the known constructive route lives in work we
   do not reproduce, an exponential brute-force search stands in at desk
-  scale and is labeled as such.
+  scale, under an evaluation cap, and is labeled as such.
 
 The first three run in time polynomial in the instance and the given
 solution. Every transfer first checks its input and rejects non-solutions
 explicitly: verification is cheap here because all three systems have
-polynomial winner evaluation.
+polynomial winner evaluation. A transfer decides; it builds no trace.
 """
 
 import itertools
@@ -34,7 +34,7 @@ from .control import (
     ControlInstance,
     ControlTypeId,
     Partition,
-    check_solution,
+    round_focus_lost,
     verify_solution,
 )
 from .elections import System
@@ -89,13 +89,17 @@ class TransferRule:
     note: str
     construction: Construction = field(compare=False, repr=False)
 
-    def apply(self, instance: ControlInstance, solution: Partition) -> TransferOutcome:
+    def apply(
+        self, instance: ControlInstance, solution: Partition, max_evaluations=DEFAULT_MAX_EVALS
+    ) -> TransferOutcome:
+        """The rule's outcome on one input; ``max_evaluations`` caps a fallback search."""
         if instance.election.system is not self.system:
             raise TransferError(
                 f"rule {self.source_type}<-{self.target_type} is scoped to "
                 f"{self.system.value} elections"
             )
-        return self.construction(self.source_type, self.target_type, instance, solution)
+        cap = (max_evaluations,) if self.construction is transfer_fallback else ()
+        return self.construction(self.source_type, self.target_type, instance, solution, *cap)
 
     def describe(self) -> str:
         return f"{self.system.value}: {self.source_type} <- {self.target_type} [{self.tag}]"
@@ -113,10 +117,9 @@ def focus_lost_round(
     round on D has the same outcome as a first block; the focus does not
     survive it under the tie rule source and target share.
     """
-    checked = check_solution(target_type, instance, solution)
-    if not checked.ok:
+    lost_in = round_focus_lost(target_type, instance, solution)
+    if lost_in is None:
         return TransferOutcome.reject()
-    lost_in = checked.trace.round_focus_lost(instance.focus)
     everyone = frozenset(instance.election.candidates)
     return TransferOutcome(Partition.of_candidates(lost_in, everyone - lost_in))
 
@@ -261,13 +264,17 @@ def rules_for(
 
 
 def compose(
-    chain: "list[TransferRule]", instance: ControlInstance, solution: Partition
+    chain: "list[TransferRule]",
+    instance: ControlInstance,
+    solution: Partition,
+    max_evaluations: int = DEFAULT_MAX_EVALS,
 ) -> list[TransferOutcome]:
     """Apply the rules in order, each to its predecessor's solution.
 
     Returns every step's outcome, stopping after the first rejection.
     Raises CompositionError unless each rule consumes what the one before
-    it produces, on the same system.
+    it produces, on the same system, and TransferError when a fallback
+    step's search would need more than ``max_evaluations`` evaluations.
     """
     for inner, outer in zip(chain, chain[1:]):
         if outer.system is not inner.system:
@@ -280,7 +287,7 @@ def compose(
             )
     outcomes = []
     for rule in chain:
-        outcome = rule.apply(instance, solution)
+        outcome = rule.apply(instance, solution, max_evaluations)
         outcomes.append(outcome)
         if outcome.rejected:
             break

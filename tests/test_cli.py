@@ -607,6 +607,43 @@ class TestRunCommand:
         assert code == 2
         assert "CONTROL_FORGE_MAX_EVALS" in report.payload["message"]
 
+    VETO_DOC = "system: veto\ncandidates: a b c\ndistinguished: b\na>b>c\na>b>c\nc>b>a\n"
+
+    def test_reduce_fallback_step_obeys_the_cap(self, tmp_path, monkeypatch):
+        # Veto DC-PV-TE-NUW <- DC-PV-TE-UW is a fallback rule: a search over
+        # the 2^3 voter partitions, which a cap of 0 refuses as solve does.
+        election = write(tmp_path, "e.txt", self.VETO_DOC)
+        solution = write(tmp_path, "s.txt", "block1: 2 | block2: 0 1\n")
+        argv = ["reduce", "--from", "DC-PV-TE-UW", "--to", "DC-PV-TE-NUW",
+                "--solution", solution, election]
+        code, report = run_command(argv)
+        assert (code, report.outcome) == (0, "transfer-solution")
+        assert last_json(report)["via_fallback"] is True
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
+        code, report = run_command(argv)
+        assert (code, report.outcome) == (2, "error")
+        assert report.payload["message"].endswith("above the cap of 0")
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "8")
+        code, report = run_command(argv)
+        assert (code, report.outcome) == (0, "transfer-solution")
+
+    def test_reduce_cap_read_only_for_fallback_steps(self, tmp_path, monkeypatch):
+        election = write(tmp_path, "e.txt", self.VETO_DOC)
+        solution = write(tmp_path, "s.txt", "block1: 2 | block2: 0 1\n")
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "x")
+        # DC-PV-TE-UW <- DC-PV-TE-NUW passes the input through: no search.
+        code, report = run_command(
+            ["reduce", "--from", "DC-PV-TE-NUW", "--to", "DC-PV-TE-UW",
+             "--solution", solution, election]
+        )
+        assert (code, report.outcome) == (0, "transfer-solution")
+        code, report = run_command(
+            ["reduce", "--from", "DC-PV-TE-UW", "--to", "DC-PV-TE-NUW",
+             "--solution", solution, election]
+        )
+        assert (code, report.outcome) == (2, "error")
+        assert report.payload["message"] == "CONTROL_FORGE_MAX_EVALS must be an integer, got 'x'"
+
     def test_lying_oracle_is_an_internal_error(self, tmp_path, monkeypatch):
         class LyingOracle:
             calls = 0

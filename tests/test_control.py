@@ -24,9 +24,11 @@ from controlforge.control import (
     PartitionKind,
     TieRule,
     WinnerModel,
+    partition_items,
     partition_problems,
+    round_focus_lost,
 )
-from controlforge.solvers import Universe, enumerate_partitions, iter_elections
+from controlforge.solvers import Universe, enumerate_partitions, iter_elections, iter_instances
 
 from election_strategies import control_instances, control_types, partitions_for
 
@@ -65,6 +67,19 @@ class TestControlTypeId:
         assert T("CC-PV-TE-UW").partition_kind is PartitionKind.VOTER
         assert T("CC-PC-TE-UW").partition_kind is PartitionKind.CANDIDATE
         assert T("CC-RPC-TE-UW").partition_kind is PartitionKind.CANDIDATE
+
+    def test_compiled_rule(self):
+        for t in ALL_CONTROL_TYPES:
+            fresh = ControlTypeId(t.direction, t.action, t.tie_rule, t.winner_model)
+            assert (t.voter_split, t.pc, t.te, t.cc, t.uw) == (
+                t.action is Action.PV,
+                t.action is Action.PC,
+                t.tie_rule is TieRule.TE,
+                t.direction is Direction.CC,
+                t.winner_model is WinnerModel.UW,
+            )
+            # Worked-out booleans leave equality, hashing and repr on the fields.
+            assert fresh == t and hash(fresh) == hash(t) and repr(fresh) == repr(t)
 
 
 def survivors(system, candidates, votes, tie_rule):
@@ -356,6 +371,58 @@ class TestPartitionProblemsMatchReference:
                     assert ours == reference_partition_problems(partition, expected, election)
                     valid += not ours
         assert valid == 2**m + 2**n  # one valid partition per first block of each kind
+
+
+def reference_round_focus_lost(checked, focus):
+    """The round the focus lost, read off the explaining path's check."""
+    if not checked.ok:
+        return None
+    for stage in checked.trace.first_rounds:
+        if focus in stage.candidates and focus not in stage.survivors:
+            return stage.candidates
+    return checked.trace.final_candidates
+
+
+def malformed_variants(partition, instance):
+    """The partition with the other kind, an overlap, a stray item and a missing item."""
+    kind, first, second = partition.kind, partition.first, partition.second
+    items = partition_items(instance, kind)
+    stray = "z" if kind is PartitionKind.CANDIDATE else len(items)
+    other = PartitionKind.VOTER if kind is PartitionKind.CANDIDATE else PartitionKind.CANDIDATE
+    variants = [Partition(other, first, second), Partition(kind, first | {stray}, second)]
+    if items:
+        shared, last = items[0], items[-1]
+        variants.append(Partition(kind, first | {shared}, second | {shared}))
+        variants.append(Partition(kind, first - {last}, second - {last}))
+    return variants
+
+
+def every_partition(instance, control_type):
+    """Every well-formed partition of the type's kind, each followed by its malformed variants."""
+    for partition in enumerate_partitions(instance, control_type.partition_kind):
+        yield partition
+        yield from malformed_variants(partition, instance)
+
+
+class TestDecidePathMatchesReference:
+    """The deciding path against the explaining path, on every <=3-candidate,
+    <=3-ballot instance of each system, for all 24 types and every partition,
+    malformed ones included."""
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_every_partition(self, system):
+        malformed = 0
+        for instance in iter_instances(Universe(system, 3, 3)):
+            for control_type in ALL_CONTROL_TYPES:
+                for partition in every_partition(instance, control_type):
+                    checked = check_solution(control_type, instance, partition)
+                    verified = verify_solution(control_type, instance, partition)
+                    assert verified == checked.ok
+                    lost = round_focus_lost(control_type, instance, partition)
+                    assert lost == reference_round_focus_lost(checked, instance.focus)
+                    assert (lost is None) == (not verified)
+                    malformed += checked.trace is None
+        assert malformed > 0
 
 
 def _renamed(instance, mapping):

@@ -22,6 +22,7 @@ from controlforge.elections import (
     InvalidVoteError,
     VoteKind,
     check_candidate_name,
+    vote_kind_for,
 )
 
 from election_strategies import elections
@@ -194,6 +195,29 @@ class TestValidation:
     def test_approval_entries_normalized_to_canonical_order(self):
         votes = VoteCollection(("a", "b", "c"), ((Vote.approval(("c", "a")), 1),))
         assert votes.groups[0][0].entries == ("a", "c")
+
+    @pytest.mark.parametrize("system", list(System))
+    @pytest.mark.parametrize("kind", ["order", "approval", "bogus"])
+    def test_kind_given_by_value(self, system, kind):
+        # A plain string kind means the member of that value, so it gets
+        # the member's treatment in every system; any other value is refused.
+        entries = ("c", "a", "b") if kind == "order" else ("c", "a")
+        if kind == "bogus":
+            with pytest.raises(InvalidVoteError, match="unknown ballot kind 'bogus'"):
+                Vote(kind, entries)
+            return
+        member = VoteKind(kind)
+        vote = Vote(kind, entries)
+        assert vote.kind is member
+        assert vote == Vote(member, entries)
+        votes = VoteCollection(("a", "b", "c"), ((vote, 1),))
+        assert votes == VoteCollection(("a", "b", "c"), ((Vote(member, entries), 1),))
+        assert votes.kind is member
+        if member is vote_kind_for(system):
+            assert Election(system, votes).votes.groups[0][0] == votes.groups[0][0]
+        else:
+            with pytest.raises(InvalidVoteError, match=f"ballots, got {kind}$"):
+                Election(system, votes)
 
 
 # ---------------------------------------------------------------------------

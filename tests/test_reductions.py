@@ -5,6 +5,7 @@ from controlforge import (
     ControlTypeId,
     Partition,
     System,
+    check_solution,
     make_election,
     verify_solution,
 )
@@ -13,8 +14,12 @@ from controlforge.reductions import (
     ALL_TRANSFER_RULES,
     CompositionError,
     TransferError,
+    TransferOutcome,
     compose,
+    empty_block,
     find_transfer_chain,
+    focus_lost_round,
+    pass_through,
     rules_for,
     transfer_fallback,
 )
@@ -213,6 +218,22 @@ class TestFallbackTransfer:
         rule = _rule(System.APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW")
         assert rule.apply(instance, attempt).rejected
 
+    def test_search_obeys_the_cap(self):
+        election = make_election("veto", "pa", [("pa", 1), ("ap", 1)])
+        instance = ControlInstance(election, "p")
+        uw_solution = Partition.of_voters(set(), {0, 1})
+        rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
+        # Two voters: the search decides 2^2 partitions.
+        with pytest.raises(TransferError, match="needs 4 evaluations, above the cap of 3$"):
+            rule.apply(instance, uw_solution, max_evaluations=3)
+        with pytest.raises(TransferError, match="above the cap of 3$"):
+            compose([rule], instance, uw_solution, max_evaluations=3)
+        [outcome] = compose([rule], instance, uw_solution, max_evaluations=4)
+        assert outcome.via_fallback
+        # A constructive rule searches nothing, so no cap refuses it.
+        [outcome] = compose([VETO_DC_PV_TE], instance, outcome.solution, max_evaluations=0)
+        assert outcome.solution == uw_solution
+
     def test_non_collapsing_pair_refused(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
         with pytest.raises(TransferError):
@@ -267,6 +288,44 @@ class TestComposeAndRegistry:
         assert [str(r.source_type) for r in chain] == ["DC-RPC-TE-NUW", "DC-RPC-TE-UW"]
         assert find_transfer_chain(System.PLURALITY, T("CC-PC-TE-UW"), T("CC-RPC-TE-UW")) is None
         assert find_transfer_chain(System.APPROVAL, T("DC-PC-TE-UW"), T("DC-PC-TE-UW")) == []
+
+
+def reference_construction(construction, target_type, instance, solution):
+    """The constructive rules' outputs, decided by the explaining path."""
+    checked = check_solution(target_type, instance, solution)
+    if not checked.ok:
+        return TransferOutcome.reject()
+    if construction is pass_through:
+        return TransferOutcome(solution)
+    everyone = frozenset(instance.election.candidates)
+    if construction is empty_block:
+        return TransferOutcome(Partition.of_candidates(frozenset(), everyone))
+    assert construction is focus_lost_round
+    lost_in = checked.trace.final_candidates
+    for stage in checked.trace.first_rounds:
+        if instance.focus in stage.candidates and instance.focus not in stage.survivors:
+            lost_in = stage.candidates
+            break
+    return TransferOutcome(Partition.of_candidates(lost_in, everyone - lost_in))
+
+
+class TestConstructionsMatchReference:
+    @pytest.mark.parametrize("system", list(System))
+    def test_every_input(self, system):
+        """Every constructive rule on every partition of its input type, on
+        every <=3-candidate, <=3-ballot instance of the system."""
+        rules = [rule for rule in rules_for(system=system) if rule.tag != "fallback"]
+        transferred = 0
+        for instance in iter_instances(Universe(system, 3, 3)):
+            for rule in rules:
+                target = rule.target_type
+                for solution in enumerate_partitions(instance, target.partition_kind):
+                    outcome = rule.apply(instance, solution)
+                    assert outcome == reference_construction(
+                        rule.construction, target, instance, solution
+                    )
+                    transferred += not outcome.rejected
+        assert transferred > 0
 
 
 _TE_TYPES = tuple(
