@@ -601,7 +601,11 @@ def _cmd_reduce(args, argv) -> RunReport:
     # Only a fallback step searches: a malformed cap never refuses a constructive route.
     searches = any(rule.construction is transfer_fallback for rule in chain)
     cap = _max_evals(args) if searches else DEFAULT_MAX_EVALS
-    outcomes = compose(chain, instance, partition, max_evaluations=cap)
+    try:
+        outcomes = compose(chain, instance, partition, max_evaluations=cap)
+    except TransferError as err:
+        # A registered route chains and fits its system, so only the cap refuses it.
+        raise UsageError(f"{err} (set {MAX_EVALS_ENV} to raise it)") from None
     if outcomes:
         solution = outcomes[-1].solution
     else:

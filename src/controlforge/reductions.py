@@ -3,7 +3,7 @@
 A transfer rule consumes a verifying partition for one control type (its
 target) and constructs, on the same instance, a verifying partition for a
 type that coincides with it as a set (its source). Each rule is one row of
-``_RULE_TABLE`` naming one of four constructions:
+``_RULE_TABLE`` naming one of six constructions:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
   rule): ``control.round_focus_lost`` reads off the winner tables the round
@@ -15,11 +15,15 @@ type that coincides with it as a set (its source). Each rule is one row of
 * ``empty_block`` (approval): both types coincide with a plain winnership
   condition on the unpartitioned election, which the do-nothing partition
   ``(empty, C)`` satisfies whenever any verified input exists.
-* ``transfer_fallback``: where the known constructive route lives in work we
-  do not reproduce, an exponential brute-force search stands in at desk
-  scale, under an evaluation cap, and is labeled as such.
+* ``isolate_focus`` (approval CC-TE candidate types): the partition that
+  isolates the focus verifies whenever any partition does.
+* ``keep_or_empty_voters`` (approval DC-PV-TE): the input if it already
+  solves the cowinner type, else the empty first voter block ``(empty, V)``.
+* ``transfer_fallback`` (veto DC-PV-TE only): where the known constructive
+  route lives in work we do not reproduce, an exponential brute-force search
+  stands in at desk scale, under an evaluation cap, and is labeled as such.
 
-The first three run in time polynomial in the instance and the given
+The first five run in time polynomial in the instance and the given
 solution. Every transfer first checks its input and rejects non-solutions
 explicitly: verification is cheap here because all three systems have
 polynomial winner evaluation. A transfer decides; it builds no trace.
@@ -44,6 +48,7 @@ from .solvers import (
     brute_force_search,
     collapses_with,
     encoding_length,
+    isolating_partition,
 )
 
 
@@ -145,9 +150,53 @@ def empty_block(
     """The do-nothing partition ``(empty, C)``, once the input verifies."""
     if not verify_solution(target_type, instance, solution):
         return TransferOutcome.reject()
-    return TransferOutcome(
-        Partition.of_candidates(frozenset(), frozenset(instance.election.candidates))
-    )
+    return TransferOutcome(Partition.of_candidates((), instance.election.candidates))
+
+
+def isolate_focus(
+    source_type: ControlTypeId,
+    target_type: ControlTypeId,
+    instance: ControlInstance,
+    solution: Partition,
+) -> TransferOutcome:
+    """The partition isolating the focus p, once the input verifies.
+
+    Its first block is ``C - {p}`` for a PC source and ``{p}`` for an RPC
+    one. Proof sketch: approval scores do not depend on the candidate mask,
+    so a round on S is won by the members of S with the most approvals, and
+    either isolating partition sends p to the final with at most x, the
+    unique top scorer of ``C - {p}``. Suppose it fails, so x beats p (or
+    ties p, for UW). Then every partition fails: if x shares a block with p,
+    p does not advance alone from it; otherwise x is the unique top of its
+    block, or sits in the PC second block, and meets p in the final. The PC
+    and RPC isolating partitions lead to the same final, so if the source's
+    fails, no partition of the target type verifies either.
+    """
+    if not verify_solution(target_type, instance, solution):
+        return TransferOutcome.reject()
+    return TransferOutcome(isolating_partition(source_type, instance))
+
+
+def keep_or_empty_voters(
+    source_type: ControlTypeId,
+    target_type: ControlTypeId,
+    instance: ControlInstance,
+    solution: Partition,
+) -> TransferOutcome:
+    """The input if it verifies for the source type, else ``(empty, V)``.
+
+    Proof sketch: a verified DC-PV-TE-UW input that fails DC-PV-TE-NUW has
+    the focus tie some x in the final. Approval scores do not depend on the
+    candidate mask, so x has the focus's approval count, and the focus is not
+    the unique winner of E. Under TE, ``(empty, V)`` sends to the final at
+    most E's unique winner (the empty block ties every candidate at zero,
+    and a lone candidate has no UW solution), so the focus does not win.
+    """
+    if not verify_solution(target_type, instance, solution):
+        return TransferOutcome.reject()
+    if verify_solution(source_type, instance, solution):
+        return TransferOutcome(solution)
+    return TransferOutcome(Partition.of_voters((), range(instance.voter_count)))
 
 
 def transfer_fallback(
@@ -196,6 +245,8 @@ _VETO = (System.VETO,)
 _LOST = "first block := the round the focus lost"
 _WEAKER = "pass-through: cowinner failure implies unique-winner failure"
 _EMPTY = "any verified input certifies the winnership condition; output (empty, C)"
+_ISOLATE = "first block := C - {p} (PC) or {p} (RPC): isolate the focus"
+_KEEP = "the input if it solves the cowinner type, else (empty, V)"
 _SEARCH = "verified input, then brute-force search (desk scale only)"
 
 # (systems, source, target, tag, note, construction). find_transfer_chain
@@ -218,11 +269,11 @@ _RULE_TABLE = (
     (_APPROVAL, "CC-RPC-TP-NUW", "CC-PC-TP-NUW", "empty_block", _EMPTY, empty_block),
     (_VETO_APPROVAL, "DC-PV-TE-UW", "DC-PV-TE-NUW", "identity", _WEAKER, pass_through),
     (_VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW", "fallback", _SEARCH, transfer_fallback),
-    (_APPROVAL, "DC-PV-TE-NUW", "DC-PV-TE-UW", "fallback", _SEARCH, transfer_fallback),
-    (_APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW", "fallback", _SEARCH, transfer_fallback),
-    (_APPROVAL, "CC-RPC-TE-NUW", "CC-PC-TE-NUW", "fallback", _SEARCH, transfer_fallback),
-    (_APPROVAL, "CC-PC-TE-UW", "CC-RPC-TE-UW", "fallback", _SEARCH, transfer_fallback),
-    (_APPROVAL, "CC-RPC-TE-UW", "CC-PC-TE-UW", "fallback", _SEARCH, transfer_fallback),
+    (_APPROVAL, "DC-PV-TE-NUW", "DC-PV-TE-UW", "keep_or_empty", _KEEP, keep_or_empty_voters),
+    (_APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW", "isolate", _ISOLATE, isolate_focus),
+    (_APPROVAL, "CC-RPC-TE-NUW", "CC-PC-TE-NUW", "isolate", _ISOLATE, isolate_focus),
+    (_APPROVAL, "CC-PC-TE-UW", "CC-RPC-TE-UW", "isolate", _ISOLATE, isolate_focus),
+    (_APPROVAL, "CC-RPC-TE-UW", "CC-PC-TE-UW", "isolate", _ISOLATE, isolate_focus),
 )
 
 

@@ -36,7 +36,6 @@ from .elections import (
     System,
     Vote,
     VoteCollection,
-    scores,
     winners,
 )
 
@@ -127,16 +126,11 @@ def brute_force_search(control_type: ControlTypeId, instance: ControlInstance) -
 # Polynomial-time approval algorithms
 
 
-def _full_partition(instance: ControlInstance) -> Partition:
-    return Partition.of_candidates(frozenset(), frozenset(instance.election.candidates))
+def _types(*tags: str) -> tuple[ControlTypeId, ...]:
+    return tuple(ControlTypeId.parse(tag) for tag in tags)
 
 
-IMMUNE_APPROVAL_TYPES: tuple[ControlTypeId, ...] = (
-    ControlTypeId.parse("DC-PC-TE-UW"),
-    ControlTypeId.parse("DC-PC-TP-NUW"),
-    ControlTypeId.parse("CC-PC-TP-UW"),
-    ControlTypeId.parse("CC-PC-TP-NUW"),
-)
+IMMUNE_APPROVAL_TYPES = _types("DC-PC-TE-UW", "DC-PC-TP-NUW", "CC-PC-TP-UW", "CC-PC-TP-NUW")
 
 
 def immunity_search_approval(
@@ -162,36 +156,38 @@ def immunity_search_approval(
         control_type.direction, control_type.winner_model, instance.focus, won
     ):
         return SolveOutcome(None)
-    return SolveOutcome(_full_partition(instance))
+    return SolveOutcome(Partition.of_candidates((), instance.election.candidates))
 
 
-CC_RPC_TE_NUW = ControlTypeId.parse("CC-RPC-TE-NUW")
+ISOLATE_APPROVAL_TYPES = _types("CC-RPC-TE-NUW", "CC-PC-TE-NUW", "CC-RPC-TE-UW", "CC-PC-TE-UW")
+
+
+def isolating_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
+    """The partition isolating the focus p: first block ``C - {p}`` under PC, ``{p}`` under RPC."""
+    focus = frozenset((instance.focus,))
+    rest = frozenset(instance.election.candidates) - focus
+    if control_type.pc:
+        return Partition.of_candidates(rest, focus)
+    return Partition.of_candidates(focus, rest)
 
 
 def cc_rpc_te_nuw_search_approval(
     control_type: ControlTypeId, instance: ControlInstance
 ) -> SolveOutcome:
-    """Solve approval CC-RPC-TE-NUW by isolating the focus candidate.
+    """Solve the four approval CC-TE candidate types by isolating the focus.
 
-    Let Y be the top approval count. If the focus candidate misses Y and a
-    single candidate attains it, that candidate survives any split and beats
-    the focus in the final round, so there is no solution. Otherwise
-    ({focus}, rest) works: the focus uniquely wins its own block, and the
-    other block either produces no rival with more approvals (focus at Y) or
-    eliminates all rivals through their tie at Y.
+    The isolating partition verifies whenever any partition does (the
+    proof is in ``reductions.isolate_focus``), so one verification decides
+    the instance.
     """
     if instance.election.system is not System.APPROVAL:
         raise UnsupportedAlgorithmError("this search applies to approval elections only")
-    if control_type != CC_RPC_TE_NUW:
-        raise UnsupportedAlgorithmError(f"this search covers {CC_RPC_TE_NUW} only")
-    election = instance.election
-    tally = scores(election.system, election.candidates, election.votes)
-    top = max(tally.values())
-    top_holders = [c for c, count in tally.items() if count == top]
-    if tally[instance.focus] != top and len(top_holders) == 1:
-        return SolveOutcome(None)
-    rest = frozenset(election.candidates) - {instance.focus}
-    return SolveOutcome(Partition.of_candidates(frozenset((instance.focus,)), rest))
+    if control_type not in ISOLATE_APPROVAL_TYPES:
+        raise UnsupportedAlgorithmError(
+            f"{control_type} is not one of the approval CC-TE candidate types"
+        )
+    partition = isolating_partition(control_type, instance)
+    return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
 
 
 PolynomialSearch = Callable[[ControlTypeId, ControlInstance], SolveOutcome]
@@ -203,7 +199,10 @@ POLYNOMIAL_SEARCHES: dict[tuple[System, ControlTypeId], tuple[str, PolynomialSea
         (System.APPROVAL, control_type): ("approval-immunity", immunity_search_approval)
         for control_type in IMMUNE_APPROVAL_TYPES
     },
-    (System.APPROVAL, CC_RPC_TE_NUW): ("approval-isolate", cc_rpc_te_nuw_search_approval),
+    **{
+        (System.APPROVAL, control_type): ("approval-isolate", cc_rpc_te_nuw_search_approval)
+        for control_type in ISOLATE_APPROVAL_TYPES
+    },
 }
 
 
@@ -451,10 +450,6 @@ def collapse_scan(
 # The known collapse groups for the three concrete systems
 
 
-def _types(*tags: str) -> tuple[ControlTypeId, ...]:
-    return tuple(ControlTypeId.parse(tag) for tag in tags)
-
-
 _GENERAL_TP_GROUP = _types("DC-RPC-TP-NUW", "DC-PC-TP-NUW")
 _GENERAL_TE_GROUP = _types("DC-RPC-TE-NUW", "DC-PC-TE-NUW", "DC-RPC-TE-UW", "DC-PC-TE-UW")
 _VOTER_TE_GROUP = _types("DC-PV-TE-NUW", "DC-PV-TE-UW")
@@ -484,8 +479,14 @@ def collapse_pairs(system: System) -> list[tuple[ControlTypeId, ControlTypeId]]:
     return pairs
 
 
+# Every (system, one, two) with one != two in a common collapse group.
+_COLLAPSING = frozenset(
+    (system, one, two)
+    for system, groups in COLLAPSE_GROUPS.items()
+    for group in groups
+    for one, two in itertools.permutations(group, 2)
+)
+
+
 def collapses_with(system: System, one: ControlTypeId, two: ControlTypeId) -> bool:
-    return any(
-        one in group and two in group and one != two
-        for group in COLLAPSE_GROUPS[system]
-    )
+    return (system, one, two) in _COLLAPSING

@@ -622,10 +622,31 @@ class TestRunCommand:
         monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
         code, report = run_command(argv)
         assert (code, report.outcome) == (2, "error")
-        assert report.payload["message"].endswith("above the cap of 0")
+        assert report.payload["message"].endswith(
+            "above the cap of 0 (set CONTROL_FORGE_MAX_EVALS to raise it)"
+        )
         monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "8")
         code, report = run_command(argv)
         assert (code, report.outcome) == (0, "transfer-solution")
+
+    def test_reduce_cap_refusal_says_how_to_raise_it(self, tmp_path, monkeypatch):
+        # The same hint as solve gives when the cap refuses its search.
+        election = write(tmp_path, "e.txt", self.VETO_DOC)
+        solution = write(tmp_path, "s.txt", "block1: 2 | block2: 0 1\n")
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
+        code, report = run_command(
+            ["reduce", "--from", "DC-PV-TE-UW", "--to", "DC-PV-TE-NUW",
+             "--solution", solution, election]
+        )
+        assert (code, report.outcome) == (2, "error")
+        assert report.payload["message"] == (
+            "fallback search needs 8 evaluations, above the cap of 0 "
+            "(set CONTROL_FORGE_MAX_EVALS to raise it)"
+        )
+        _, solved = run_command(
+            ["solve", "--type", "DC-PV-TE-NUW", "--algorithm", "brute", election]
+        )
+        assert solved.payload["message"].endswith("(set CONTROL_FORGE_MAX_EVALS to raise it)")
 
     def test_reduce_cap_read_only_for_fallback_steps(self, tmp_path, monkeypatch):
         election = write(tmp_path, "e.txt", self.VETO_DOC)
@@ -663,10 +684,11 @@ class TestRunCommand:
         monkeypatch.setattr(
             reductions, "brute_force_search", lambda control_type, instance: SolveOutcome(None)
         )
-        election = write(tmp_path, "e.txt", APPROVAL_DOC + "{p}\n")
-        solution = write(tmp_path, "s.txt", "block1: p | block2: a\n")
+        # Veto DC-PV-TE-NUW <- DC-PV-TE-UW is the one fallback rule.
+        election = write(tmp_path, "e.txt", self.VETO_DOC)
+        solution = write(tmp_path, "s.txt", "block1: 2 | block2: 0 1\n")
         code, report = run_command(
-            ["reduce", "--from", "CC-RPC-TE-NUW", "--to", "CC-PC-TE-NUW",
+            ["reduce", "--from", "DC-PV-TE-UW", "--to", "DC-PV-TE-NUW",
              "--solution", solution, election]
         )
         assert (code, report.outcome) == (3, "internal-error")

@@ -9,7 +9,7 @@ from controlforge import (
     make_election,
     verify_solution,
 )
-from controlforge.control import PartitionKind
+from controlforge.control import Action, PartitionKind
 from controlforge.reductions import (
     ALL_TRANSFER_RULES,
     CompositionError,
@@ -19,11 +19,18 @@ from controlforge.reductions import (
     empty_block,
     find_transfer_chain,
     focus_lost_round,
+    isolate_focus,
+    keep_or_empty_voters,
     pass_through,
     rules_for,
     transfer_fallback,
 )
-from controlforge.solvers import Universe, enumerate_partitions, iter_instances
+from controlforge.solvers import (
+    Universe,
+    enumerate_partitions,
+    iter_instances,
+    verifying_partitions,
+)
 
 T = ControlTypeId.parse
 
@@ -208,8 +215,9 @@ class TestFallbackTransfer:
         outcome = _rule(System.APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW").apply(
             instance, rpc_solution
         )
-        assert outcome.via_fallback
-        assert outcome.solution == Partition.of_candidates(set(), {"p", "a"})
+        # The isolate construction: first block C - {p} for a PC source.
+        assert not outcome.via_fallback
+        assert outcome.solution == Partition.of_candidates({"a"}, {"p"})
         assert verify_solution(T("CC-PC-TE-NUW"), instance, outcome.solution)
 
     def test_unverified_input_rejected(self):
@@ -217,6 +225,10 @@ class TestFallbackTransfer:
         attempt = Partition.of_candidates({"p"}, {"a"})
         rule = _rule(System.APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW")
         assert rule.apply(instance, attempt).rejected
+        # The fallback checks its input before it searches.
+        election = make_election("veto", "pa", [("pa", 1)])
+        rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
+        assert rule.apply(ControlInstance(election, "p"), Partition.of_voters({0}, set())).rejected
 
     def test_search_obeys_the_cap(self):
         election = make_election("veto", "pa", [("pa", 1), ("ap", 1)])
@@ -246,7 +258,10 @@ class TestComposeAndRegistry:
     def test_registry_shape(self):
         assert len(ALL_TRANSFER_RULES) == 34
         constructive = [r for r in ALL_TRANSFER_RULES if r.tag != "fallback"]
-        assert len(constructive) == 28
+        assert len(constructive) == 33
+        assert [r.describe() for r in ALL_TRANSFER_RULES if r.tag == "fallback"] == [
+            "veto: DC-PV-TE-NUW <- DC-PV-TE-UW [fallback]"
+        ]
         for system in System:
             for rule in rules_for(system=system):
                 assert rule.system is system
@@ -290,7 +305,7 @@ class TestComposeAndRegistry:
         assert find_transfer_chain(System.APPROVAL, T("DC-PC-TE-UW"), T("DC-PC-TE-UW")) == []
 
 
-def reference_construction(construction, target_type, instance, solution):
+def reference_construction(construction, source_type, target_type, instance, solution):
     """The constructive rules' outputs, decided by the explaining path."""
     checked = check_solution(target_type, instance, solution)
     if not checked.ok:
@@ -300,6 +315,16 @@ def reference_construction(construction, target_type, instance, solution):
     everyone = frozenset(instance.election.candidates)
     if construction is empty_block:
         return TransferOutcome(Partition.of_candidates(frozenset(), everyone))
+    if construction is isolate_focus:
+        alone = frozenset({instance.focus})
+        if source_type.action is Action.PC:
+            return TransferOutcome(Partition.of_candidates(everyone - alone, alone))
+        return TransferOutcome(Partition.of_candidates(alone, everyone - alone))
+    if construction is keep_or_empty_voters:
+        if check_solution(source_type, instance, solution).ok:
+            return TransferOutcome(solution)
+        voters = range(sum(count for _, count in instance.election.votes.groups))
+        return TransferOutcome(Partition.of_voters(set(), voters))
     assert construction is focus_lost_round
     lost_in = checked.trace.final_candidates
     for stage in checked.trace.first_rounds:
@@ -322,7 +347,7 @@ class TestConstructionsMatchReference:
                 for solution in enumerate_partitions(instance, target.partition_kind):
                     outcome = rule.apply(instance, solution)
                     assert outcome == reference_construction(
-                        rule.construction, target, instance, solution
+                        rule.construction, rule.source_type, target, instance, solution
                     )
                     transferred += not outcome.rejected
         assert transferred > 0
@@ -370,3 +395,44 @@ def test_te_cycle_closes_on_small_universe(system):
                     assert verify_solution(rule.source_type, instance, current)
                 # A full lap returns a verifying solution of the start type.
                 assert verify_solution(start, instance, current)
+
+
+class TestApprovalConstructionsReference:
+    """The isolate and keep_or_empty rules at six ballots, where the same
+    keep-or-empty rule first fails for veto."""
+
+    @pytest.mark.parametrize("tag", ["isolate", "keep_or_empty"])
+    def test_every_verifying_input_up_to_six_ballots(self, tag):
+        rules = [rule for rule in rules_for(system=System.APPROVAL) if rule.tag == tag]
+        assert len(rules) == (4 if tag == "isolate" else 1)
+        transferred = 0
+        for instance in iter_instances(Universe(System.APPROVAL, 3, 6)):
+            for rule in rules:
+                for solution in verifying_partitions(rule.target_type, instance):
+                    outcome = rule.apply(instance, solution)
+                    assert not outcome.via_fallback
+                    assert verify_solution(rule.source_type, instance, outcome.solution)
+                    transferred += 1
+        assert transferred > 0
+
+    def test_veto_stays_a_fallback(self):
+        # Veto scores depend on which candidates a round holds: here b ties c
+        # in a final on {b, c}, yet b is the unique winner of the whole
+        # election, so (empty, V) sends b alone to the final.
+        election = make_election("veto", "abc", [("abc", 3), ("acb", 1), ("cba", 2)])
+        instance = ControlInstance(election, "b")
+        uw, nuw = T("DC-PV-TE-UW"), T("DC-PV-TE-NUW")
+        failing = [
+            solution
+            for solution in verifying_partitions(uw, instance)
+            if not verify_solution(
+                nuw, instance, keep_or_empty_voters(nuw, uw, instance, solution).solution
+            )
+        ]
+        assert len(failing) == 4
+        rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
+        assert rule.construction is transfer_fallback
+        for solution in failing:
+            outcome = rule.apply(instance, solution)
+            assert outcome.via_fallback
+            assert verify_solution(nuw, instance, outcome.solution)

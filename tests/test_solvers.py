@@ -22,6 +22,8 @@ from controlforge import (
 from controlforge.control import ALL_CONTROL_TYPES, PartitionKind
 from controlforge.elections import subset_winners
 from controlforge.solvers import (
+    COLLAPSE_GROUPS,
+    ISOLATE_APPROVAL_TYPES,
     BruteForceOracle,
     OracleInconsistencyError,
     Universe,
@@ -250,6 +252,17 @@ class TestIsolationSearch:
         assert outcome.solution == Partition.of_candidates({"p"}, {"a"})
         assert verify_solution(T("CC-RPC-TE-NUW"), instance, outcome.solution)
 
+    def test_pc_types_put_the_rest_first(self):
+        instance = approval_instance("pab", [(("a", "b"), 2)], "p")
+        for tag in ("CC-PC-TE-NUW", "CC-PC-TE-UW"):
+            outcome = cc_rpc_te_nuw_search_approval(T(tag), instance)
+            assert outcome.solution == Partition.of_candidates({"a", "b"}, {"p"})
+
+    def test_unique_winner_needs_more_than_a_tie(self):
+        instance = approval_instance("pa", [(("p", "a"), 1)], "p")
+        assert cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), instance).found
+        assert not cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-UW"), instance).found
+
     def test_rejects_wrong_system(self):
         election = make_election("veto", "pa", [("pa", 1)])
         with pytest.raises(UnsupportedAlgorithmError):
@@ -258,7 +271,18 @@ class TestIsolationSearch:
     def test_rejects_uncovered_type(self):
         instance = approval_instance("pa", [], "p")
         with pytest.raises(UnsupportedAlgorithmError):
-            cc_rpc_te_nuw_search_approval(T("CC-PC-TE-NUW"), instance)
+            cc_rpc_te_nuw_search_approval(T("CC-PV-TE-NUW"), instance)
+
+
+class TestIsolationSearchMatchesReference:
+    def test_solves_exactly_what_brute_force_solves_up_to_six_ballots(self):
+        solved = 0
+        for instance in iter_instances(Universe(System.APPROVAL, 3, 6)):
+            for control_type in ISOLATE_APPROVAL_TYPES:
+                fast = cc_rpc_te_nuw_search_approval(control_type, instance)
+                assert fast.found == brute_force_search(control_type, instance).found
+                solved += fast.found
+        assert solved > 0
 
 
 class TestOracleSearch:
@@ -353,6 +377,20 @@ class TestCollapseScan:
         single = estimated_scan_evaluations((T("DC-PC-TE-UW"),), universe)
         double = estimated_scan_evaluations((T("DC-PC-TE-UW"), T("DC-RPC-TE-UW")), universe)
         assert double == 2 * single
+
+
+class TestCollapsesWithMatchesReference:
+    def test_every_ordered_pair_of_types(self):
+        def reference(system, one, two):
+            """The group scan collapses_with ran before it read a set of triples."""
+            return any(
+                one in group and two in group and one != two
+                for group in COLLAPSE_GROUPS[system]
+            )
+
+        for system in System:
+            for one, two in itertools.product(ALL_CONTROL_TYPES, repeat=2):
+                assert collapses_with(system, one, two) == reference(system, one, two)
 
 
 class TestCollapseRegistry:
