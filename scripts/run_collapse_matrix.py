@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Scan every known collapse pair for plurality, veto, and approval.
 
-For each pair of control types that coincide as sets, decide membership of
-every instance in the bounded universe by brute force and report whether the
-two types really agree everywhere. Exits nonzero if any pair disagrees.
+For each group of control types that coincide as sets, decide membership of
+every instance in the bounded universe by brute force, once per type, and
+report for each pair of the group whether the two types really agree
+everywhere. Exits nonzero if any pair disagrees.
 """
 
 import argparse
+import itertools
 import sys
 import time
 
 from controlforge import System
-from controlforge.solvers import Universe, collapse_pairs, collapse_scan
+from controlforge.cli import _at_least
+from controlforge.solvers import COLLAPSE_GROUPS, Universe, collapse_scan
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-candidates", type=int, default=3)
-    parser.add_argument("--max-votes", type=int, default=3)
+    parser.add_argument("--max-candidates", type=_at_least(1), default=3)
+    parser.add_argument("--max-votes", type=_at_least(0), default=3)
     parser.add_argument(
         "--system", choices=[s.value for s in System], default=None,
         help="restrict to one system (default: all three)",
@@ -36,19 +39,24 @@ def main() -> int:
             system, args.max_candidates, args.max_votes, as_multisets=not args.sequences
         )
         print(f"== {universe.describe()}")
-        for type_one, type_two in collapse_pairs(system):
+        for group in COLLAPSE_GROUPS[system]:
             tick = time.perf_counter()
-            scan = collapse_scan(type_one, type_two, universe)
-            verdict = "ok" if scan.agree else f"{len(scan.counterexamples)} COUNTEREXAMPLES"
-            print(
-                f"  {str(type_one):>13} = {str(type_two):<13} "
-                f"{scan.instances_checked:>5} instances  {verdict}"
-                f"  ({time.perf_counter() - tick:.2f}s)"
-            )
-            if not scan.agree:
-                disagreements += 1
-                for ce in scan.counterexamples[:3]:
-                    print(f"      e.g. focus {ce.instance.focus!r} in {ce.containing_type} only")
+            scan = collapse_scan(group, universe)
+            # The group's scan time goes on its first pair's line.
+            took = f"  ({time.perf_counter() - tick:.2f}s)"
+            for type_one, type_two in itertools.combinations(group, 2):
+                found = scan.between(type_one, type_two)
+                verdict = f"{len(found)} COUNTEREXAMPLES" if found else "ok"
+                print(
+                    f"  {str(type_one):>13} = {str(type_two):<13} "
+                    f"{scan.instances_checked:>5} instances  {verdict}{took}"
+                )
+                took = ""
+                if found:
+                    disagreements += 1
+                    for ce in found[:3]:
+                        print(f"      e.g. focus {ce.instance.focus!r} "
+                              f"in {ce.containing_type} only")
     print(f"total: {time.perf_counter() - started:.1f}s, {disagreements} disagreeing pairs")
     return 1 if disagreements else 0
 

@@ -13,14 +13,15 @@ import sys
 import time
 
 from controlforge import verify_solution
+from controlforge.cli import _at_least
 from controlforge.reductions import ALL_TRANSFER_RULES
 from controlforge.solvers import Universe, iter_instances, verifying_partitions
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-candidates", type=int, default=3)
-    parser.add_argument("--max-votes", type=int, default=3)
+    parser.add_argument("--max-candidates", type=_at_least(1), default=3)
+    parser.add_argument("--max-votes", type=_at_least(0), default=3)
     parser.add_argument("--tag", default=None, help="restrict to one rule tag")
     args = parser.parse_args()
 

@@ -645,7 +645,7 @@ def _cmd_collapse_scan(args, argv) -> RunReport:
     tags = args.pair.split(",")
     if len(tags) != 2:
         raise UsageError("--pair takes two comma-separated type tags")
-    type_one, type_two = (_control_type(t) for t in tags)
+    pair = tuple(_control_type(t) for t in tags)
     universe = Universe(
         System(args.system),
         args.max_candidates,
@@ -653,7 +653,7 @@ def _cmd_collapse_scan(args, argv) -> RunReport:
         as_multisets=not args.sequences,
     )
     try:
-        report = collapse_scan(type_one, type_two, universe, max_evaluations=_max_evals(args))
+        report = collapse_scan(pair, universe, max_evaluations=_max_evals(args))
     except UniverseTooLargeError as err:
         raise UsageError(str(err)) from err
     lines = [report.summary()]
@@ -676,7 +676,7 @@ def _cmd_collapse_scan(args, argv) -> RunReport:
     if len(report.counterexamples) > 20:
         lines.append(f"  ... and {len(report.counterexamples) - 20} more")
     payload = {
-        "pair": [str(type_one), str(type_two)],
+        "pair": [str(t) for t in report.types],
         "universe": report.universe.describe(),
         "instances_checked": report.instances_checked,
         "counterexample_count": len(report.counterexamples),

@@ -21,6 +21,7 @@ unchecked constructor.
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -219,7 +220,7 @@ class VoteCollection:
 
     @property
     def total(self) -> int:
-        return sum(count for _, count in self.groups)
+        return sum(map(itemgetter(1), self.groups))
 
     def masked(self, keep: frozenset[str]) -> "VoteCollection":
         kept_universe = tuple(c for c in self.universe if c in keep)

@@ -3,7 +3,8 @@
 Provides the exhaustive brute-force solver (the ground-truth oracle at desk
 scale), the polynomial-time approval algorithms, lexicographically-least
 search against a pluggable decision oracle, and the collapse scanner that
-compares two control types as sets of instances over a bounded universe.
+compares the types of a collapse group as sets of instances over a bounded
+universe, deciding each type once per instance.
 
 Partitions are encoded as the characteristic bit string of the first block
 in canonical candidate/voter order (bit i set means item i is in the first
@@ -26,7 +27,6 @@ from .control import (
     Partition,
     PartitionKind,
     decider,
-    goal_satisfied,
     partition_items,
     partition_of_mask,
     verify_solution,
@@ -36,7 +36,7 @@ from .elections import (
     System,
     Vote,
     VoteCollection,
-    winners,
+    winners,  # unused here; bench/test_bench.py's Binding test looks it up
 )
 
 
@@ -142,7 +142,7 @@ def immunity_search_approval(
     (DC) or already holds against the attacker (CC), so the instance either
     has no solution at all or is solved by the do-nothing partition
     (empty first block, everything in the second), which makes the final
-    round the original election.
+    round the original election; one verification of it decides the instance.
     """
     if instance.election.system is not System.APPROVAL:
         raise UnsupportedAlgorithmError("immunity search applies to approval elections only")
@@ -150,13 +150,8 @@ def immunity_search_approval(
         raise UnsupportedAlgorithmError(
             f"{control_type} is not one of the immune approval types"
         )
-    election = instance.election
-    won = winners(election.system, election.candidates, election.votes)
-    if not goal_satisfied(
-        control_type.direction, control_type.winner_model, instance.focus, won
-    ):
-        return SolveOutcome(None)
-    return SolveOutcome(Partition.of_candidates((), instance.election.candidates))
+    partition = Partition.of_candidates((), instance.election.candidates)
+    return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
 
 
 ISOLATE_APPROVAL_TYPES = _types("CC-RPC-TE-NUW", "CC-PC-TE-NUW", "CC-RPC-TE-UW", "CC-PC-TE-UW")
@@ -378,7 +373,7 @@ def estimated_scan_evaluations(
 
 @dataclass(frozen=True)
 class CollapseCounterexample:
-    """An instance on which exactly one of the two scanned types succeeds."""
+    """An instance on which exactly one of a pair of scanned types succeeds."""
 
     instance: ControlInstance
     containing_type: ControlTypeId
@@ -388,10 +383,13 @@ class CollapseCounterexample:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Result of comparing two control types as sets over a universe."""
+    """Result of comparing control types as sets over a universe.
 
-    type_one: ControlTypeId
-    type_two: ControlTypeId
+    Per instance, one counterexample for each disagreeing pair of the types,
+    in ``itertools.combinations`` order.
+    """
+
+    types: tuple[ControlTypeId, ...]
     universe: Universe
     instances_checked: int
     counterexamples: tuple[CollapseCounterexample, ...]
@@ -400,6 +398,11 @@ class ScanReport:
     def agree(self) -> bool:
         return not self.counterexamples
 
+    def between(self, one: ControlTypeId, two: ControlTypeId) -> tuple[CollapseCounterexample, ...]:
+        """The counterexamples of one pair of the types, in instance order."""
+        pair = ((one, two), (two, one))
+        return tuple(c for c in self.counterexamples if (c.containing_type, c.missing_type) in pair)
+
     def summary(self) -> str:
         verdict = (
             "agree everywhere"
@@ -407,43 +410,39 @@ class ScanReport:
             else f"{len(self.counterexamples)} counterexamples"
         )
         return (
-            f"{self.type_one} vs {self.type_two} on {self.universe.describe()}: "
+            f"{' vs '.join(map(str, self.types))} on {self.universe.describe()}: "
             f"{self.instances_checked} instances, {verdict}"
         )
 
 
 def collapse_scan(
-    type_one: ControlTypeId,
-    type_two: ControlTypeId,
+    types: tuple[ControlTypeId, ...],
     universe: Universe,
     max_evaluations: int = DEFAULT_MAX_EVALS,
 ) -> ScanReport:
-    """Compare two control types as sets of instances by brute force.
+    """Compare control types, such as a collapse group, as sets of instances.
 
-    Membership is decided independently for each type, so the types'
-    partition kinds need not match. Refuses universes whose estimated cost
-    exceeds ``max_evaluations``.
+    Each type is decided once per instance by brute force, and then every
+    pair of the types is compared; membership is decided independently for
+    each type, so the types' partition kinds need not match. Refuses
+    universes whose estimated cost exceeds ``max_evaluations``.
     """
-    estimate = estimated_scan_evaluations((type_one, type_two), universe)
+    estimate = estimated_scan_evaluations(types, universe)
     if estimate > max_evaluations:
         raise UniverseTooLargeError(estimate, max_evaluations)
+    pairs = tuple(itertools.combinations(range(len(types)), 2))
     counterexamples = []
     checked = 0
     for instance in iter_instances(universe):
         checked += 1
-        first = brute_force_search(type_one, instance).solution
-        second = brute_force_search(type_two, instance).solution
-        if (first is None) == (second is None):
-            continue
-        if first is not None:
-            counterexamples.append(
-                CollapseCounterexample(instance, type_one, first, type_two)
-            )
-        else:
-            counterexamples.append(
-                CollapseCounterexample(instance, type_two, second, type_one)
-            )
-    return ScanReport(type_one, type_two, universe, checked, tuple(counterexamples))
+        found = [brute_force_search(t, instance).solution for t in types]
+        for i, j in pairs:
+            if (found[i] is None) != (found[j] is None):
+                has, lacks = (i, j) if found[i] is not None else (j, i)
+                counterexamples.append(
+                    CollapseCounterexample(instance, types[has], found[has], types[lacks])
+                )
+    return ScanReport(types, universe, checked, tuple(counterexamples))
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ from controlforge.hardness import (
 )
 from controlforge.reductions import ALL_TRANSFER_RULES
 from controlforge.solvers import (
+    COLLAPSE_GROUPS,
     IMMUNE_APPROVAL_TYPES,
     POLYNOMIAL_SEARCHES,
     BruteForceOracle,
     Universe,
     brute_force_search,
-    collapse_pairs,
     collapse_scan,
     encoding_length,
     iter_instances,
@@ -96,14 +96,14 @@ def test_criterion_1_collapse_matrix():
     pairs = 0
     checks = 0
     for system in System:
-        for type_one, type_two in collapse_pairs(system):
-            scan = collapse_scan(type_one, type_two, UNIVERSES[system])
-            pairs += 1
-            checks += scan.instances_checked
-            if not scan.agree:
-                failures.append(
-                    (system.value, str(type_one), str(type_two), len(scan.counterexamples))
-                )
+        for group in COLLAPSE_GROUPS[system]:
+            scan = collapse_scan(group, UNIVERSES[system])
+            for type_one, type_two in itertools.combinations(group, 2):
+                pairs += 1
+                checks += scan.instances_checked
+                found = scan.between(type_one, type_two)
+                if found:
+                    failures.append((system.value, str(type_one), str(type_two), len(found)))
     report(1, f"collapse matrix, {pairs} pairs, zero counterexamples", checks, failures)
 
 

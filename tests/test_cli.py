@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import string
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -804,3 +808,30 @@ class TestSerializationDefaults:
         election = make_election("approval", "pa", [(("p", "a"), 2), ((), 1)])
         text = serialize_election(ElectionDocument(election, "p"))
         assert text == "system: approval\ncandidates: p a\ndistinguished: p\n2 x {p,a}\n{}\n"
+
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestScriptsRefuseEmptyUniverses:
+    """The scripts type their universe budgets as the CLI does, so an empty
+    universe is a usage error (exit 2), not a report of agreement."""
+
+    @pytest.mark.parametrize("flag, value", [("--max-votes", "-1"), ("--max-candidates", "0")])
+    def test_collapse_matrix(self, flag, value):
+        done = _run_script("run_collapse_matrix.py", flag, value)
+        assert done.returncode == 2
+        assert f"argument {flag}: must be at least" in done.stderr
+
+    def test_transfer_audit(self):
+        done = _run_script("run_transfer_audit.py", "--max-votes", "-1")
+        assert done.returncode == 2
+        assert "argument --max-votes: must be at least 0, got -1" in done.stderr

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import string
@@ -19,12 +20,15 @@ from controlforge import (
     make_election,
     verify_solution,
 )
+from controlforge import solvers
 from controlforge.control import ALL_CONTROL_TYPES, PartitionKind
 from controlforge.elections import subset_winners
 from controlforge.solvers import (
     COLLAPSE_GROUPS,
+    IMMUNE_APPROVAL_TYPES,
     ISOLATE_APPROVAL_TYPES,
     BruteForceOracle,
+    CollapseCounterexample,
     OracleInconsistencyError,
     Universe,
     UniverseTooLargeError,
@@ -275,11 +279,17 @@ class TestIsolationSearch:
 
 
 class TestIsolationSearchMatchesReference:
-    def test_solves_exactly_what_brute_force_solves_up_to_six_ballots(self):
+    @pytest.mark.parametrize(
+        "types, search",
+        [(ISOLATE_APPROVAL_TYPES, cc_rpc_te_nuw_search_approval),
+         (IMMUNE_APPROVAL_TYPES, immunity_search_approval)],
+        ids=["isolate", "immunity"],
+    )
+    def test_solves_exactly_what_brute_force_solves_up_to_six_ballots(self, types, search):
         solved = 0
         for instance in iter_instances(Universe(System.APPROVAL, 3, 6)):
-            for control_type in ISOLATE_APPROVAL_TYPES:
-                fast = cc_rpc_te_nuw_search_approval(control_type, instance)
+            for control_type in types:
+                fast = search(control_type, instance)
                 assert fast.found == brute_force_search(control_type, instance).found
                 solved += fast.found
         assert solved > 0
@@ -324,20 +334,20 @@ class TestOracleSearch:
 class TestCollapseScan:
     def test_general_tp_pair_agrees_on_small_universe(self):
         universe = Universe(System.PLURALITY, 2, 2)
-        report = collapse_scan(T("DC-RPC-TP-NUW"), T("DC-PC-TP-NUW"), universe)
+        report = collapse_scan((T("DC-RPC-TP-NUW"), T("DC-PC-TP-NUW")), universe)
         assert report.agree
         assert report.instances_checked == instance_count(universe)
 
     def test_cc_vs_dc_disagree(self):
         universe = Universe(System.APPROVAL, 2, 2)
-        report = collapse_scan(T("CC-PC-TE-UW"), T("DC-PC-TE-UW"), universe)
+        report = collapse_scan((T("CC-PC-TE-UW"), T("DC-PC-TE-UW")), universe)
         assert not report.agree
         sample = report.counterexamples[0]
         assert verify_solution(sample.containing_type, sample.instance, sample.witness)
 
     def test_zero_candidates_is_an_empty_universe(self):
         universe = Universe(System.PLURALITY, 0, 2)
-        report = collapse_scan(T("DC-RPC-TP-NUW"), T("DC-PC-TP-NUW"), universe)
+        report = collapse_scan((T("DC-RPC-TP-NUW"), T("DC-PC-TP-NUW")), universe)
         assert report.instances_checked == 0
         assert report.agree
 
@@ -354,7 +364,7 @@ class TestCollapseScan:
             tracemalloc.start()
             try:
                 universe = Universe(System.APPROVAL, 3, max_votes)
-                assert collapse_scan(T("DC-PC-TE-UW"), T("DC-RPC-TE-UW"), universe).agree
+                assert collapse_scan((T("DC-PC-TE-UW"), T("DC-RPC-TE-UW")), universe).agree
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -363,7 +373,7 @@ class TestCollapseScan:
     def test_oversized_universe_is_refused(self):
         universe = Universe(System.APPROVAL, 3, 3)
         with pytest.raises(UniverseTooLargeError) as err:
-            collapse_scan(T("DC-PC-TE-UW"), T("DC-RPC-TE-UW"), universe, max_evaluations=10)
+            collapse_scan((T("DC-PC-TE-UW"), T("DC-RPC-TE-UW")), universe, max_evaluations=10)
         assert err.value.estimate > 10
 
     def test_sequence_mode_enumerates_orderings(self):
@@ -377,6 +387,67 @@ class TestCollapseScan:
         single = estimated_scan_evaluations((T("DC-PC-TE-UW"),), universe)
         double = estimated_scan_evaluations((T("DC-PC-TE-UW"), T("DC-RPC-TE-UW")), universe)
         assert double == 2 * single
+
+
+def pairwise_scan(type_one, type_two, universe):
+    """The scan of one pair that collapse_scan ran before it took a group:
+    (instances checked, counterexamples)."""
+    counterexamples = []
+    checked = 0
+    for instance in iter_instances(universe):
+        checked += 1
+        first = brute_force_search(type_one, instance).solution
+        second = brute_force_search(type_two, instance).solution
+        if (first is None) == (second is None):
+            continue
+        if first is not None:
+            counterexamples.append(CollapseCounterexample(instance, type_one, first, type_two))
+        else:
+            counterexamples.append(CollapseCounterexample(instance, type_two, second, type_one))
+    return checked, tuple(counterexamples)
+
+
+def _group_param(system, group):
+    return pytest.param(system, group, id=f"{system.value}:" + ",".join(map(str, group)))
+
+
+# Two groups whose types do not coincide, so that their pairs have counterexamples.
+DISAGREEING_GROUPS = [
+    _group_param(System.PLURALITY, tuple(map(T, ("CC-PC-TE-UW", "CC-RPC-TE-UW", "DC-PC-TE-UW")))),
+    _group_param(System.APPROVAL, tuple(map(T, ("CC-PC-TE-UW", "DC-PC-TE-UW", "DC-PV-TE-NUW")))),
+]
+
+
+class TestGroupScanMatchesPairwiseReference:
+    @pytest.mark.parametrize(
+        "system, group",
+        [_group_param(system, group) for system in System for group in COLLAPSE_GROUPS[system]]
+        + DISAGREEING_GROUPS,
+    )
+    def test_every_pair_gets_the_pairwise_counterexamples(self, system, group):
+        universe = Universe(system, 3, 3)
+        report = collapse_scan(group, universe)
+        for one, two in itertools.combinations(group, 2):
+            checked, counterexamples = pairwise_scan(one, two, universe)
+            assert report.instances_checked == checked
+            assert report.between(one, two) == counterexamples
+        # The registered groups agree everywhere, the two others do not.
+        assert report.agree == collapses_with(system, group[0], group[1])
+
+    def test_each_type_is_searched_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counting(control_type, instance):
+            calls.append(control_type)
+            return brute_force_search(control_type, instance)
+
+        monkeypatch.setattr(solvers, "brute_force_search", counting)
+        group = COLLAPSE_GROUPS[System.APPROVAL][1]
+        universe = Universe(System.APPROVAL, 2, 3)
+        collapse_scan(group, universe)
+        assert len(group) == 6
+        assert len(calls) == len(group) * instance_count(universe)
+        assert collections.Counter(calls) == {t: instance_count(universe) for t in group}
 
 
 class TestCollapsesWithMatchesReference:
