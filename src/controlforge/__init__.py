@@ -48,7 +48,6 @@ from .reductions import (
     compose,
     find_transfer_chain,
     rules_for,
-    transfer_fallback,
 )
 from .solvers import (
     BruteForceOracle,
@@ -65,6 +64,7 @@ from .solvers import (
     iter_instances,
     lex_min_search_with_oracle,
     verifying_partitions,
+    vetoer_search_veto,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,7 +20,7 @@ alone suffices to re-verify the outcome; the exit code is a function of the
 JSON ``outcome`` field (0 success / solution found / verified / no
 counterexamples, 1 negative answer, 2 usage or parse error, 3 internal
 error: a library invariant failed, such as an oracle whose answers lead to
-a non-verifying partition or a collapse the fallback search contradicts).
+a non-verifying partition).
 """
 
 import argparse
@@ -56,7 +56,7 @@ from .hardness import (
     encode_hitting_set,
     extract_hitting_set,
 )
-from .reductions import TransferError, compose, find_transfer_chain, transfer_fallback
+from .reductions import TransferError, compose, find_transfer_chain
 from .solvers import (
     DEFAULT_MAX_EVALS,
     POLYNOMIAL_SEARCHES,
@@ -475,7 +475,7 @@ def _instance_from(args) -> tuple[ElectionDocument, ControlInstance]:
     return doc, ControlInstance(doc.election, focus)
 
 
-def _max_evals(args=None) -> int:
+def _max_evals(args) -> int:
     override = getattr(args, "max_evals", None)
     if override is not None:
         return override
@@ -598,25 +598,13 @@ def _cmd_reduce(args, argv) -> RunReport:
     partition = parse_partition(
         _read(args.solution), from_type.partition_kind, doc.election
     )
-    # Only a fallback step searches: a malformed cap never refuses a constructive route.
-    searches = any(rule.construction is transfer_fallback for rule in chain)
-    cap = _max_evals(args) if searches else DEFAULT_MAX_EVALS
-    try:
-        outcomes = compose(chain, instance, partition, max_evaluations=cap)
-    except TransferError as err:
-        # A registered route chains and fits its system, so only the cap refuses it.
-        raise UsageError(f"{err} (set {MAX_EVALS_ENV} to raise it)") from None
+    outcomes = compose(chain, instance, partition)
     if outcomes:
         solution = outcomes[-1].solution
     else:
         solution = partition if verify_solution(from_type, instance, partition) else None
-    fallback = any(outcome.via_fallback for outcome in outcomes)
     steps = [
-        {
-            "rule": rule.describe(),
-            "rejected": outcome.rejected,
-            "via_fallback": outcome.via_fallback,
-        }
+        {"rule": rule.describe(), "rejected": outcome.rejected}
         for rule, outcome in zip(chain, outcomes)
     ]
     lines = [f"route: {from_type} -> {to_type} in {len(chain)} step(s)"]
@@ -628,13 +616,12 @@ def _cmd_reduce(args, argv) -> RunReport:
         "focus": instance.focus,
         "input": serialize_partition(partition, doc.election),
         "steps": steps,
-        "via_fallback": fallback,
         "solution": None if solution is None else serialize_partition(solution, doc.election),
     }
     if solution is None:
         lines.append("rejected: the input does not verify for the source type")
         return RunReport(tuple(argv), "transfer-rejected", payload, tuple(lines))
-    lines.append(("fallback " if fallback else "") + "solution: " + payload["solution"].strip())
+    lines.append("solution: " + payload["solution"].strip())
     if args.trace:
         checked = check_solution(to_type, instance, solution)
         lines += _trace_lines(_trace_payload(checked.trace, doc.election))
@@ -653,7 +640,7 @@ def _cmd_collapse_scan(args, argv) -> RunReport:
         as_multisets=not args.sequences,
     )
     try:
-        report = collapse_scan(pair, universe, max_evaluations=_max_evals(args))
+        report = collapse_scan(pair, universe, _max_evals(args))
     except UniverseTooLargeError as err:
         raise UsageError(str(err)) from err
     lines = [report.summary()]

@@ -3,7 +3,7 @@
 A transfer rule consumes a verifying partition for one control type (its
 target) and constructs, on the same instance, a verifying partition for a
 type that coincides with it as a set (its source). Each rule is one row of
-``_RULE_TABLE`` naming one of six constructions:
+``_RULE_TABLE`` naming one of six polynomial constructions:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
   rule): ``control.round_focus_lost`` reads off the winner tables the round
@@ -19,14 +19,13 @@ type that coincides with it as a set (its source). Each rule is one row of
   isolates the focus verifies whenever any partition does.
 * ``keep_or_empty_voters`` (approval DC-PV-TE): the input if it already
   solves the cowinner type, else the empty first voter block ``(empty, V)``.
-* ``transfer_fallback`` (veto DC-PV-TE only): where the known constructive
-  route lives in work we do not reproduce, an exponential brute-force search
-  stands in at desk scale, under an evaluation cap, and is labeled as such.
+* ``split_off_vetoers`` (veto DC-PV-TE): the voters who veto one candidate
+  other than the focus form the first block.
 
-The first five run in time polynomial in the instance and the given
-solution. Every transfer first checks its input and rejects non-solutions
-explicitly: verification is cheap here because all three systems have
-polynomial winner evaluation. A transfer decides; it builds no trace.
+Each runs in time polynomial in the instance and the given solution. Every
+transfer first checks its input and rejects non-solutions explicitly:
+verification is cheap here because all three systems have polynomial winner
+evaluation. A transfer decides; it builds no trace.
 """
 
 import itertools
@@ -42,14 +41,7 @@ from .control import (
     verify_solution,
 )
 from .elections import System
-from .solvers import (
-    DEFAULT_MAX_EVALS,
-    InvariantError,
-    brute_force_search,
-    collapses_with,
-    encoding_length,
-    isolating_partition,
-)
+from .solvers import isolating_partition, vetoer_partition
 
 
 class TransferError(ValueError):
@@ -65,7 +57,9 @@ class TransferOutcome:
     """A verifying partition for the rule's source type, or a rejection."""
 
     solution: "Partition | None"
-    via_fallback: bool = False
+    # Every rule constructs. bench/workloads.py and bench/tracer.py still read
+    # this flag; ROADMAP item 1 deletes it together with those reads.
+    via_fallback = False
 
     @property
     def rejected(self) -> bool:
@@ -94,17 +88,14 @@ class TransferRule:
     note: str
     construction: Construction = field(compare=False, repr=False)
 
-    def apply(
-        self, instance: ControlInstance, solution: Partition, max_evaluations=DEFAULT_MAX_EVALS
-    ) -> TransferOutcome:
-        """The rule's outcome on one input; ``max_evaluations`` caps a fallback search."""
+    def apply(self, instance: ControlInstance, solution: Partition) -> TransferOutcome:
+        """The rule's outcome on one input."""
         if instance.election.system is not self.system:
             raise TransferError(
                 f"rule {self.source_type}<-{self.target_type} is scoped to "
                 f"{self.system.value} elections"
             )
-        cap = (max_evaluations,) if self.construction is transfer_fallback else ()
-        return self.construction(self.source_type, self.target_type, instance, solution, *cap)
+        return self.construction(self.source_type, self.target_type, instance, solution)
 
     def describe(self) -> str:
         return f"{self.system.value}: {self.source_type} <- {self.target_type} [{self.tag}]"
@@ -199,39 +190,32 @@ def keep_or_empty_voters(
     return TransferOutcome(Partition.of_voters((), range(instance.voter_count)))
 
 
-def transfer_fallback(
+def split_off_vetoers(
     source_type: ControlTypeId,
     target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
-    max_evaluations: int = DEFAULT_MAX_EVALS,
 ) -> TransferOutcome:
-    """Oracle-backed stand-in for transfers whose constructions we do not carry.
+    """``(S_y, V - S_y)`` for the first candidate y other than the focus p, once
+    the input verifies; ``(empty, V)`` when at most two candidates run.
 
-    Verifies the input for the target type, then simply brute-forces a
-    source-type solution, which the collapse guarantees to exist. Exponential
-    time; desk scale only; the outcome is labeled as a fallback so
-    experiments never mistake it for a polynomial construction.
+    S_y is the set of voters ranking y last. Proof sketch: every round of a
+    voter partition is held over all of C, and the candidates with the
+    fewest vetoes win it. With m >= 3 candidates, at least two candidates
+    tie at zero vetoes in S_y, so under TE nobody advances from it; in
+    ``V - S_y`` y has zero vetoes, so y advances alone or nobody does. The
+    final holds y alone or nobody, and p is not a winner under either
+    winner model. With m <= 2, the empty block sends nobody (two candidates
+    tie at zero vetoes) or p running alone, so ``(empty, V)`` fails exactly
+    when p is the unique veto winner of the whole election. Then every
+    partition fails: p has fewer vetoes than its rival in some block and
+    advances from it, and the final is held over all of V, where p again
+    has the fewer vetoes. So ``(empty, V)`` verifies whenever any partition
+    does.
     """
-    system = instance.election.system
-    if not collapses_with(system, source_type, target_type):
-        raise TransferError(
-            f"{source_type} and {target_type} are not a collapsing pair for {system.value}"
-        )
-    size = 1 << encoding_length(instance, source_type.partition_kind)
-    if size > max_evaluations:
-        raise TransferError(
-            f"fallback search needs {size} evaluations, above the cap of {max_evaluations}"
-        )
     if not verify_solution(target_type, instance, solution):
         return TransferOutcome.reject()
-    found = brute_force_search(source_type, instance)
-    if not found.found:
-        raise InvariantError(
-            f"collapse violated: {target_type} solvable but {source_type} is not "
-            f"on {instance}"
-        )
-    return TransferOutcome(found.solution, via_fallback=True)
+    return TransferOutcome(vetoer_partition(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +231,7 @@ _WEAKER = "pass-through: cowinner failure implies unique-winner failure"
 _EMPTY = "any verified input certifies the winnership condition; output (empty, C)"
 _ISOLATE = "first block := C - {p} (PC) or {p} (RPC): isolate the focus"
 _KEEP = "the input if it solves the cowinner type, else (empty, V)"
-_SEARCH = "verified input, then brute-force search (desk scale only)"
+_VETOERS = "first block := the voters who veto the first y != p; (empty, V) if m <= 2"
 
 # (systems, source, target, tag, note, construction). find_transfer_chain
 # takes the first route it meets, so the order of the rules is behaviour:
@@ -268,7 +252,7 @@ _RULE_TABLE = (
     (_APPROVAL, "CC-PC-TP-NUW", "CC-RPC-TP-NUW", "empty_block", _EMPTY, empty_block),
     (_APPROVAL, "CC-RPC-TP-NUW", "CC-PC-TP-NUW", "empty_block", _EMPTY, empty_block),
     (_VETO_APPROVAL, "DC-PV-TE-UW", "DC-PV-TE-NUW", "identity", _WEAKER, pass_through),
-    (_VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW", "fallback", _SEARCH, transfer_fallback),
+    (_VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW", "vetoers", _VETOERS, split_off_vetoers),
     (_APPROVAL, "DC-PV-TE-NUW", "DC-PV-TE-UW", "keep_or_empty", _KEEP, keep_or_empty_voters),
     (_APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW", "isolate", _ISOLATE, isolate_focus),
     (_APPROVAL, "CC-RPC-TE-NUW", "CC-PC-TE-NUW", "isolate", _ISOLATE, isolate_focus),
@@ -278,7 +262,7 @@ _RULE_TABLE = (
 
 
 def transfer_registry() -> tuple[TransferRule, ...]:
-    """Every implemented transfer rule, constructive rules first."""
+    """Every implemented transfer rule, in ``_RULE_TABLE`` order."""
     rules = []
     for systems, run in itertools.groupby(_RULE_TABLE, key=itemgetter(0)):
         run = tuple(run)
@@ -318,14 +302,12 @@ def compose(
     chain: "list[TransferRule]",
     instance: ControlInstance,
     solution: Partition,
-    max_evaluations: int = DEFAULT_MAX_EVALS,
 ) -> list[TransferOutcome]:
     """Apply the rules in order, each to its predecessor's solution.
 
     Returns every step's outcome, stopping after the first rejection.
     Raises CompositionError unless each rule consumes what the one before
-    it produces, on the same system, and TransferError when a fallback
-    step's search would need more than ``max_evaluations`` evaluations.
+    it produces, on the same system.
     """
     for inner, outer in zip(chain, chain[1:]):
         if outer.system is not inner.system:
@@ -338,7 +320,7 @@ def compose(
             )
     outcomes = []
     for rule in chain:
-        outcome = rule.apply(instance, solution, max_evaluations)
+        outcome = rule.apply(instance, solution)
         outcomes.append(outcome)
         if outcome.rejected:
             break

@@ -1,10 +1,10 @@
 """Search algorithms for partition control problems.
 
 Provides the exhaustive brute-force solver (the ground-truth oracle at desk
-scale), the polynomial-time approval algorithms, lexicographically-least
-search against a pluggable decision oracle, and the collapse scanner that
-compares the types of a collapse group as sets of instances over a bounded
-universe, deciding each type once per instance.
+scale), the polynomial-time approval and veto algorithms,
+lexicographically-least search against a pluggable decision oracle, and the
+collapse scanner that compares the types of a collapse group as sets of
+instances over a bounded universe, deciding each type once per instance.
 
 Partitions are encoded as the characteristic bit string of the first block
 in canonical candidate/voter order (bit i set means item i is in the first
@@ -123,7 +123,7 @@ def brute_force_search(control_type: ControlTypeId, instance: ControlInstance) -
 
 
 # ---------------------------------------------------------------------------
-# Polynomial-time approval algorithms
+# Polynomial-time algorithms
 
 
 def _types(*tags: str) -> tuple[ControlTypeId, ...]:
@@ -185,6 +185,42 @@ def cc_rpc_te_nuw_search_approval(
     return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
 
 
+VETOER_TYPES = _types("DC-PV-TE-NUW", "DC-PV-TE-UW")
+
+
+def vetoer_partition(instance: ControlInstance) -> Partition:
+    """``(S_y, V - S_y)``, S_y the voters ranking y last, for the first rival y of the focus.
+
+    With at most two candidates running, ``(empty, V)``.
+    """
+    election = instance.election
+    voters = frozenset(range(instance.voter_count))
+    if len(election.candidates) < 3:
+        return Partition.of_voters((), voters)
+    vetoed = next(c for c in election.candidates if c != instance.focus)
+    vetoers, start = set(), 0
+    for vote, count in election.votes.groups:
+        if vote.entries[-1] == vetoed:
+            vetoers.update(range(start, start + count))
+        start += count
+    return Partition.of_voters(vetoers, voters - vetoers)
+
+
+def vetoer_search_veto(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
+    """Solve veto DC-PV-TE under either winner model by splitting off one candidate's vetoers.
+
+    The vetoer partition verifies whenever any partition does (the proof is
+    in ``reductions.split_off_vetoers``), so one verification decides the
+    instance.
+    """
+    if instance.election.system is not System.VETO:
+        raise UnsupportedAlgorithmError("this search applies to veto elections only")
+    if control_type not in VETOER_TYPES:
+        raise UnsupportedAlgorithmError(f"{control_type} is not one of the veto DC-PV-TE types")
+    partition = vetoer_partition(instance)
+    return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
+
+
 PolynomialSearch = Callable[[ControlTypeId, ControlInstance], SolveOutcome]
 
 # Every (system, type) with a polynomial-time search: the algorithm's name
@@ -197,6 +233,10 @@ POLYNOMIAL_SEARCHES: dict[tuple[System, ControlTypeId], tuple[str, PolynomialSea
     **{
         (System.APPROVAL, control_type): ("approval-isolate", cc_rpc_te_nuw_search_approval)
         for control_type in ISOLATE_APPROVAL_TYPES
+    },
+    **{
+        (System.VETO, control_type): ("veto-vetoers", vetoer_search_veto)
+        for control_type in VETOER_TYPES
     },
 }
 
@@ -476,16 +516,3 @@ def collapse_pairs(system: System) -> list[tuple[ControlTypeId, ControlTypeId]]:
     for group in COLLAPSE_GROUPS[system]:
         pairs.extend(itertools.combinations(group, 2))
     return pairs
-
-
-# Every (system, one, two) with one != two in a common collapse group.
-_COLLAPSING = frozenset(
-    (system, one, two)
-    for system, groups in COLLAPSE_GROUPS.items()
-    for group in groups
-    for one, two in itertools.permutations(group, 2)
-)
-
-
-def collapses_with(system: System, one: ControlTypeId, two: ControlTypeId) -> bool:
-    return (system, one, two) in _COLLAPSING

@@ -141,7 +141,7 @@ def test_criterion_3_polynomial_algorithm_equivalence():
                 failures.append((str(control_type), instance, "solvability mismatch"))
             elif fast.found and not verify_solution(control_type, instance, fast.solution):
                 failures.append((str(control_type), instance, "non-verifying output"))
-    report(3, "polynomial approval algorithms agree with brute force", checks, failures)
+    report(3, "polynomial algorithms agree with brute force", checks, failures)
 
 
 def test_criterion_4_lex_min_oracle_search():

@@ -19,7 +19,6 @@ from controlforge import (
     VoteCollection,
     cli,
     make_election,
-    reductions,
 )
 from controlforge.cli import (
     DocumentParseError,
@@ -35,7 +34,6 @@ from controlforge.cli import (
 )
 from controlforge.control import Partition, PartitionKind
 from controlforge.elections import InvalidCandidateError, check_candidate_name
-from controlforge.solvers import SolveOutcome
 from controlforge.hardness import (
     FOCUS_NAME,
     SPOILER_NAME,
@@ -384,7 +382,7 @@ class TestRunCommand:
         assert code == 0
         payload = last_json(report)
         assert payload["solution"] == "block1: p a | block2: b\n"
-        assert payload["via_fallback"] is False
+        assert "via_fallback" not in payload
 
     def test_reduce_rejects_non_solution(self, tmp_path):
         election = write(
@@ -613,61 +611,29 @@ class TestRunCommand:
 
     VETO_DOC = "system: veto\ncandidates: a b c\ndistinguished: b\na>b>c\na>b>c\nc>b>a\n"
 
-    def test_reduce_fallback_step_obeys_the_cap(self, tmp_path, monkeypatch):
-        # Veto DC-PV-TE-NUW <- DC-PV-TE-UW is a fallback rule: a search over
-        # the 2^3 voter partitions, which a cap of 0 refuses as solve does.
+    def test_solve_cap_refusal_says_how_to_raise_it(self, tmp_path, monkeypatch):
         election = write(tmp_path, "e.txt", self.VETO_DOC)
-        solution = write(tmp_path, "s.txt", "block1: 2 | block2: 0 1\n")
-        argv = ["reduce", "--from", "DC-PV-TE-UW", "--to", "DC-PV-TE-NUW",
-                "--solution", solution, election]
-        code, report = run_command(argv)
-        assert (code, report.outcome) == (0, "transfer-solution")
-        assert last_json(report)["via_fallback"] is True
         monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
-        code, report = run_command(argv)
-        assert (code, report.outcome) == (2, "error")
-        assert report.payload["message"].endswith(
-            "above the cap of 0 (set CONTROL_FORGE_MAX_EVALS to raise it)"
-        )
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "8")
-        code, report = run_command(argv)
-        assert (code, report.outcome) == (0, "transfer-solution")
-
-    def test_reduce_cap_refusal_says_how_to_raise_it(self, tmp_path, monkeypatch):
-        # The same hint as solve gives when the cap refuses its search.
-        election = write(tmp_path, "e.txt", self.VETO_DOC)
-        solution = write(tmp_path, "s.txt", "block1: 2 | block2: 0 1\n")
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
-        code, report = run_command(
-            ["reduce", "--from", "DC-PV-TE-UW", "--to", "DC-PV-TE-NUW",
-             "--solution", solution, election]
-        )
-        assert (code, report.outcome) == (2, "error")
-        assert report.payload["message"] == (
-            "fallback search needs 8 evaluations, above the cap of 0 "
-            "(set CONTROL_FORGE_MAX_EVALS to raise it)"
-        )
-        _, solved = run_command(
+        code, solved = run_command(
             ["solve", "--type", "DC-PV-TE-NUW", "--algorithm", "brute", election]
         )
+        assert (code, solved.outcome) == (2, "error")
         assert solved.payload["message"].endswith("(set CONTROL_FORGE_MAX_EVALS to raise it)")
 
-    def test_reduce_cap_read_only_for_fallback_steps(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cap", ["x", "0"])
+    def test_reduce_reads_no_cap(self, tmp_path, monkeypatch, cap):
+        # Every transfer constructs its output, so neither a malformed cap nor
+        # a cap of 0 refuses a route, the veto DC-PV-TE rule included.
         election = write(tmp_path, "e.txt", self.VETO_DOC)
-        solution = write(tmp_path, "s.txt", "block1: 2 | block2: 0 1\n")
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "x")
-        # DC-PV-TE-UW <- DC-PV-TE-NUW passes the input through: no search.
-        code, report = run_command(
-            ["reduce", "--from", "DC-PV-TE-NUW", "--to", "DC-PV-TE-UW",
-             "--solution", solution, election]
-        )
-        assert (code, report.outcome) == (0, "transfer-solution")
-        code, report = run_command(
-            ["reduce", "--from", "DC-PV-TE-UW", "--to", "DC-PV-TE-NUW",
-             "--solution", solution, election]
-        )
-        assert (code, report.outcome) == (2, "error")
-        assert report.payload["message"] == "CONTROL_FORGE_MAX_EVALS must be an integer, got 'x'"
+        solution = write(tmp_path, "s.txt", "block1: 0 1 | block2: 2\n")
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", cap)
+        for source, target in (("DC-PV-TE-NUW", "DC-PV-TE-UW"), ("DC-PV-TE-UW", "DC-PV-TE-NUW")):
+            code, report = run_command(
+                ["reduce", "--from", source, "--to", target, "--solution", solution, election]
+            )
+            assert (code, report.outcome) == (0, "transfer-solution")
+        # The NUW output splits off a's one vetoer, the c>b>a ballot.
+        assert last_json(report)["solution"] == "block1: 2 | block2: 0 1\n"
 
     def test_lying_oracle_is_an_internal_error(self, tmp_path, monkeypatch):
         class LyingOracle:
@@ -683,20 +649,6 @@ class TestRunCommand:
         )
         assert (code, report.outcome) == (3, "internal-error")
         assert "non-verifying partition" in last_json(report)["message"]
-
-    def test_violated_collapse_is_an_internal_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            reductions, "brute_force_search", lambda control_type, instance: SolveOutcome(None)
-        )
-        # Veto DC-PV-TE-NUW <- DC-PV-TE-UW is the one fallback rule.
-        election = write(tmp_path, "e.txt", self.VETO_DOC)
-        solution = write(tmp_path, "s.txt", "block1: 2 | block2: 0 1\n")
-        code, report = run_command(
-            ["reduce", "--from", "DC-PV-TE-UW", "--to", "DC-PV-TE-NUW",
-             "--solution", solution, election]
-        )
-        assert (code, report.outcome) == (3, "internal-error")
-        assert "collapse violated" in last_json(report)["message"]
 
     def test_encode_then_decode_hitting_set(self, tmp_path):
         hs_file = write(tmp_path, "hs.txt", "elements: b1\nk: 1\nset: b1\n")

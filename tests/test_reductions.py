@@ -23,13 +23,16 @@ from controlforge.reductions import (
     keep_or_empty_voters,
     pass_through,
     rules_for,
-    transfer_fallback,
+    split_off_vetoers,
 )
 from controlforge.solvers import (
+    VETOER_TYPES,
     Universe,
+    brute_force_search,
     enumerate_partitions,
     iter_instances,
     verifying_partitions,
+    vetoer_search_veto,
 )
 
 T = ControlTypeId.parse
@@ -197,14 +200,16 @@ class TestIdentityTransfer:
             VETO_DC_PV_TE.apply(instance, Partition.of_voters({0}, set()))
 
 
-class TestFallbackTransfer:
+class TestVetoerAndIsolateTransfers:
     def test_veto_voter_pair(self):
         election = make_election("veto", "pa", [("pa", 1), ("ap", 1)])
         instance = ControlInstance(election, "p")
         uw_solution = Partition.of_voters(set(), {0, 1})
         assert verify_solution(T("DC-PV-TE-UW"), instance, uw_solution)
-        outcome = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW").apply(instance, uw_solution)
-        assert outcome.via_fallback
+        rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
+        assert rule.construction is split_off_vetoers
+        outcome = rule.apply(instance, uw_solution)
+        # Two candidates: the output is (empty, V).
         assert outcome.solution == Partition.of_voters(set(), {0, 1})
         assert verify_solution(T("DC-PV-TE-NUW"), instance, outcome.solution)
 
@@ -216,7 +221,6 @@ class TestFallbackTransfer:
             instance, rpc_solution
         )
         # The isolate construction: first block C - {p} for a PC source.
-        assert not outcome.via_fallback
         assert outcome.solution == Partition.of_candidates({"a"}, {"p"})
         assert verify_solution(T("CC-PC-TE-NUW"), instance, outcome.solution)
 
@@ -225,42 +229,18 @@ class TestFallbackTransfer:
         attempt = Partition.of_candidates({"p"}, {"a"})
         rule = _rule(System.APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW")
         assert rule.apply(instance, attempt).rejected
-        # The fallback checks its input before it searches.
+        # The vetoer split checks its input too.
         election = make_election("veto", "pa", [("pa", 1)])
         rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
         assert rule.apply(ControlInstance(election, "p"), Partition.of_voters({0}, set())).rejected
-
-    def test_search_obeys_the_cap(self):
-        election = make_election("veto", "pa", [("pa", 1), ("ap", 1)])
-        instance = ControlInstance(election, "p")
-        uw_solution = Partition.of_voters(set(), {0, 1})
-        rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
-        # Two voters: the search decides 2^2 partitions.
-        with pytest.raises(TransferError, match="needs 4 evaluations, above the cap of 3$"):
-            rule.apply(instance, uw_solution, max_evaluations=3)
-        with pytest.raises(TransferError, match="above the cap of 3$"):
-            compose([rule], instance, uw_solution, max_evaluations=3)
-        [outcome] = compose([rule], instance, uw_solution, max_evaluations=4)
-        assert outcome.via_fallback
-        # A constructive rule searches nothing, so no cap refuses it.
-        [outcome] = compose([VETO_DC_PV_TE], instance, outcome.solution, max_evaluations=0)
-        assert outcome.solution == uw_solution
-
-    def test_non_collapsing_pair_refused(self):
-        instance = approval_instance("pa", [(("a",), 1)], "p")
-        with pytest.raises(TransferError):
-            transfer_fallback(
-                T("CC-PC-TE-NUW"), T("DC-PC-TE-NUW"), instance, Partition.of_candidates(set(), {"p", "a"})
-            )
 
 
 class TestComposeAndRegistry:
     def test_registry_shape(self):
         assert len(ALL_TRANSFER_RULES) == 34
-        constructive = [r for r in ALL_TRANSFER_RULES if r.tag != "fallback"]
-        assert len(constructive) == 33
-        assert [r.describe() for r in ALL_TRANSFER_RULES if r.tag == "fallback"] == [
-            "veto: DC-PV-TE-NUW <- DC-PV-TE-UW [fallback]"
+        assert not [r for r in ALL_TRANSFER_RULES if r.tag == "fallback"]
+        assert [r.describe() for r in ALL_TRANSFER_RULES if r.tag == "vetoers"] == [
+            "veto: DC-PV-TE-NUW <- DC-PV-TE-UW [vetoers]"
         ]
         for system in System:
             for rule in rules_for(system=system):
@@ -305,6 +285,17 @@ class TestComposeAndRegistry:
         assert find_transfer_chain(System.APPROVAL, T("DC-PC-TE-UW"), T("DC-PC-TE-UW")) == []
 
 
+def reference_vetoer_partition(instance):
+    """``(S_y, V - S_y)`` for the first y != focus, or ``(empty, V)`` when m <= 2."""
+    candidates = instance.election.candidates
+    ballots = [vote for vote, count in instance.election.votes.groups for _ in range(count)]
+    if len(candidates) <= 2:
+        return Partition.of_voters(set(), range(len(ballots)))
+    y = [c for c in candidates if c != instance.focus][0]
+    vetoers = {i for i, vote in enumerate(ballots) if vote.entries.index(y) == len(candidates) - 1}
+    return Partition.of_voters(vetoers, set(range(len(ballots))) - vetoers)
+
+
 def reference_construction(construction, source_type, target_type, instance, solution):
     """The constructive rules' outputs, decided by the explaining path."""
     checked = check_solution(target_type, instance, solution)
@@ -325,6 +316,8 @@ def reference_construction(construction, source_type, target_type, instance, sol
             return TransferOutcome(solution)
         voters = range(sum(count for _, count in instance.election.votes.groups))
         return TransferOutcome(Partition.of_voters(set(), voters))
+    if construction is split_off_vetoers:
+        return TransferOutcome(reference_vetoer_partition(instance))
     assert construction is focus_lost_round
     lost_in = checked.trace.final_candidates
     for stage in checked.trace.first_rounds:
@@ -339,7 +332,7 @@ class TestConstructionsMatchReference:
     def test_every_input(self, system):
         """Every constructive rule on every partition of its input type, on
         every <=3-candidate, <=3-ballot instance of the system."""
-        rules = [rule for rule in rules_for(system=system) if rule.tag != "fallback"]
+        rules = rules_for(system=system)
         transferred = 0
         for instance in iter_instances(Universe(system, 3, 3)):
             for rule in rules:
@@ -410,12 +403,11 @@ class TestApprovalConstructionsReference:
             for rule in rules:
                 for solution in verifying_partitions(rule.target_type, instance):
                     outcome = rule.apply(instance, solution)
-                    assert not outcome.via_fallback
                     assert verify_solution(rule.source_type, instance, outcome.solution)
                     transferred += 1
         assert transferred > 0
 
-    def test_veto_stays_a_fallback(self):
+    def test_veto_splits_off_vetoers(self):
         # Veto scores depend on which candidates a round holds: here b ties c
         # in a final on {b, c}, yet b is the unique winner of the whole
         # election, so (empty, V) sends b alone to the final.
@@ -430,9 +422,35 @@ class TestApprovalConstructionsReference:
             )
         ]
         assert len(failing) == 4
+        # The veto rule splits off a's vetoers, the two cba ballots: nobody
+        # advances from them, a alone from the rest, and a wins the final.
         rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
-        assert rule.construction is transfer_fallback
         for solution in failing:
             outcome = rule.apply(instance, solution)
-            assert outcome.via_fallback
+            assert outcome.solution == Partition.of_voters({4, 5}, {0, 1, 2, 3})
             assert verify_solution(nuw, instance, outcome.solution)
+
+
+class TestVetoerSplitReference:
+    """The vetoer rule on every verifying input, and the vetoer search against
+    brute force for both veto DC-PV-TE types."""
+
+    @pytest.mark.parametrize("max_candidates, max_votes", [(3, 8), (4, 3)])
+    def test_every_veto_instance(self, max_candidates, max_votes):
+        rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
+        transferred = solved = 0
+        for instance in iter_instances(Universe(System.VETO, max_candidates, max_votes)):
+            outputs = set()
+            for solution in verifying_partitions(rule.target_type, instance):
+                outputs.add(rule.apply(instance, solution).solution)
+                transferred += 1
+            # Equal partitions verify alike, so each distinct output is checked once.
+            for output in outputs:
+                assert verify_solution(rule.source_type, instance, output)
+            for control_type in VETOER_TYPES:
+                fast = vetoer_search_veto(control_type, instance)
+                assert fast.found == brute_force_search(control_type, instance).found
+                if fast.found:
+                    assert verify_solution(control_type, instance, fast.solution)
+                solved += fast.found
+        assert transferred > 0 and solved > 0

@@ -19,6 +19,7 @@ from controlforge import (
     check_solution,
     make_election,
     verify_solution,
+    winners,
 )
 from controlforge import solvers
 from controlforge.control import ALL_CONTROL_TYPES, PartitionKind
@@ -27,6 +28,7 @@ from controlforge.solvers import (
     COLLAPSE_GROUPS,
     IMMUNE_APPROVAL_TYPES,
     ISOLATE_APPROVAL_TYPES,
+    VETOER_TYPES,
     BruteForceOracle,
     CollapseCounterexample,
     OracleInconsistencyError,
@@ -37,7 +39,6 @@ from controlforge.solvers import (
     cc_rpc_te_nuw_search_approval,
     collapse_pairs,
     collapse_scan,
-    collapses_with,
     encoding_length,
     enumerate_partitions,
     estimated_scan_evaluations,
@@ -47,6 +48,7 @@ from controlforge.solvers import (
     iter_instances,
     lex_min_search_with_oracle,
     partition_from_bits,
+    vetoer_search_veto,
 )
 
 from election_strategies import control_instances, control_types
@@ -278,6 +280,46 @@ class TestIsolationSearch:
             cc_rpc_te_nuw_search_approval(T("CC-PV-TE-NUW"), instance)
 
 
+class TestVetoerSearch:
+    def test_lone_candidate_has_no_solution(self):
+        for votes in ([], [("p", 2)]):
+            instance = ControlInstance(make_election("veto", "p", votes), "p")
+            for control_type in VETOER_TYPES:
+                assert vetoer_search_veto(control_type, instance).solution is None
+
+    def test_two_candidates_do_nothing_unless_the_focus_wins_alone(self):
+        checked = 0
+        for instance in iter_instances(Universe(System.VETO, 2, 5)):
+            election = instance.election
+            if len(election.candidates) != 2:
+                continue
+            alone = winners(election.system, election.candidates, election.votes) == {instance.focus}
+            nothing = Partition.of_voters(set(), range(instance.voter_count))
+            for control_type in VETOER_TYPES:
+                outcome = vetoer_search_veto(control_type, instance)
+                assert outcome.solution == (None if alone else nothing)
+            checked += 1
+        assert checked > 0
+
+    def test_three_candidates_split_off_the_first_rivals_vetoers(self):
+        # a's vetoers tie p and b at zero vetoes; a alone advances from the rest.
+        election = make_election("veto", "pab", [("pba", 2), ("bap", 1), ("apb", 1)])
+        instance = ControlInstance(election, "p")
+        for control_type in VETOER_TYPES:
+            outcome = vetoer_search_veto(control_type, instance)
+            assert outcome.solution == Partition.of_voters({0, 1}, {2, 3})
+
+    def test_rejects_wrong_system(self):
+        instance = approval_instance("pa", [], "p")
+        with pytest.raises(UnsupportedAlgorithmError):
+            vetoer_search_veto(T("DC-PV-TE-NUW"), instance)
+
+    def test_rejects_uncovered_type(self):
+        election = make_election("veto", "pa", [("pa", 1)])
+        with pytest.raises(UnsupportedAlgorithmError):
+            vetoer_search_veto(T("DC-PV-TP-NUW"), ControlInstance(election, "p"))
+
+
 class TestIsolationSearchMatchesReference:
     @pytest.mark.parametrize(
         "types, search",
@@ -432,7 +474,7 @@ class TestGroupScanMatchesPairwiseReference:
             assert report.instances_checked == checked
             assert report.between(one, two) == counterexamples
         # The registered groups agree everywhere, the two others do not.
-        assert report.agree == collapses_with(system, group[0], group[1])
+        assert report.agree == (group in COLLAPSE_GROUPS[system])
 
     def test_each_type_is_searched_once_per_instance(self, monkeypatch):
         calls = []
@@ -450,20 +492,6 @@ class TestGroupScanMatchesPairwiseReference:
         assert collections.Counter(calls) == {t: instance_count(universe) for t in group}
 
 
-class TestCollapsesWithMatchesReference:
-    def test_every_ordered_pair_of_types(self):
-        def reference(system, one, two):
-            """The group scan collapses_with ran before it read a set of triples."""
-            return any(
-                one in group and two in group and one != two
-                for group in COLLAPSE_GROUPS[system]
-            )
-
-        for system in System:
-            for one, two in itertools.product(ALL_CONTROL_TYPES, repeat=2):
-                assert collapses_with(system, one, two) == reference(system, one, two)
-
-
 class TestCollapseRegistry:
     def test_pair_counts_per_system(self):
         assert len(collapse_pairs(System.PLURALITY)) == 7
@@ -471,10 +499,13 @@ class TestCollapseRegistry:
         assert len(collapse_pairs(System.APPROVAL)) == 21
 
     def test_membership_queries(self):
-        assert collapses_with(System.PLURALITY, T("DC-RPC-TP-NUW"), T("DC-PC-TP-NUW"))
-        assert collapses_with(System.APPROVAL, T("DC-PC-TP-UW"), T("DC-RPC-TE-NUW"))
-        assert not collapses_with(System.PLURALITY, T("DC-PC-TP-UW"), T("DC-PC-TE-UW"))
-        assert not collapses_with(System.VETO, T("CC-PC-TE-UW"), T("CC-RPC-TE-UW"))
+        def pairs(system):
+            return {frozenset(pair) for pair in collapse_pairs(system)}
+
+        assert frozenset(map(T, ("DC-RPC-TP-NUW", "DC-PC-TP-NUW"))) in pairs(System.PLURALITY)
+        assert frozenset(map(T, ("DC-PC-TP-UW", "DC-RPC-TE-NUW"))) in pairs(System.APPROVAL)
+        assert frozenset(map(T, ("DC-PC-TP-UW", "DC-PC-TE-UW"))) not in pairs(System.PLURALITY)
+        assert frozenset(map(T, ("CC-PC-TE-UW", "CC-RPC-TE-UW"))) not in pairs(System.VETO)
 
     def test_universe_iteration_matches_count(self):
         for system in System:
