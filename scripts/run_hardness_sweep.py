@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 
+from controlforge.cli import _at_least
 from controlforge.hardness import (
     ENCODED_CONTROL_TYPE,
     brute_force_hitting_set,
@@ -25,8 +26,8 @@ from controlforge.solvers import brute_force_search
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-elements", type=int, default=3)
-    parser.add_argument("--max-sets", type=int, default=3)
+    parser.add_argument("--max-elements", type=_at_least(1), default=3)
+    parser.add_argument("--max-sets", type=_at_least(0), default=3)
     args = parser.parse_args()
 
     started = time.perf_counter()

@@ -19,7 +19,6 @@ from .control import (
     TwoStageTrace,
     WinnerModel,
     check_solution,
-    goal_satisfied,
     verify_solution,
 )
 from .elections import (
@@ -55,16 +54,14 @@ from .solvers import (
     SolveOutcome,
     Universe,
     brute_force_search,
-    cc_rpc_te_nuw_search_approval,
     collapse_pairs,
     collapse_scan,
     enumerate_partitions,
-    immunity_search_approval,
     iter_elections,
     iter_instances,
     lex_min_search_with_oracle,
+    polynomial_search,
     verifying_partitions,
-    vetoer_search_veto,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -68,6 +68,7 @@ from .solvers import (
     collapse_scan,
     encoding_length,
     lex_min_search_with_oracle,
+    polynomial_search,
 )
 
 MAX_EVALS_ENV = "CONTROL_FORGE_MAX_EVALS"
@@ -554,8 +555,8 @@ def _cmd_solve(args, argv) -> RunReport:
         "focus": instance.focus,
     }
     if args.algorithm in ("poly", "auto") and polynomial is not None:
-        algorithm, search = polynomial
-        outcome = search(control_type, instance)
+        algorithm = polynomial[0]
+        outcome = polynomial_search(control_type, instance)
     else:
         oracle = BruteForceOracle() if args.algorithm == "oracle" else None
         algorithm = "brute-force" if oracle is None else "oracle-binary-search"
@@ -758,3 +759,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -28,8 +28,9 @@ the ``Partition`` a mask names. Each round's winners are one lookup in the
 election's ``SubsetWinners`` tables, and two paths read them. *Deciding*
 (``decider``, ``verify_solution``) maps a first-block mask to a verdict and
 builds nothing; ``round_focus_lost`` decides, then names one round.
-*Explaining* (``check_solution``) names every round in a ``TwoStageTrace``
-from the same tables, and the tests hold both paths to the same verdicts.
+*Explaining* (``check_solution``) takes its verdict from the deciding path
+and names every round in a ``TwoStageTrace`` from the same tables; the
+tests hold that verdict to the goal read off the trace's final winners.
 """
 
 from dataclasses import dataclass
@@ -306,40 +307,6 @@ def round_focus_lost(
     return table.named[final]
 
 
-def _run_validated(
-    control_type: ControlTypeId, instance: ControlInstance, partition: Partition
-) -> TwoStageTrace:
-    """The explaining path: the rounds of ``_rounds``, named."""
-    table = subset_winners(instance.election)
-    named = table.named
-    label = "voter block" if control_type.voter_split else "candidate block"
-    rounds, final = _rounds(control_type, table, table.mask_of[partition.first])
-    rounds = tuple(
-        SubElectionRound(f"{label} {i}", named[candidates], named[winners], named[kept])
-        for i, (candidates, winners, kept) in enumerate(rounds, start=1)
-    )
-    return TwoStageTrace(control_type, rounds, named[final], named[table.by_candidates[final]])
-
-
-def goal_satisfied(
-    direction: Direction,
-    winner_model: WinnerModel,
-    focus: str,
-    final_winners: frozenset[str],
-) -> bool:
-    """Whether the attack's goal holds for the final winner set.
-
-    A focus candidate absent from the final round is simply not a winner.
-    """
-    if direction is Direction.CC:
-        if winner_model is WinnerModel.UW:
-            return final_winners == frozenset((focus,))
-        return focus in final_winners
-    if winner_model is WinnerModel.UW:
-        return final_winners != frozenset((focus,))
-    return focus not in final_winners
-
-
 @dataclass(frozen=True)
 class SolutionCheck:
     """Outcome of checking one partition against one control problem."""
@@ -352,12 +319,23 @@ class SolutionCheck:
 def check_solution(
     control_type: ControlTypeId, instance: ControlInstance, partition: Partition
 ) -> SolutionCheck:
-    """Check a partition, reporting structural defects instead of raising."""
+    """Check a partition, reporting structural defects instead of raising.
+
+    The verdict is the deciding path's, on the same first-block mask; the
+    explaining path builds the trace only to name the rounds of ``_rounds``.
+    """
     problems = partition_problems(partition, control_type.partition_kind, instance.election)
     if problems:
         return SolutionCheck(False, "; ".join(problems), None)
-    trace = _run_validated(control_type, instance, partition)
-    ok = goal_satisfied(
-        control_type.direction, control_type.winner_model, instance.focus, trace.final_winners
+    table = subset_winners(instance.election)
+    named = table.named
+    first = table.mask_of[partition.first]
+    label = "voter block" if control_type.voter_split else "candidate block"
+    rounds, final = _rounds(control_type, table, first)
+    rounds = tuple(
+        SubElectionRound(f"{label} {i}", named[candidates], named[winners], named[kept])
+        for i, (candidates, winners, kept) in enumerate(rounds, start=1)
     )
+    trace = TwoStageTrace(control_type, rounds, named[final], named[table.by_candidates[final]])
+    ok = _verdict(control_type, table, table.bit_of[instance.focus], first)
     return SolutionCheck(ok, None, trace)

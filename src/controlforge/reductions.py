@@ -3,7 +3,7 @@
 A transfer rule consumes a verifying partition for one control type (its
 target) and constructs, on the same instance, a verifying partition for a
 type that coincides with it as a set (its source). Each rule is one row of
-``_RULE_TABLE`` naming one of six polynomial constructions:
+``_RULE_TABLE`` naming one of four polynomial constructions:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
   rule): ``control.round_focus_lost`` reads off the winner tables the round
@@ -12,15 +12,17 @@ type that coincides with it as a set (its source). Each rule is one row of
   one of either game, so the focus is out before the final.
 * ``pass_through``: cowinner failure implies unique-winner failure, so a
   destructive cowinner solution already solves the unique-winner type.
-* ``empty_block`` (approval): both types coincide with a plain winnership
-  condition on the unpartitioned election, which the do-nothing partition
-  ``(empty, C)`` satisfies whenever any verified input exists.
-* ``isolate_focus`` (approval CC-TE candidate types): the partition that
-  isolates the focus verifies whenever any partition does.
 * ``keep_or_empty_voters`` (approval DC-PV-TE): the input if it already
   solves the cowinner type, else the empty first voter block ``(empty, V)``.
-* ``split_off_vetoers`` (veto DC-PV-TE): the voters who veto one candidate
-  other than the focus form the first block.
+* ``build_for_source``: once the input verifies, the one partition a
+  builder of ``solvers.POLYNOMIAL_SEARCHES`` makes for the source type,
+  which verifies whenever any partition does (the proof is in the
+  builder's docstring). Three rules are this construction bound to a
+  builder: ``empty_block`` (approval, the do-nothing partition
+  ``(empty, C)``), ``isolate_focus`` (approval CC-TE candidate types, the
+  partition that isolates the focus) and ``split_off_vetoers`` (veto
+  DC-PV-TE, the voters who veto one candidate other than the focus form
+  the first block).
 
 Each runs in time polynomial in the instance and the given solution. Every
 transfer first checks its input and rejects non-solutions explicitly:
@@ -30,6 +32,7 @@ evaluation. A transfer decides; it builds no trace.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Callable
 
@@ -41,7 +44,7 @@ from .control import (
     verify_solution,
 )
 from .elections import System
-from .solvers import isolating_partition, vetoer_partition
+from .solvers import PartitionBuilder, do_nothing_partition, isolating_partition, vetoer_partition
 
 
 class TransferError(ValueError):
@@ -132,40 +135,26 @@ def pass_through(
     return TransferOutcome(solution)
 
 
-def empty_block(
+def build_for_source(
+    build: PartitionBuilder,
     source_type: ControlTypeId,
     target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
 ) -> TransferOutcome:
-    """The do-nothing partition ``(empty, C)``, once the input verifies."""
-    if not verify_solution(target_type, instance, solution):
-        return TransferOutcome.reject()
-    return TransferOutcome(Partition.of_candidates((), instance.election.candidates))
+    """``build(source_type, instance)``, once the input verifies.
 
-
-def isolate_focus(
-    source_type: ControlTypeId,
-    target_type: ControlTypeId,
-    instance: ControlInstance,
-    solution: Partition,
-) -> TransferOutcome:
-    """The partition isolating the focus p, once the input verifies.
-
-    Its first block is ``C - {p}`` for a PC source and ``{p}`` for an RPC
-    one. Proof sketch: approval scores do not depend on the candidate mask,
-    so a round on S is won by the members of S with the most approvals, and
-    either isolating partition sends p to the final with at most x, the
-    unique top scorer of ``C - {p}``. Suppose it fails, so x beats p (or
-    ties p, for UW). Then every partition fails: if x shares a block with p,
-    p does not advance alone from it; otherwise x is the unique top of its
-    block, or sits in the PC second block, and meets p in the final. The PC
-    and RPC isolating partitions lead to the same final, so if the source's
-    fails, no partition of the target type verifies either.
+    ``build`` is a builder of ``solvers.POLYNOMIAL_SEARCHES``; its docstring
+    argues that its partition verifies whenever any partition does.
     """
     if not verify_solution(target_type, instance, solution):
         return TransferOutcome.reject()
-    return TransferOutcome(isolating_partition(source_type, instance))
+    return TransferOutcome(build(source_type, instance))
+
+
+empty_block = partial(build_for_source, do_nothing_partition)
+isolate_focus = partial(build_for_source, isolating_partition)
+split_off_vetoers = partial(build_for_source, vetoer_partition)
 
 
 def keep_or_empty_voters(
@@ -188,34 +177,6 @@ def keep_or_empty_voters(
     if verify_solution(source_type, instance, solution):
         return TransferOutcome(solution)
     return TransferOutcome(Partition.of_voters((), range(instance.voter_count)))
-
-
-def split_off_vetoers(
-    source_type: ControlTypeId,
-    target_type: ControlTypeId,
-    instance: ControlInstance,
-    solution: Partition,
-) -> TransferOutcome:
-    """``(S_y, V - S_y)`` for the first candidate y other than the focus p, once
-    the input verifies; ``(empty, V)`` when at most two candidates run.
-
-    S_y is the set of voters ranking y last. Proof sketch: every round of a
-    voter partition is held over all of C, and the candidates with the
-    fewest vetoes win it. With m >= 3 candidates, at least two candidates
-    tie at zero vetoes in S_y, so under TE nobody advances from it; in
-    ``V - S_y`` y has zero vetoes, so y advances alone or nobody does. The
-    final holds y alone or nobody, and p is not a winner under either
-    winner model. With m <= 2, the empty block sends nobody (two candidates
-    tie at zero vetoes) or p running alone, so ``(empty, V)`` fails exactly
-    when p is the unique veto winner of the whole election. Then every
-    partition fails: p has fewer vetoes than its rival in some block and
-    advances from it, and the final is held over all of V, where p again
-    has the fewer vetoes. So ``(empty, V)`` verifies whenever any partition
-    does.
-    """
-    if not verify_solution(target_type, instance, solution):
-        return TransferOutcome.reject()
-    return TransferOutcome(vetoer_partition(instance))
 
 
 # ---------------------------------------------------------------------------

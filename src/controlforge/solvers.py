@@ -1,10 +1,13 @@
 """Search algorithms for partition control problems.
 
 Provides the exhaustive brute-force solver (the ground-truth oracle at desk
-scale), the polynomial-time approval and veto algorithms,
-lexicographically-least search against a pluggable decision oracle, and the
-collapse scanner that compares the types of a collapse group as sets of
-instances over a bounded universe, deciding each type once per instance.
+scale), the polynomial-time approval and veto algorithms as rows of
+``POLYNOMIAL_SEARCHES`` (each row a partition builder, whose partition
+``polynomial_search`` verifies once and the transfers into the row's types
+reuse), lexicographically-least search against a pluggable decision oracle,
+and the collapse scanner that compares the types of a collapse group as
+sets of instances over a bounded universe, deciding each type once per
+instance.
 
 Partitions are encoded as the characteristic bit string of the first block
 in canonical candidate/voter order (bit i set means item i is in the first
@@ -130,35 +133,34 @@ def _types(*tags: str) -> tuple[ControlTypeId, ...]:
     return tuple(ControlTypeId.parse(tag) for tag in tags)
 
 
-IMMUNE_APPROVAL_TYPES = _types("DC-PC-TE-UW", "DC-PC-TP-NUW", "CC-PC-TP-UW", "CC-PC-TP-NUW")
+def do_nothing_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
+    """The do-nothing partition ``(empty, C)``, which leaves the election unpartitioned.
 
-
-def immunity_search_approval(
-    control_type: ControlTypeId, instance: ControlInstance
-) -> SolveOutcome:
-    """Constant-output search for the four approval types immune to control.
-
-    For these types no partition can flip the goal once it already fails
-    (DC) or already holds against the attacker (CC), so the instance either
-    has no solution at all or is solved by the do-nothing partition
-    (empty first block, everything in the second), which makes the final
-    round the original election; one verification of it decides the instance.
+    For the four immune approval types no partition can flip the goal once
+    it already fails (DC) or already holds against the attacker (CC), so an
+    instance either has no solution at all or is solved by this partition.
+    For the approval types that ``reductions.empty_block`` joins, both types
+    of a pair coincide with a plain winnership condition on the unpartitioned
+    election, which this partition satisfies whenever any verified input
+    exists.
     """
-    if instance.election.system is not System.APPROVAL:
-        raise UnsupportedAlgorithmError("immunity search applies to approval elections only")
-    if control_type not in IMMUNE_APPROVAL_TYPES:
-        raise UnsupportedAlgorithmError(
-            f"{control_type} is not one of the immune approval types"
-        )
-    partition = Partition.of_candidates((), instance.election.candidates)
-    return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
-
-
-ISOLATE_APPROVAL_TYPES = _types("CC-RPC-TE-NUW", "CC-PC-TE-NUW", "CC-RPC-TE-UW", "CC-PC-TE-UW")
+    return Partition.of_candidates((), instance.election.candidates)
 
 
 def isolating_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
-    """The partition isolating the focus p: first block ``C - {p}`` under PC, ``{p}`` under RPC."""
+    """The partition isolating the focus p: first block ``C - {p}`` under PC, ``{p}`` under RPC.
+
+    For the four approval CC-TE candidate types it verifies whenever any
+    partition does. Proof sketch: approval scores do not depend on the
+    candidate mask, so a round on S is won by the members of S with the most
+    approvals, and either isolating partition sends p to the final with at
+    most x, the unique top scorer of ``C - {p}``. Suppose it fails, so x
+    beats p (or ties p, for UW). Then every partition fails: if x shares a
+    block with p, p does not advance alone from it; otherwise x is the unique
+    top of its block, or sits in the PC second block, and meets p in the
+    final. The PC and RPC isolating partitions lead to the same final, so if
+    the source's fails, no partition of the target type verifies either.
+    """
     focus = frozenset((instance.focus,))
     rest = frozenset(instance.election.candidates) - focus
     if control_type.pc:
@@ -166,32 +168,23 @@ def isolating_partition(control_type: ControlTypeId, instance: ControlInstance) 
     return Partition.of_candidates(focus, rest)
 
 
-def cc_rpc_te_nuw_search_approval(
-    control_type: ControlTypeId, instance: ControlInstance
-) -> SolveOutcome:
-    """Solve the four approval CC-TE candidate types by isolating the focus.
+def vetoer_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
+    """``(S_y, V - S_y)`` for the first candidate y other than the focus p;
+    ``(empty, V)`` when at most two candidates run.
 
-    The isolating partition verifies whenever any partition does (the
-    proof is in ``reductions.isolate_focus``), so one verification decides
-    the instance.
-    """
-    if instance.election.system is not System.APPROVAL:
-        raise UnsupportedAlgorithmError("this search applies to approval elections only")
-    if control_type not in ISOLATE_APPROVAL_TYPES:
-        raise UnsupportedAlgorithmError(
-            f"{control_type} is not one of the approval CC-TE candidate types"
-        )
-    partition = isolating_partition(control_type, instance)
-    return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
-
-
-VETOER_TYPES = _types("DC-PV-TE-NUW", "DC-PV-TE-UW")
-
-
-def vetoer_partition(instance: ControlInstance) -> Partition:
-    """``(S_y, V - S_y)``, S_y the voters ranking y last, for the first rival y of the focus.
-
-    With at most two candidates running, ``(empty, V)``.
+    S_y is the set of voters ranking y last. For veto DC-PV-TE under either
+    winner model it verifies whenever any partition does. Proof sketch: every
+    round of a voter partition is held over all of C, and the candidates with
+    the fewest vetoes win it. With m >= 3 candidates, at least two candidates
+    tie at zero vetoes in S_y, so under TE nobody advances from it; in
+    ``V - S_y`` y has zero vetoes, so y advances alone or nobody does. The
+    final holds y alone or nobody, and p is not a winner under either winner
+    model. With m <= 2, the empty block sends nobody (two candidates tie at
+    zero vetoes) or p running alone, so ``(empty, V)`` fails exactly when p
+    is the unique veto winner of the whole election. Then every partition
+    fails: p has fewer vetoes than its rival in some block and advances from
+    it, and the final is held over all of V, where p again has the fewer
+    vetoes. So ``(empty, V)`` verifies whenever any partition does.
     """
     election = instance.election
     voters = frozenset(range(instance.voter_count))
@@ -206,39 +199,46 @@ def vetoer_partition(instance: ControlInstance) -> Partition:
     return Partition.of_voters(vetoers, voters - vetoers)
 
 
-def vetoer_search_veto(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
-    """Solve veto DC-PV-TE under either winner model by splitting off one candidate's vetoers.
+PartitionBuilder = Callable[[ControlTypeId, ControlInstance], Partition]
 
-    The vetoer partition verifies whenever any partition does (the proof is
-    in ``reductions.split_off_vetoers``), so one verification decides the
-    instance.
+IMMUNE_APPROVAL_TYPES = _types("DC-PC-TE-UW", "DC-PC-TP-NUW", "CC-PC-TP-UW", "CC-PC-TP-NUW")
+ISOLATE_APPROVAL_TYPES = _types("CC-RPC-TE-NUW", "CC-PC-TE-NUW", "CC-RPC-TE-UW", "CC-PC-TE-UW")
+VETOER_TYPES = _types("DC-PV-TE-NUW", "DC-PV-TE-UW")
+
+# Every (system, type) with a polynomial-time search, mapped to the
+# algorithm's name and the builder of the one partition that verifies
+# whenever any partition of the type does.
+POLYNOMIAL_SEARCHES: dict[tuple[System, ControlTypeId], tuple[str, PartitionBuilder]] = {
+    (system, control_type): (name, build)
+    for name, system, types, build in (
+        ("approval-immunity", System.APPROVAL, IMMUNE_APPROVAL_TYPES, do_nothing_partition),
+        ("approval-isolate", System.APPROVAL, ISOLATE_APPROVAL_TYPES, isolating_partition),
+        ("veto-vetoers", System.VETO, VETOER_TYPES, vetoer_partition),
+    )
+    for control_type in types
+}
+
+
+def polynomial_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
+    """Decide the instance by one verification of its row's partition.
+
+    The row's builder makes a partition that verifies whenever any partition
+    of the type does (its docstring holds the proof). Raises ``UnsupportedAlgorithmError`` when ``POLYNOMIAL_SEARCHES`` has no
+    row for the (system, type).
     """
-    if instance.election.system is not System.VETO:
-        raise UnsupportedAlgorithmError("this search applies to veto elections only")
-    if control_type not in VETOER_TYPES:
-        raise UnsupportedAlgorithmError(f"{control_type} is not one of the veto DC-PV-TE types")
-    partition = vetoer_partition(instance)
+    system = instance.election.system
+    row = POLYNOMIAL_SEARCHES.get((system, control_type))
+    if row is None:
+        raise UnsupportedAlgorithmError(
+            f"no polynomial search covers {system.value} {control_type}"
+        )
+    partition = row[1](control_type, instance)
     return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
 
 
-PolynomialSearch = Callable[[ControlTypeId, ControlInstance], SolveOutcome]
-
-# Every (system, type) with a polynomial-time search: the algorithm's name
-# and the search itself.
-POLYNOMIAL_SEARCHES: dict[tuple[System, ControlTypeId], tuple[str, PolynomialSearch]] = {
-    **{
-        (System.APPROVAL, control_type): ("approval-immunity", immunity_search_approval)
-        for control_type in IMMUNE_APPROVAL_TYPES
-    },
-    **{
-        (System.APPROVAL, control_type): ("approval-isolate", cc_rpc_te_nuw_search_approval)
-        for control_type in ISOLATE_APPROVAL_TYPES
-    },
-    **{
-        (System.VETO, control_type): ("veto-vetoers", vetoer_search_veto)
-        for control_type in VETOER_TYPES
-    },
-}
+# The benchmark tracer binds these two names; ROADMAP item 1 renames its
+# spans and deletes them.
+immunity_search_approval = cc_rpc_te_nuw_search_approval = polynomial_search
 
 
 # ---------------------------------------------------------------------------

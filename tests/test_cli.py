@@ -620,6 +620,19 @@ class TestRunCommand:
         assert (code, solved.outcome) == (2, "error")
         assert solved.payload["message"].endswith("(set CONTROL_FORGE_MAX_EVALS to raise it)")
 
+    @pytest.mark.parametrize("algorithm", ["auto", "poly"])
+    def test_solve_veto_row(self, tmp_path, monkeypatch, algorithm):
+        # The veto-vetoers row verifies one partition, so it reads no cap.
+        election = write(tmp_path, "e.txt", self.VETO_DOC)
+        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
+        code, report = run_command(
+            ["solve", "--type", "DC-PV-TE-NUW", "--algorithm", algorithm, election]
+        )
+        assert (code, report.outcome) == (0, "solution-found")
+        payload = last_json(report)
+        assert payload["algorithm"] == "veto-vetoers"
+        assert payload["solution"] == "block1: 2 | block2: 0 1\n"
+
     @pytest.mark.parametrize("cap", ["x", "0"])
     def test_reduce_reads_no_cap(self, tmp_path, monkeypatch, cap):
         # Every transfer constructs its output, so neither a malformed cap nor
@@ -765,12 +778,15 @@ class TestSerializationDefaults:
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _run_script(name, *args):
+def _run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def _run_script(name, *args):
+    return _run_python(str(SCRIPTS / name), *args)
 
 
 class TestScriptsRefuseEmptyUniverses:
@@ -787,3 +803,26 @@ class TestScriptsRefuseEmptyUniverses:
         done = _run_script("run_transfer_audit.py", "--max-votes", "-1")
         assert done.returncode == 2
         assert "argument --max-votes: must be at least 0, got -1" in done.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-elements", "0"), ("--max-elements", "-2"), ("--max-sets", "-1")]
+    )
+    def test_hardness_sweep(self, flag, value):
+        done = _run_script("run_hardness_sweep.py", flag, value)
+        assert done.returncode == 2
+        assert f"argument {flag}: must be at least" in done.stderr
+
+
+class TestModuleEntryPoint:
+    """``python -m controlforge.cli`` runs the CLI."""
+
+    def test_winners(self, tmp_path):
+        election = write(tmp_path, "e.txt", PLURALITY_DOC)
+        done = _run_python("-m", "controlforge.cli", "winners", election)
+        assert done.returncode == 0
+        assert json.loads(done.stdout.splitlines()[-1])["outcome"] == "winners"
+
+    def test_unknown_subcommand_is_a_usage_error(self):
+        done = _run_python("-m", "controlforge.cli", "bogus")
+        assert done.returncode == 2
+        assert "invalid choice: 'bogus'" in done.stderr

@@ -11,7 +11,6 @@ from controlforge import (
     Partition,
     System,
     check_solution,
-    goal_satisfied,
     make_election,
     mask_votes,
     verify_solution,
@@ -37,6 +36,30 @@ T = ControlTypeId.parse
 
 def approval(candidates, *approvals):
     return make_election("approval", candidates, [(a, m) for a, m in approvals])
+
+
+def goal_satisfied(direction, winner_model, focus, final_winners):
+    """The attack's goal on the final winner set, the reference the deciding
+    path is held to. A focus absent from the final is simply not a winner."""
+    if direction is Direction.CC:
+        if winner_model is WinnerModel.UW:
+            return final_winners == frozenset((focus,))
+        return focus in final_winners
+    if winner_model is WinnerModel.UW:
+        return final_winners != frozenset((focus,))
+    return focus not in final_winners
+
+
+def reference_verdict(checked, focus):
+    """The goal read off the explaining path's final winners; False for a
+    malformed partition, which has no trace."""
+    trace = checked.trace
+    if trace is None:
+        return False
+    control_type = trace.control_type
+    return goal_satisfied(
+        control_type.direction, control_type.winner_model, focus, trace.final_winners
+    )
 
 
 def trace_of(control_type, instance, partition):
@@ -253,6 +276,8 @@ def test_rounds_match_explicitly_built_elections(system):
 
 
 class TestGoal:
+    """The reference goal that the differential tests hold the deciding path to."""
+
     def test_examples(self):
         assert goal_satisfied(Direction.DC, WinnerModel.UW, "a", frozenset("ab"))
         assert not goal_satisfied(Direction.CC, WinnerModel.NUW, "a", frozenset())
@@ -374,8 +399,8 @@ class TestPartitionProblemsMatchReference:
 
 
 def reference_round_focus_lost(checked, focus):
-    """The round the focus lost, read off the explaining path's check."""
-    if not checked.ok:
+    """The round the focus lost, read off the explaining path's trace."""
+    if not reference_verdict(checked, focus):
         return None
     for stage in checked.trace.first_rounds:
         if focus in stage.candidates and focus not in stage.survivors:
@@ -405,9 +430,9 @@ def every_partition(instance, control_type):
 
 
 class TestDecidePathMatchesReference:
-    """The deciding path against the explaining path, on every <=3-candidate,
-    <=3-ballot instance of each system, for all 24 types and every partition,
-    malformed ones included."""
+    """The deciding path against the goal read off the explaining path's
+    trace, on every <=3-candidate, <=3-ballot instance of each system, for
+    all 24 types and every partition, malformed ones included."""
 
     @pytest.mark.parametrize("system", list(System))
     def test_every_partition(self, system):
@@ -417,7 +442,8 @@ class TestDecidePathMatchesReference:
                 for partition in every_partition(instance, control_type):
                     checked = check_solution(control_type, instance, partition)
                     verified = verify_solution(control_type, instance, partition)
-                    assert verified == checked.ok
+                    assert verified == reference_verdict(checked, instance.focus)
+                    assert checked.ok == verified
                     lost = round_focus_lost(control_type, instance, partition)
                     assert lost == reference_round_focus_lost(checked, instance.focus)
                     assert (lost is None) == (not verified)

@@ -31,8 +31,8 @@ from controlforge.solvers import (
     brute_force_search,
     enumerate_partitions,
     iter_instances,
+    polynomial_search,
     verifying_partitions,
-    vetoer_search_veto,
 )
 
 T = ControlTypeId.parse
@@ -297,7 +297,10 @@ def reference_vetoer_partition(instance):
 
 
 def reference_construction(construction, source_type, target_type, instance, solution):
-    """The constructive rules' outputs, decided by the explaining path."""
+    """The constructive rules' outputs, read off the explaining path's check.
+
+    Its verdict is the deciding path's, which ``TestDecidePathMatchesReference``
+    holds to the goal on this universe."""
     checked = check_solution(target_type, instance, solution)
     if not checked.ok:
         return TransferOutcome.reject()
@@ -448,7 +451,7 @@ class TestVetoerSplitReference:
             for output in outputs:
                 assert verify_solution(rule.source_type, instance, output)
             for control_type in VETOER_TYPES:
-                fast = vetoer_search_veto(control_type, instance)
+                fast = polynomial_search(control_type, instance)
                 assert fast.found == brute_force_search(control_type, instance).found
                 if fast.found:
                     assert verify_solution(control_type, instance, fast.solution)

@@ -26,8 +26,7 @@ from controlforge.control import ALL_CONTROL_TYPES, PartitionKind
 from controlforge.elections import subset_winners
 from controlforge.solvers import (
     COLLAPSE_GROUPS,
-    IMMUNE_APPROVAL_TYPES,
-    ISOLATE_APPROVAL_TYPES,
+    POLYNOMIAL_SEARCHES,
     VETOER_TYPES,
     BruteForceOracle,
     CollapseCounterexample,
@@ -36,19 +35,17 @@ from controlforge.solvers import (
     UniverseTooLargeError,
     UnsupportedAlgorithmError,
     brute_force_search,
-    cc_rpc_te_nuw_search_approval,
     collapse_pairs,
     collapse_scan,
     encoding_length,
     enumerate_partitions,
     estimated_scan_evaluations,
-    immunity_search_approval,
     instance_count,
     iter_elections,
     iter_instances,
     lex_min_search_with_oracle,
     partition_from_bits,
-    vetoer_search_veto,
+    polynomial_search,
 )
 
 from election_strategies import control_instances, control_types
@@ -218,66 +215,66 @@ def test_table_cache_is_bounded():
 class TestImmunitySearch:
     def test_dethroning_a_non_unique_winner(self):
         instance = approval_instance("pa", [(("p", "a"), 1), (("a",), 1)], "p")
-        outcome = immunity_search_approval(T("DC-PC-TE-UW"), instance)
+        outcome = polynomial_search(T("DC-PC-TE-UW"), instance)
         assert outcome.solution == Partition.of_candidates(set(), {"p", "a"})
 
     def test_nonwinner_stays_a_nonwinner(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
-        assert immunity_search_approval(T("CC-PC-TP-NUW"), instance).solution is None
+        assert polynomial_search(T("CC-PC-TP-NUW"), instance).solution is None
 
     def test_sole_candidate_is_already_unique_winner(self):
         instance = approval_instance("p", [], "p")
-        outcome = immunity_search_approval(T("CC-PC-TP-UW"), instance)
+        outcome = polynomial_search(T("CC-PC-TP-UW"), instance)
         assert outcome.solution == Partition.of_candidates(set(), {"p"})
 
     def test_rejects_wrong_system(self):
         election = make_election("plurality", "pa", [("pa", 1)])
         with pytest.raises(UnsupportedAlgorithmError):
-            immunity_search_approval(T("DC-PC-TE-UW"), ControlInstance(election, "p"))
+            polynomial_search(T("DC-PC-TE-UW"), ControlInstance(election, "p"))
 
     def test_rejects_uncovered_type(self):
         instance = approval_instance("pa", [], "p")
         with pytest.raises(UnsupportedAlgorithmError):
-            immunity_search_approval(T("DC-PC-TE-NUW"), instance)
+            polynomial_search(T("DC-PC-TE-NUW"), instance)
 
 
 class TestIsolationSearch:
     def test_two_way_tie_at_the_top(self):
         instance = approval_instance("pab", [(("a", "b"), 2)], "p")
-        outcome = cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), instance)
+        outcome = polynomial_search(T("CC-RPC-TE-NUW"), instance)
         assert outcome.solution == Partition.of_candidates({"p"}, {"a", "b"})
         assert verify_solution(T("CC-RPC-TE-NUW"), instance, outcome.solution)
 
     def test_unique_leader_blocks_the_focus(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
-        assert cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), instance).solution is None
+        assert polynomial_search(T("CC-RPC-TE-NUW"), instance).solution is None
 
     def test_focus_at_the_top(self):
         instance = approval_instance("pa", [(("p",), 1)], "p")
-        outcome = cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), instance)
+        outcome = polynomial_search(T("CC-RPC-TE-NUW"), instance)
         assert outcome.solution == Partition.of_candidates({"p"}, {"a"})
         assert verify_solution(T("CC-RPC-TE-NUW"), instance, outcome.solution)
 
     def test_pc_types_put_the_rest_first(self):
         instance = approval_instance("pab", [(("a", "b"), 2)], "p")
         for tag in ("CC-PC-TE-NUW", "CC-PC-TE-UW"):
-            outcome = cc_rpc_te_nuw_search_approval(T(tag), instance)
+            outcome = polynomial_search(T(tag), instance)
             assert outcome.solution == Partition.of_candidates({"a", "b"}, {"p"})
 
     def test_unique_winner_needs_more_than_a_tie(self):
         instance = approval_instance("pa", [(("p", "a"), 1)], "p")
-        assert cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), instance).found
-        assert not cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-UW"), instance).found
+        assert polynomial_search(T("CC-RPC-TE-NUW"), instance).found
+        assert not polynomial_search(T("CC-RPC-TE-UW"), instance).found
 
     def test_rejects_wrong_system(self):
         election = make_election("veto", "pa", [("pa", 1)])
         with pytest.raises(UnsupportedAlgorithmError):
-            cc_rpc_te_nuw_search_approval(T("CC-RPC-TE-NUW"), ControlInstance(election, "p"))
+            polynomial_search(T("CC-RPC-TE-NUW"), ControlInstance(election, "p"))
 
     def test_rejects_uncovered_type(self):
         instance = approval_instance("pa", [], "p")
         with pytest.raises(UnsupportedAlgorithmError):
-            cc_rpc_te_nuw_search_approval(T("CC-PV-TE-NUW"), instance)
+            polynomial_search(T("CC-PV-TE-NUW"), instance)
 
 
 class TestVetoerSearch:
@@ -285,7 +282,7 @@ class TestVetoerSearch:
         for votes in ([], [("p", 2)]):
             instance = ControlInstance(make_election("veto", "p", votes), "p")
             for control_type in VETOER_TYPES:
-                assert vetoer_search_veto(control_type, instance).solution is None
+                assert polynomial_search(control_type, instance).solution is None
 
     def test_two_candidates_do_nothing_unless_the_focus_wins_alone(self):
         checked = 0
@@ -296,7 +293,7 @@ class TestVetoerSearch:
             alone = winners(election.system, election.candidates, election.votes) == {instance.focus}
             nothing = Partition.of_voters(set(), range(instance.voter_count))
             for control_type in VETOER_TYPES:
-                outcome = vetoer_search_veto(control_type, instance)
+                outcome = polynomial_search(control_type, instance)
                 assert outcome.solution == (None if alone else nothing)
             checked += 1
         assert checked > 0
@@ -306,32 +303,33 @@ class TestVetoerSearch:
         election = make_election("veto", "pab", [("pba", 2), ("bap", 1), ("apb", 1)])
         instance = ControlInstance(election, "p")
         for control_type in VETOER_TYPES:
-            outcome = vetoer_search_veto(control_type, instance)
+            outcome = polynomial_search(control_type, instance)
             assert outcome.solution == Partition.of_voters({0, 1}, {2, 3})
 
     def test_rejects_wrong_system(self):
         instance = approval_instance("pa", [], "p")
         with pytest.raises(UnsupportedAlgorithmError):
-            vetoer_search_veto(T("DC-PV-TE-NUW"), instance)
+            polynomial_search(T("DC-PV-TE-NUW"), instance)
 
     def test_rejects_uncovered_type(self):
         election = make_election("veto", "pa", [("pa", 1)])
         with pytest.raises(UnsupportedAlgorithmError):
-            vetoer_search_veto(T("DC-PV-TP-NUW"), ControlInstance(election, "p"))
+            polynomial_search(T("DC-PV-TP-NUW"), ControlInstance(election, "p"))
 
 
-class TestIsolationSearchMatchesReference:
-    @pytest.mark.parametrize(
-        "types, search",
-        [(ISOLATE_APPROVAL_TYPES, cc_rpc_te_nuw_search_approval),
-         (IMMUNE_APPROVAL_TYPES, immunity_search_approval)],
-        ids=["isolate", "immunity"],
-    )
-    def test_solves_exactly_what_brute_force_solves_up_to_six_ballots(self, types, search):
+class TestPolynomialSearchesMatchReference:
+    @pytest.mark.parametrize("name", ["approval-immunity", "approval-isolate"])
+    def test_solves_exactly_what_brute_force_solves_up_to_six_ballots(self, name):
+        types = [
+            control_type
+            for (system, control_type), (algorithm, _) in POLYNOMIAL_SEARCHES.items()
+            if system is System.APPROVAL and algorithm == name
+        ]
+        assert len(types) == 4
         solved = 0
         for instance in iter_instances(Universe(System.APPROVAL, 3, 6)):
             for control_type in types:
-                fast = search(control_type, instance)
+                fast = polynomial_search(control_type, instance)
                 assert fast.found == brute_force_search(control_type, instance).found
                 solved += fast.found
         assert solved > 0
