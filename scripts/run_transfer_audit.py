@@ -21,7 +21,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-candidates", type=_at_least(1), default=3)
     parser.add_argument("--max-votes", type=_at_least(0), default=3)
-    parser.add_argument("--tag", default=None, help="restrict to one rule tag")
+    parser.add_argument(
+        "--tag",
+        choices=tuple(dict.fromkeys(rule.tag for rule in ALL_TRANSFER_RULES)),
+        help="restrict to one rule tag",
+    )
     args = parser.parse_args()
 
     instances: dict = {}

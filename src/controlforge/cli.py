@@ -6,14 +6,14 @@ Formats (UTF-8, ``#`` starts a comment anywhere on a line):
 
       system: plurality          # or veto / approval
       candidates: a b c
-      distinguished: a           # optional
+      distinguished: a           # optional; each header at most once
       2 x a>b>c                  # optional "<mult> x " prefix
       {a,c}                      # approval ballots use subset notation
 
 * partition documents: ``block1: a c | block2: b`` (candidates) or
   ``block1: 0 2 | block2: 1`` (canonical voter indices).
-* hitting-set documents: ``elements: b1 b2``, ``k: 1``, one ``set: b1``
-  line per set.
+* hitting-set documents: one ``elements: b1 b2`` line, one ``k: 1`` line,
+  and one ``set: b1`` line per set.
 
 Every command prints a human-readable report followed by one JSON line that
 alone suffices to re-verify the outcome; the exit code is a function of the
@@ -148,6 +148,7 @@ def parse_election(text: str) -> ElectionDocument:
     system = None
     candidates = None
     distinguished = None
+    declared = set()
     groups: list[tuple[Vote, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -156,6 +157,9 @@ def parse_election(text: str) -> ElectionDocument:
         header = re.match(r"^(system|candidates|distinguished)\s*:\s*(.*)$", line)
         if header:
             key, value = header.group(1), header.group(2).strip()
+            if key in declared:
+                raise DocumentParseError(f"duplicate '{key}:' line", lineno)
+            declared.add(key)
             if key == "system":
                 try:
                     system = System(value.lower())
@@ -248,6 +252,7 @@ def serialize_partition(partition: Partition, election: Election) -> str:
 def parse_hitting_set(text: str) -> HittingSetInstance:
     elements = None
     bound = None
+    declared = set()
     sets: list[frozenset[str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -257,6 +262,9 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
         if not matched:
             raise DocumentParseError(f"unrecognized line {line!r}", lineno)
         key, value = matched.group(1), matched.group(2).strip()
+        if key != "set" and key in declared:
+            raise DocumentParseError(f"duplicate '{key}:' line", lineno)
+        declared.add(key)
         if key == "elements":
             elements = tuple(value.split())
         elif key == "k":
@@ -465,7 +473,9 @@ def _control_type(tag: str) -> ControlTypeId:
 
 def _instance_from(args) -> tuple[ElectionDocument, ControlInstance]:
     doc = parse_election(_read(args.election))
-    focus = getattr(args, "candidate", None) or doc.distinguished
+    focus = getattr(args, "candidate", None)
+    if focus is None:
+        focus = doc.distinguished
     if focus is None:
         raise UsageError(
             "control commands need a distinguished candidate: add a "

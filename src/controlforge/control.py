@@ -27,7 +27,8 @@ splits (``partition_items``) is bit L-1-i, and ``partition_of_mask`` builds
 the ``Partition`` a mask names. Each round's winners are one lookup in the
 election's ``SubsetWinners`` tables, and two paths read them. *Deciding*
 (``decider``, ``verify_solution``) maps a first-block mask to a verdict and
-builds nothing; ``round_focus_lost`` decides, then names one round.
+builds nothing; ``round_focus_lost`` names one round of a partition that
+has already verified, and checks nothing itself.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -289,15 +290,13 @@ def _rounds(control_type: ControlTypeId, table: SubsetWinners, first: int) -> tu
 
 def round_focus_lost(
     control_type: ControlTypeId, instance: ControlInstance, partition: Partition
-) -> "frozenset[str] | None":
-    """Candidates of the round the focus lost, or None if the partition does not verify.
+) -> frozenset[str]:
+    """Candidates of the round the focus lost, on a partition the caller has verified.
 
     That is the first round the focus sat in and did not survive, else the
     final. On a verifying destructive candidate partition under TE, or TP
     with the cowinner goal, the focus would lose a first round on this set.
     """
-    if not verify_solution(control_type, instance, partition):
-        return None
     table = subset_winners(instance.election)
     focus = table.bit_of[instance.focus]
     rounds, final = _rounds(control_type, table, table.mask_of[partition.first])

@@ -4,8 +4,8 @@ Encodes a Hitting-Set question (does the family S over ground set B have a
 hitting set of size at most k?) as a plurality DC-PC-TP-NUW instance whose
 focus candidate can be unseated iff the answer is yes. Alongside the encoder
 there is a forward witness builder (hitting set -> verifying partition), a
-backward extractor (verifying partition -> hitting set), and a brute-force
-Hitting-Set solver to serve as ground truth.
+backward extractor (partition -> hitting set, or None unless it verifies),
+and a brute-force Hitting-Set solver to serve as ground truth.
 
 The election puts the ground-set elements, a focus candidate ``c``, and a
 spoiler ``w`` on the ballot. Vote counts are tuned so that in any subelection
@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .control import ControlInstance, ControlTypeId, Partition, round_focus_lost
+from .control import ControlInstance, ControlTypeId, Partition, round_focus_lost, verify_solution
 from .elections import Election, System, Vote, VoteCollection, check_candidate_name
 
 
@@ -162,9 +162,9 @@ def extract_hitting_set(
     the final round; intersecting that round's candidate set with the ground
     set yields a hitting set within the bound.
     """
-    lost_in = round_focus_lost(ENCODED_CONTROL_TYPE, encoded.instance, solution)
-    if lost_in is None:
+    if not verify_solution(ENCODED_CONTROL_TYPE, encoded.instance, solution):
         return None
+    lost_in = round_focus_lost(ENCODED_CONTROL_TYPE, encoded.instance, solution)
     return lost_in & frozenset(encoded.source.elements)
 
 

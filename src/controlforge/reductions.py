@@ -2,8 +2,11 @@
 
 A transfer rule consumes a verifying partition for one control type (its
 target) and constructs, on the same instance, a verifying partition for a
-type that coincides with it as a set (its source). Each rule is one row of
-``_RULE_TABLE`` naming one of four polynomial constructions:
+type that coincides with it as a set (its source). ``TransferRule.apply``
+rejects an input that does not verify for the target type (verification is
+cheap: all three systems have polynomial winner evaluation); otherwise the
+rule's row of ``_RULE_TABLE`` names the construction that builds the output,
+one of four:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
   rule): ``control.round_focus_lost`` reads off the winner tables the round
@@ -14,25 +17,21 @@ type that coincides with it as a set (its source). Each rule is one row of
   destructive cowinner solution already solves the unique-winner type.
 * ``keep_or_empty_voters`` (approval DC-PV-TE): the input if it already
   solves the cowinner type, else the empty first voter block ``(empty, V)``.
-* ``build_for_source``: once the input verifies, the one partition a
-  builder of ``solvers.POLYNOMIAL_SEARCHES`` makes for the source type,
-  which verifies whenever any partition does (the proof is in the
-  builder's docstring). Three rules are this construction bound to a
-  builder: ``empty_block`` (approval, the do-nothing partition
-  ``(empty, C)``), ``isolate_focus`` (approval CC-TE candidate types, the
-  partition that isolates the focus) and ``split_off_vetoers`` (veto
-  DC-PV-TE, the voters who veto one candidate other than the focus form
-  the first block).
+* a builder of ``solvers.POLYNOMIAL_SEARCHES``, bound by ``_from_builder``:
+  the one partition it makes for the source type, which verifies whenever
+  any partition does (the proof is in the builder's docstring). Three
+  rules are built this way: ``empty_block`` (approval, the do-nothing
+  partition ``(empty, C)``), ``isolate_focus`` (approval CC-TE candidate
+  types, the partition that isolates the focus) and ``split_off_vetoers``
+  (veto DC-PV-TE, the voters who veto one candidate other than the focus
+  form the first block).
 
-Each runs in time polynomial in the instance and the given solution. Every
-transfer first checks its input and rejects non-solutions explicitly:
-verification is cheap here because all three systems have polynomial winner
-evaluation. A transfer decides; it builds no trace.
+Each runs in time polynomial in the instance and the given solution. A
+transfer decides; it builds no trace.
 """
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from typing import Callable
 
@@ -57,7 +56,7 @@ class CompositionError(TransferError):
 
 @dataclass(frozen=True)
 class TransferOutcome:
-    """A verifying partition for the rule's source type, or a rejection."""
+    """A verifying partition for the rule's source type, or None for a rejected input."""
 
     solution: "Partition | None"
     # Every rule constructs. bench/workloads.py and bench/tracer.py still read
@@ -68,15 +67,11 @@ class TransferOutcome:
     def rejected(self) -> bool:
         return self.solution is None
 
-    @classmethod
-    def reject(cls) -> "TransferOutcome":
-        return cls(None)
 
-
-# A construction maps (source type, target type, instance, verifying target
-# solution) to a source solution, or rejects an input that does not verify.
+# A construction maps (source type, target type, instance, target solution
+# that ``TransferRule.apply`` has verified) to a source solution.
 Construction = Callable[
-    [ControlTypeId, ControlTypeId, ControlInstance, Partition], TransferOutcome
+    [ControlTypeId, ControlTypeId, ControlInstance, Partition], Partition
 ]
 
 
@@ -88,17 +83,20 @@ class TransferRule:
     target_type: ControlTypeId
     system: System
     tag: str
-    note: str
     construction: Construction = field(compare=False, repr=False)
 
     def apply(self, instance: ControlInstance, solution: Partition) -> TransferOutcome:
-        """The rule's outcome on one input."""
+        """The rule's outcome on one input: rejected unless it verifies for the target type."""
         if instance.election.system is not self.system:
             raise TransferError(
                 f"rule {self.source_type}<-{self.target_type} is scoped to "
                 f"{self.system.value} elections"
             )
-        return self.construction(self.source_type, self.target_type, instance, solution)
+        if not verify_solution(self.target_type, instance, solution):
+            return TransferOutcome(None)
+        return TransferOutcome(
+            self.construction(self.source_type, self.target_type, instance, solution)
+        )
 
     def describe(self) -> str:
         return f"{self.system.value}: {self.source_type} <- {self.target_type} [{self.tag}]"
@@ -109,7 +107,7 @@ def focus_lost_round(
     target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
-) -> TransferOutcome:
+) -> Partition:
     """``(D, C - D)`` with D the candidates of the round the focus lost.
 
     Every round scores its candidate set against the full votes, so the
@@ -117,10 +115,8 @@ def focus_lost_round(
     survive it under the tie rule source and target share.
     """
     lost_in = round_focus_lost(target_type, instance, solution)
-    if lost_in is None:
-        return TransferOutcome.reject()
     everyone = frozenset(instance.election.candidates)
-    return TransferOutcome(Partition.of_candidates(lost_in, everyone - lost_in))
+    return Partition.of_candidates(lost_in, everyone - lost_in)
 
 
 def pass_through(
@@ -128,33 +124,27 @@ def pass_through(
     target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
-) -> TransferOutcome:
+) -> Partition:
     """The verified input itself: it already solves the (weaker) source type."""
-    if not verify_solution(target_type, instance, solution):
-        return TransferOutcome.reject()
-    return TransferOutcome(solution)
+    return solution
 
 
-def build_for_source(
-    build: PartitionBuilder,
-    source_type: ControlTypeId,
-    target_type: ControlTypeId,
-    instance: ControlInstance,
-    solution: Partition,
-) -> TransferOutcome:
-    """``build(source_type, instance)``, once the input verifies.
+def _from_builder(build: PartitionBuilder) -> Construction:
+    """The construction ``build(source_type, instance)``, whatever the verified input.
 
     ``build`` is a builder of ``solvers.POLYNOMIAL_SEARCHES``; its docstring
     argues that its partition verifies whenever any partition does.
     """
-    if not verify_solution(target_type, instance, solution):
-        return TransferOutcome.reject()
-    return TransferOutcome(build(source_type, instance))
+
+    def construction(source_type, target_type, instance, solution):
+        return build(source_type, instance)
+
+    return construction
 
 
-empty_block = partial(build_for_source, do_nothing_partition)
-isolate_focus = partial(build_for_source, isolating_partition)
-split_off_vetoers = partial(build_for_source, vetoer_partition)
+empty_block = _from_builder(do_nothing_partition)
+isolate_focus = _from_builder(isolating_partition)
+split_off_vetoers = _from_builder(vetoer_partition)
 
 
 def keep_or_empty_voters(
@@ -162,7 +152,7 @@ def keep_or_empty_voters(
     target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
-) -> TransferOutcome:
+) -> Partition:
     """The input if it verifies for the source type, else ``(empty, V)``.
 
     Proof sketch: a verified DC-PV-TE-UW input that fails DC-PV-TE-NUW has
@@ -172,11 +162,9 @@ def keep_or_empty_voters(
     most E's unique winner (the empty block ties every candidate at zero,
     and a lone candidate has no UW solution), so the focus does not win.
     """
-    if not verify_solution(target_type, instance, solution):
-        return TransferOutcome.reject()
     if verify_solution(source_type, instance, solution):
-        return TransferOutcome(solution)
-    return TransferOutcome(Partition.of_voters((), range(instance.voter_count)))
+        return solution
+    return Partition.of_voters((), range(instance.voter_count))
 
 
 # ---------------------------------------------------------------------------
@@ -187,38 +175,32 @@ _VETO_APPROVAL = (System.VETO, System.APPROVAL)
 _APPROVAL = (System.APPROVAL,)
 _VETO = (System.VETO,)
 
-_LOST = "first block := the round the focus lost"
-_WEAKER = "pass-through: cowinner failure implies unique-winner failure"
-_EMPTY = "any verified input certifies the winnership condition; output (empty, C)"
-_ISOLATE = "first block := C - {p} (PC) or {p} (RPC): isolate the focus"
-_KEEP = "the input if it solves the cowinner type, else (empty, V)"
-_VETOERS = "first block := the voters who veto the first y != p; (empty, V) if m <= 2"
 
-# (systems, source, target, tag, note, construction). find_transfer_chain
+# (systems, source, target, tag, construction). find_transfer_chain
 # takes the first route it meets, so the order of the rules is behaviour:
 # a run of consecutive rows with the same systems expands system by system.
 _RULE_TABLE = (
-    (_EVERY_SYSTEM, "DC-PC-TP-NUW", "DC-RPC-TP-NUW", "tp_nuw", _LOST, focus_lost_round),
-    (_EVERY_SYSTEM, "DC-RPC-TP-NUW", "DC-PC-TP-NUW", "tp_nuw", _LOST, focus_lost_round),
-    (_EVERY_SYSTEM, "DC-RPC-TE-UW", "DC-RPC-TE-NUW", "te_cycle_step", _WEAKER, pass_through),
-    (_EVERY_SYSTEM, "DC-RPC-TE-NUW", "DC-PC-TE-NUW", "te_cycle_step", _LOST, focus_lost_round),
-    (_EVERY_SYSTEM, "DC-PC-TE-NUW", "DC-PC-TE-UW", "te_cycle_step", _LOST, focus_lost_round),
-    (_EVERY_SYSTEM, "DC-PC-TE-UW", "DC-RPC-TE-UW", "te_cycle_step", _LOST, focus_lost_round),
-    (_APPROVAL, "DC-PC-TP-UW", "DC-PC-TE-UW", "empty_block", _EMPTY, empty_block),
-    (_APPROVAL, "DC-PC-TE-UW", "DC-PC-TP-UW", "empty_block", _EMPTY, empty_block),
-    (_APPROVAL, "CC-PC-TP-UW", "CC-RPC-TP-UW", "empty_block", _EMPTY, empty_block),
-    (_APPROVAL, "CC-RPC-TP-UW", "CC-PC-TP-UW", "empty_block", _EMPTY, empty_block),
-    (_APPROVAL, "DC-RPC-TP-UW", "DC-PC-TP-UW", "empty_block", _EMPTY, empty_block),
-    (_APPROVAL, "DC-PC-TP-UW", "DC-RPC-TP-UW", "empty_block", _EMPTY, empty_block),
-    (_APPROVAL, "CC-PC-TP-NUW", "CC-RPC-TP-NUW", "empty_block", _EMPTY, empty_block),
-    (_APPROVAL, "CC-RPC-TP-NUW", "CC-PC-TP-NUW", "empty_block", _EMPTY, empty_block),
-    (_VETO_APPROVAL, "DC-PV-TE-UW", "DC-PV-TE-NUW", "identity", _WEAKER, pass_through),
-    (_VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW", "vetoers", _VETOERS, split_off_vetoers),
-    (_APPROVAL, "DC-PV-TE-NUW", "DC-PV-TE-UW", "keep_or_empty", _KEEP, keep_or_empty_voters),
-    (_APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW", "isolate", _ISOLATE, isolate_focus),
-    (_APPROVAL, "CC-RPC-TE-NUW", "CC-PC-TE-NUW", "isolate", _ISOLATE, isolate_focus),
-    (_APPROVAL, "CC-PC-TE-UW", "CC-RPC-TE-UW", "isolate", _ISOLATE, isolate_focus),
-    (_APPROVAL, "CC-RPC-TE-UW", "CC-PC-TE-UW", "isolate", _ISOLATE, isolate_focus),
+    (_EVERY_SYSTEM, "DC-PC-TP-NUW", "DC-RPC-TP-NUW", "tp_nuw", focus_lost_round),
+    (_EVERY_SYSTEM, "DC-RPC-TP-NUW", "DC-PC-TP-NUW", "tp_nuw", focus_lost_round),
+    (_EVERY_SYSTEM, "DC-RPC-TE-UW", "DC-RPC-TE-NUW", "te_cycle_step", pass_through),
+    (_EVERY_SYSTEM, "DC-RPC-TE-NUW", "DC-PC-TE-NUW", "te_cycle_step", focus_lost_round),
+    (_EVERY_SYSTEM, "DC-PC-TE-NUW", "DC-PC-TE-UW", "te_cycle_step", focus_lost_round),
+    (_EVERY_SYSTEM, "DC-PC-TE-UW", "DC-RPC-TE-UW", "te_cycle_step", focus_lost_round),
+    (_APPROVAL, "DC-PC-TP-UW", "DC-PC-TE-UW", "empty_block", empty_block),
+    (_APPROVAL, "DC-PC-TE-UW", "DC-PC-TP-UW", "empty_block", empty_block),
+    (_APPROVAL, "CC-PC-TP-UW", "CC-RPC-TP-UW", "empty_block", empty_block),
+    (_APPROVAL, "CC-RPC-TP-UW", "CC-PC-TP-UW", "empty_block", empty_block),
+    (_APPROVAL, "DC-RPC-TP-UW", "DC-PC-TP-UW", "empty_block", empty_block),
+    (_APPROVAL, "DC-PC-TP-UW", "DC-RPC-TP-UW", "empty_block", empty_block),
+    (_APPROVAL, "CC-PC-TP-NUW", "CC-RPC-TP-NUW", "empty_block", empty_block),
+    (_APPROVAL, "CC-RPC-TP-NUW", "CC-PC-TP-NUW", "empty_block", empty_block),
+    (_VETO_APPROVAL, "DC-PV-TE-UW", "DC-PV-TE-NUW", "identity", pass_through),
+    (_VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW", "vetoers", split_off_vetoers),
+    (_APPROVAL, "DC-PV-TE-NUW", "DC-PV-TE-UW", "keep_or_empty", keep_or_empty_voters),
+    (_APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW", "isolate", isolate_focus),
+    (_APPROVAL, "CC-RPC-TE-NUW", "CC-PC-TE-NUW", "isolate", isolate_focus),
+    (_APPROVAL, "CC-PC-TE-UW", "CC-RPC-TE-UW", "isolate", isolate_focus),
+    (_APPROVAL, "CC-RPC-TE-UW", "CC-PC-TE-UW", "isolate", isolate_focus),
 )
 
 
@@ -228,14 +210,13 @@ def transfer_registry() -> tuple[TransferRule, ...]:
     for systems, run in itertools.groupby(_RULE_TABLE, key=itemgetter(0)):
         run = tuple(run)
         for system in systems:
-            for _, source, target, tag, note, construction in run:
+            for _, source, target, tag, construction in run:
                 rules.append(
                     TransferRule(
                         ControlTypeId.parse(source),
                         ControlTypeId.parse(target),
                         system,
                         tag,
-                        note,
                         construction,
                     )
                 )

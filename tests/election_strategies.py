@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies and partition enumerations shared across the test modules."""
 
 import string
 
@@ -13,6 +13,7 @@ from controlforge import (
     VoteCollection,
 )
 from controlforge.control import ALL_CONTROL_TYPES, PartitionKind, partition_items
+from controlforge.solvers import enumerate_partitions
 
 ALL_SYSTEMS = tuple(System)
 
@@ -55,3 +56,24 @@ control_types = st.sampled_from(ALL_CONTROL_TYPES)
 candidate_control_types = st.sampled_from(
     [t for t in ALL_CONTROL_TYPES if t.partition_kind is PartitionKind.CANDIDATE]
 )
+
+
+def malformed_variants(partition, instance):
+    """The partition with the other kind, an overlap, a stray item and a missing item."""
+    kind, first, second = partition.kind, partition.first, partition.second
+    items = partition_items(instance, kind)
+    stray = "z" if kind is PartitionKind.CANDIDATE else len(items)
+    other = PartitionKind.VOTER if kind is PartitionKind.CANDIDATE else PartitionKind.CANDIDATE
+    variants = [Partition(other, first, second), Partition(kind, first | {stray}, second)]
+    if items:
+        shared, last = items[0], items[-1]
+        variants.append(Partition(kind, first | {shared}, second | {shared}))
+        variants.append(Partition(kind, first - {last}, second - {last}))
+    return variants
+
+
+def every_partition(instance, control_type):
+    """Every well-formed partition of the type's kind, each followed by its malformed variants."""
+    for partition in enumerate_partitions(instance, control_type.partition_kind):
+        yield partition
+        yield from malformed_variants(partition, instance)

@@ -106,6 +106,25 @@ class TestElectionDocuments:
         with pytest.raises(DocumentParseError):
             parse_election("system: plurality\ncandidates: a b\ndistinguished: z\n")
 
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("system: plurality\nsystem: veto\ncandidates: a b\n", "system", 2),
+            ("system: plurality\ncandidates: a b c\na>b>c\ncandidates: b c a\n", "candidates", 4),
+            (
+                "system: plurality\ncandidates: a b\ndistinguished: a\ndistinguished: b\n",
+                "distinguished",
+                4,
+            ),
+        ],
+        ids=["system", "candidates", "distinguished"],
+    )
+    def test_header_given_twice_names_its_second_line(self, text, key, line):
+        with pytest.raises(DocumentParseError) as err:
+            parse_election(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: duplicate '{key}:' line"
+
     def test_round_trip(self):
         for text in (PLURALITY_DOC, APPROVAL_DOC):
             doc = parse_election(text)
@@ -244,6 +263,20 @@ class TestHittingSetDocuments:
         with pytest.raises(DocumentParseError):
             parse_hitting_set(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("elements: b1 b2\nk: 1\nk: 2\nset: b1\n", "k"),
+            ("elements: b1 b2\nk: 1\nelements: b1\n", "elements"),
+        ],
+        ids=["k", "elements"],
+    )
+    def test_header_given_twice_names_its_second_line(self, text, key):
+        with pytest.raises(DocumentParseError) as err:
+            parse_hitting_set(text)
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: duplicate '{key}:' line"
+
     @pytest.mark.parametrize("bound", ["one", "\u00b2", "--1", "1.0"])
     def test_non_integer_bound_names_its_line(self, bound):
         with pytest.raises(DocumentParseError) as err:
@@ -312,6 +345,15 @@ class TestRunCommand:
         # a is the unique winner, so dethroning it by doing nothing fails.
         assert code == 1
         assert last_json(report)["focus"] == "a"
+
+    def test_empty_candidate_flag_is_a_usage_error(self, tmp_path):
+        # Only a missing flag falls back to the document's distinguished: p.
+        election = write(tmp_path, "e.txt", APPROVAL_DOC)
+        code, report = run_command(
+            ["solve", "--type", "DC-PC-TP-NUW", "--candidate", "", election]
+        )
+        assert code == 2
+        assert last_json(report)["message"] == "distinguished candidate '' is not running"
 
     def test_solve_auto_uses_immunity_algorithm(self, tmp_path):
         election = write(tmp_path, "e.txt", APPROVAL_DOC)
@@ -803,6 +845,11 @@ class TestScriptsRefuseEmptyUniverses:
         done = _run_script("run_transfer_audit.py", "--max-votes", "-1")
         assert done.returncode == 2
         assert "argument --max-votes: must be at least 0, got -1" in done.stderr
+
+    def test_transfer_audit_refuses_an_unregistered_tag(self):
+        done = _run_script("run_transfer_audit.py", "--tag", "nosuchtag")
+        assert done.returncode == 2
+        assert "argument --tag: invalid choice: 'nosuchtag'" in done.stderr
 
     @pytest.mark.parametrize(
         "flag, value", [("--max-elements", "0"), ("--max-elements", "-2"), ("--max-sets", "-1")]

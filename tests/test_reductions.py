@@ -35,6 +35,8 @@ from controlforge.solvers import (
     verifying_partitions,
 )
 
+from election_strategies import every_partition
+
 T = ControlTypeId.parse
 
 
@@ -303,7 +305,7 @@ def reference_construction(construction, source_type, target_type, instance, sol
     holds to the goal on this universe."""
     checked = check_solution(target_type, instance, solution)
     if not checked.ok:
-        return TransferOutcome.reject()
+        return TransferOutcome(None)
     if construction is pass_through:
         return TransferOutcome(solution)
     everyone = frozenset(instance.election.candidates)
@@ -333,20 +335,22 @@ def reference_construction(construction, source_type, target_type, instance, sol
 class TestConstructionsMatchReference:
     @pytest.mark.parametrize("system", list(System))
     def test_every_input(self, system):
-        """Every constructive rule on every partition of its input type, on
-        every <=3-candidate, <=3-ballot instance of the system."""
+        """Every constructive rule on every partition of its input type, each
+        followed by its malformed variants, on every <=3-candidate, <=3-ballot
+        instance of the system."""
         rules = rules_for(system=system)
-        transferred = 0
+        transferred = rejected = 0
         for instance in iter_instances(Universe(system, 3, 3)):
             for rule in rules:
                 target = rule.target_type
-                for solution in enumerate_partitions(instance, target.partition_kind):
+                for solution in every_partition(instance, target):
                     outcome = rule.apply(instance, solution)
                     assert outcome == reference_construction(
                         rule.construction, rule.source_type, target, instance, solution
                     )
                     transferred += not outcome.rejected
-        assert transferred > 0
+                    rejected += outcome.rejected
+        assert transferred > 0 and rejected > 0
 
 
 _TE_TYPES = tuple(
@@ -421,7 +425,7 @@ class TestApprovalConstructionsReference:
             solution
             for solution in verifying_partitions(uw, instance)
             if not verify_solution(
-                nuw, instance, keep_or_empty_voters(nuw, uw, instance, solution).solution
+                nuw, instance, keep_or_empty_voters(nuw, uw, instance, solution)
             )
         ]
         assert len(failing) == 4
