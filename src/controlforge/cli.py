@@ -571,7 +571,8 @@ def _cmd_solve(args, argv) -> RunReport:
         oracle = BruteForceOracle() if args.algorithm == "oracle" else None
         algorithm = "brute-force" if oracle is None else "oracle-binary-search"
         # Worst cases for encoding length L: brute force evaluates 2^L
-        # partitions, the oracle search 2^(L+1).
+        # partitions, the oracle search 2^(L+1). Brute force decides only
+        # 2^(L-1) masks under RPC and PV; the cap keeps the bound for all.
         length = encoding_length(instance, control_type.partition_kind)
         evaluations = (1 if oracle is None else 2) << length
         cap = _max_evals(args)

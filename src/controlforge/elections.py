@@ -6,9 +6,9 @@ candidate; a winner set is empty only for an empty candidate set. All
 values are immutable and ``winners`` is a pure function.
 
 ``SubsetWinners`` holds one election's winners of every candidate set (and
-voter set) as tables keyed by bitmask and filled on demand; the two-stage
-semantics reads every round from them. ``subset_winners`` is the bounded
-cache of those tables, and the library's only cache.
+voter set) as tables keyed by bitmask and filled on demand by bit counts;
+the two-stage semantics reads every round from them. ``subset_winners`` is
+the bounded cache of those tables, and the library's only cache.
 
 Validation: ``Election`` and ``VoteCollection`` accept a valid value by a
 few whole-value checks (the names joined and split back, a duplicate-free
@@ -374,26 +374,29 @@ class _Table(dict):
         return value
 
 
-def _round_winners(system: System, bits: tuple[int, ...], ballots, subset: int) -> int:
-    """Winner mask of the candidate bits in ``subset`` under weighted ballots.
+def _popcount_winners(rows, veto: bool, subset: int, chosen: int) -> int:
+    """Winner mask of candidate set ``subset`` under the ballots of the ``chosen`` voters.
 
-    A ballot is the tuple of candidate bits it credits, in order: under
-    plurality (the ranking) and veto (the ranking reversed, where the
-    point is a veto) its first bit in the subset gets its weight; approval
-    credits every approved bit.
+    ``rows`` pairs each candidate c with (rivals, voters) masks: those
+    voters give c no point whenever ``subset`` holds one of ``rivals``. The
+    candidates losing the fewest chosen voters win; under veto, where the
+    point is a veto, those losing the most.
     """
-    tally = {bit: 0 for bit in bits if bit & subset}
-    if not tally:
-        return 0
-    credits_one = system is not System.APPROVAL
-    for ballot, weight in ballots:
-        for bit in ballot:
-            if bit & subset:
-                tally[bit] += weight
-                if credits_one:
-                    break
-    best = min(tally.values()) if system is System.VETO else max(tally.values())
-    return sum(bit for bit, score in tally.items() if score == best)
+    best, won = None, 0
+    for c, row in rows:
+        if c & subset:
+            lost = 0
+            for rivals, voters in row:
+                if rivals & subset:
+                    lost |= voters
+            key = (lost & chosen).bit_count()
+            if veto:
+                key = -key
+            if best is None or key < best:
+                best, won = key, c
+            elif key == best:
+                won |= c
+    return won
 
 
 class SubsetWinners:
@@ -411,7 +414,7 @@ class SubsetWinners:
       of the voters in V (the winners of ``select_voters``).
 
     Entries are filled on first lookup, so a table never holds more entries
-    than decisions asked for, by a tally over candidate bits that builds no
+    than decisions asked for, by ``_popcount_winners``, which builds no
     votes or elections. ``mask_of[block]`` is the mask of a block of
     candidate names or of voter indices (names are strings and indices
     integers, so one lookup serves both kinds), and ``named[mask]`` the
@@ -424,28 +427,36 @@ class SubsetWinners:
         bits = tuple(1 << (m - 1 - i) for i in range(m))
         bit_of = dict(zip(election.candidates, bits))
         veto = system is System.VETO
-        ballots = tuple(
-            (tuple(bit_of[c] for c in (v.entries[::-1] if veto else v.entries)), count)
-            for v, count in election.votes.groups
-        )
-        voters = [ballot for ballot, count in ballots for _ in range(count)]
-        n = len(voters)
+        n = election.votes.total
+        # For each candidate c and ballot group: (the candidates it ranks above
+        # c, its voters); below c under veto; c itself if it does not approve c.
+        passed = {c: [] for c in bits}
+        start = n
+        for vote, count in election.votes.groups:
+            start -= count
+            voters = ((1 << count) - 1) << start
+            if system is System.APPROVAL:
+                for name in bit_of.keys() - vote.entries:
+                    passed[bit_of[name]].append((bit_of[name], voters))
+                continue
+            before = 0
+            for name in reversed(vote.entries) if veto else vote.entries:
+                c = bit_of[name]
+                if before:
+                    passed[c].append((before, voters))
+                before |= c
+        rows = tuple(passed.items())
         item_bit = {**bit_of, **{j: 1 << (n - 1 - j) for j in range(n)}}
         self.bit_of = bit_of
         self.everyone = everyone = (1 << m) - 1
-        self.all_voters = (1 << n) - 1
+        self.all_voters = all_voters = (1 << n) - 1
+        # Over every candidate, c loses the voters of all its pairs.
+        whole = tuple((c, ((everyone, sum(v for _, v in row)),)) for c, row in rows)
         # The fills close over plain data, not over self: a table that
         # refers back to its owner would stay in memory after the cache
         # drops it, until a full garbage collection.
-        self.by_candidates = _Table(lambda subset: _round_winners(system, bits, ballots, subset))
-        self.by_voters = _Table(
-            lambda chosen: _round_winners(
-                system,
-                bits,
-                [(ballot, 1) for j, ballot in enumerate(voters) if chosen >> (n - 1 - j) & 1],
-                everyone,
-            )
-        )
+        self.by_candidates = _Table(lambda held: _popcount_winners(rows, veto, held, all_voters))
+        self.by_voters = _Table(lambda chosen: _popcount_winners(whole, veto, everyone, chosen))
         self.mask_of = _Table(lambda block: sum(map(item_bit.__getitem__, block)))
         self.named = _Table(
             lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)

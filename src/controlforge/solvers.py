@@ -15,7 +15,8 @@ block); "lexicographically least" always refers to this encoding. Read as
 an integer, the encoding is the partition's first-block mask (item i of L
 is bit L-1-i, as in ``control.partition_of_mask``), so the searches decide
 the masks 0 .. 2^L - 1 in order through ``control.decider`` and build a
-``Partition`` only for the answer.
+``Partition`` only for the answer; under RPC and PV, where a mask verifies
+exactly when its complement does, brute force decides only the lower half.
 """
 
 import itertools
@@ -121,8 +122,19 @@ def verifying_partitions(
 
 
 def brute_force_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
-    """The lexicographically least verifying partition, or None if none verifies."""
-    return SolveOutcome(next(verifying_partitions(control_type, instance), None))
+    """The lexicographically least verifying partition, or None if none verifies.
+
+    Under RPC and PV swapping the blocks changes no round, so a mask
+    verifies exactly when its complement does; the least verifying mask has
+    its top bit clear, and only that lower half (mask 0 alone when there
+    are no items) is decided. PC decides every mask.
+    """
+    kind = control_type.partition_kind
+    items = partition_items(instance, kind)
+    every = 1 << len(items)
+    count = every if control_type.pc else (every + 1) >> 1
+    first = next(filter(decider(control_type, instance), range(count)), None)
+    return SolveOutcome(None if first is None else partition_of_mask(kind, items, first))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +274,7 @@ class BruteForceOracle:
         free = encoding_length(instance, control_type.partition_kind) - len(prefix)
         # The masks extending the prefix are one run of consecutive integers.
         start = int(prefix, 2) << free if prefix else 0
-        holds = decider(control_type, instance)
-        return any(holds(first) for first in range(start, start + (1 << free)))
+        return any(map(decider(control_type, instance), range(start, start + (1 << free))))
 
 
 def lex_min_search_with_oracle(

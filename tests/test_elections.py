@@ -22,8 +22,10 @@ from controlforge.elections import (
     InvalidVoteError,
     VoteKind,
     check_candidate_name,
+    subset_winners,
     vote_kind_for,
 )
+from controlforge.solvers import Universe, iter_elections
 
 from election_strategies import elections
 
@@ -432,6 +434,28 @@ class TestDiagnosticsMatchReference:
     @given(raw_elections())
     def test_any_election(self, raw):
         same_verdict(*raw)
+
+
+class TestSubsetWinnersMatchReference:
+    """Every entry of both winner tables against ``winners`` on explicitly
+    masked or selected votes; six ballots exercise multiplicities."""
+
+    @pytest.mark.parametrize("max_candidates, max_votes", [(4, 4), (3, 6)])
+    @pytest.mark.parametrize("system", list(System))
+    def test_every_entry(self, system, max_candidates, max_votes):
+        for election in iter_elections(Universe(system, max_candidates, max_votes)):
+            table = subset_winners(election)
+            votes, candidates = election.votes, election.candidates
+            m, n = len(candidates), votes.total
+            bit = {c: 1 << (m - 1 - i) for i, c in enumerate(candidates)}
+            for subset in range(1 << m):
+                names = [c for c in candidates if bit[c] & subset]
+                expected = winners(system, names, mask_votes(votes, names))
+                assert table.by_candidates[subset] == sum(map(bit.get, expected))
+            for chosen in range(1 << n):
+                voters = frozenset(j for j in range(n) if chosen >> (n - 1 - j) & 1)
+                expected = winners(system, candidates, votes.select_voters(voters))
+                assert table.by_voters[chosen] == sum(map(bit.get, expected))
 
 
 class TestVoterSelection:

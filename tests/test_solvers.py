@@ -46,6 +46,7 @@ from controlforge.solvers import (
     lex_min_search_with_oracle,
     partition_from_bits,
     polynomial_search,
+    verifying_partitions,
 )
 
 from election_strategies import control_instances, control_types
@@ -165,6 +166,39 @@ class TestBruteForce:
         if outcome.found:
             assert verify_solution(control_type, instance, outcome.solution)
 
+
+
+class TestHalfRangeSearchMatchesReference:
+    """Brute force decides only the lower half of the masks of RPC and PV
+    types; its answer is still the first of the full-range enumeration."""
+
+    @pytest.mark.parametrize(
+        "universe",
+        [Universe(system, 4, 3) for system in System]
+        + [Universe(system, 3, 6) for system in System],
+        ids=lambda universe: universe.describe(),
+    )
+    def test_first_verifying_partition(self, universe):
+        six_ballots = universe.max_votes > 3
+        types = [t for t in ALL_CONTROL_TYPES if t.voter_split or not six_ballots]
+        for instance in iter_instances(universe):
+            for control_type in types:
+                expected = next(verifying_partitions(control_type, instance), None)
+                assert brute_force_search(control_type, instance).solution == expected
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_blocks_swapped_verify_alike_except_under_pc(self, system):
+        pc_differs = False
+        for instance in iter_instances(Universe(system, 3, 3)):
+            for control_type in ALL_CONTROL_TYPES:
+                for partition in enumerate_partitions(instance, control_type.partition_kind):
+                    swapped = Partition(partition.kind, partition.second, partition.first)
+                    alike = verify_solution(control_type, instance, partition) == verify_solution(
+                        control_type, instance, swapped
+                    )
+                    assert alike or control_type.pc
+                    pc_differs |= not alike
+        assert pc_differs
 
 
 @pytest.mark.parametrize("system", list(System))
