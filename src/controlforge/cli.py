@@ -10,10 +10,14 @@ Formats (UTF-8, ``#`` starts a comment anywhere on a line):
       2 x a>b>c                  # optional "<mult> x " prefix
       {a,c}                      # approval ballots use subset notation
 
+  The parser reads the syntax; ``Election`` checks the rest, and a defect
+  it finds is reported in its words with its line.
 * partition documents: ``block1: a c | block2: b`` (candidates) or
   ``block1: 0 2 | block2: 1`` (canonical voter indices).
 * hitting-set documents: one ``elements: b1 b2`` line, one ``k: 1`` line,
   and one ``set: b1`` line per set.
+
+An item given twice in a partition block or a ``set:`` line is an error.
 
 Every command prints a human-readable report followed by one JSON line that
 alone suffices to re-verify the outcome; the exit code is a function of the
@@ -46,8 +50,8 @@ from .elections import (
     System,
     Vote,
     VoteCollection,
+    VoteKind,
     scores,
-    vote_kind_for,
     winners,
 )
 from .hardness import (
@@ -103,53 +107,46 @@ def _strip(line: str) -> str:
 
 
 def _in_order(items, names) -> list:
-    """The items sorted by their position in ``names``."""
-    position = {name: i for i, name in enumerate(names)}
-    return sorted(items, key=position.__getitem__)
+    """The members of the set ``items`` in their order in ``names``."""
+    return [name for name in names if name in items]
 
 
-_MULT_RE = re.compile(r"^(\d+)\s*x\s+(.*)$")
+def _unrepeated(items: list, what: str, lineno: "int | None" = None) -> frozenset:
+    """The items as a set; an item given twice is a parse error naming it."""
+    held = frozenset(items)
+    if len(held) != len(items):
+        repeated = next(item for i, item in enumerate(items) if item in items[:i])
+        raise DocumentParseError(f"{what} repeats {repeated!r}", lineno)
+    return held
 
 
-def _parse_ballot(
-    text: str, kind, candidates: tuple[str, ...], lineno: int
-) -> Vote:
-    known = set(candidates)
-    if text.startswith("{"):
-        if not text.endswith("}"):
-            raise DocumentParseError(f"unterminated approval ballot {text!r}", lineno)
-        body = text[1:-1].strip()
-        names = [t.strip() for t in body.split(",")] if body else []
-        if kind is not vote_kind_for(System.APPROVAL):
-            raise DocumentParseError(
-                "approval ballot in a linear-order election", lineno
-            )
-    else:
-        names = [t.strip() for t in text.split(">")]
-        if kind is vote_kind_for(System.APPROVAL):
-            raise DocumentParseError(
-                "linear-order ballot in an approval election", lineno
-            )
-    for name in names:
-        if not name:
-            raise DocumentParseError(f"empty candidate name in ballot {text!r}", lineno)
-        if name not in known:
-            raise DocumentParseError(f"unknown candidate {name!r}", lineno)
-    if len(set(names)) != len(names):
-        raise DocumentParseError(f"ballot {text!r} repeats a candidate", lineno)
-    if not text.startswith("{") and len(names) != len(candidates):
-        raise DocumentParseError(
-            f"incomplete ballot {text!r}: rank all {len(candidates)} candidates", lineno
-        )
-    return Vote(kind, tuple(names))
+_BALLOT_RE = re.compile(r"^(?:(\d+)\s*x\s+)?(.*)$")  # "[<mult> x ]<ballot>"
+
+
+def _ballot(text: str, lineno: int) -> Vote:
+    """The ballot a line spells: ``{a,c}`` approves, ``a>b>c`` ranks."""
+    if not text.startswith("{"):
+        return Vote(VoteKind.ORDER, tuple(name.strip() for name in text.split(">")))
+    if not text.endswith("}"):
+        raise DocumentParseError(f"unterminated approval ballot {text!r}", lineno)
+    body = text[1:-1].strip()
+    names = body.split(",") if body else ()
+    return Vote(VoteKind.APPROVAL, tuple(name.strip() for name in names))
 
 
 def parse_election(text: str) -> ElectionDocument:
+    """Read the document's syntax, then let ``Election`` check the whole value.
+
+    Only a refused document is searched for its line: the election is
+    rebuilt from the ``candidates:`` line alone, then from each ballot line
+    alone, in document order, and the first refusal is raised with its line.
+    """
     system = None
     candidates = None
     distinguished = None
-    declared = set()
+    declared = {}
     groups: list[tuple[Vote, int]] = []
+    ballot_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -159,19 +156,14 @@ def parse_election(text: str) -> ElectionDocument:
             key, value = header.group(1), header.group(2).strip()
             if key in declared:
                 raise DocumentParseError(f"duplicate '{key}:' line", lineno)
-            declared.add(key)
+            declared[key] = lineno
             if key == "system":
                 try:
                     system = System(value.lower())
                 except ValueError:
                     raise DocumentParseError(f"unknown system {value!r}", lineno) from None
             elif key == "candidates":
-                names = tuple(value.split())
-                if not names:
-                    raise DocumentParseError("empty candidate list", lineno)
-                if len(set(names)) != len(names):
-                    raise DocumentParseError("duplicate candidate name", lineno)
-                candidates = names
+                candidates = tuple(value.split())
             else:
                 distinguished = value
             continue
@@ -179,23 +171,26 @@ def parse_election(text: str) -> ElectionDocument:
             raise DocumentParseError(
                 "system and candidates must be declared before ballots", lineno
             )
-        mult = 1
-        body = line
-        matched = _MULT_RE.match(line)
-        if matched:
-            mult = int(matched.group(1))
-            body = matched.group(2).strip()
-            if mult < 1:
-                raise DocumentParseError("ballot multiplicity must be positive", lineno)
-        groups.append((_parse_ballot(body, vote_kind_for(system), candidates, lineno), mult))
+        matched = _BALLOT_RE.match(line)
+        mult = int(matched.group(1) or 1)
+        groups.append((_ballot(matched.group(2).strip(), lineno), mult))
+        ballot_lines.append(lineno)
     if system is None or candidates is None:
         raise DocumentParseError("document declares no system or candidates")
-    if distinguished is not None and distinguished not in candidates:
-        raise DocumentParseError(f"distinguished candidate {distinguished!r} is not running")
     try:
         election = Election(system, VoteCollection(candidates, tuple(groups)))
     except ElectionError as err:
+        trials = [(declared["candidates"], ())]
+        trials += [(lineno, (group,)) for lineno, group in zip(ballot_lines, groups)]
+        for lineno, alone in trials:
+            try:
+                Election(system, VoteCollection(candidates, alone))
+            except ElectionError as at_line:
+                raise DocumentParseError(str(at_line), lineno) from at_line
         raise DocumentParseError(str(err)) from err
+    if distinguished is not None and distinguished not in candidates:
+        message = f"distinguished candidate {distinguished!r} is not running"
+        raise DocumentParseError(message, declared["distinguished"])
     return ElectionDocument(election, distinguished)
 
 
@@ -229,7 +224,9 @@ def parse_partition(text: str, kind: PartitionKind, election: Election) -> Parti
             if not token.isdecimal():
                 raise DocumentParseError(f"voter index {token!r} is not a number")
         blocks = tuple([int(token) for token in tokens] for tokens in blocks)
-    partition = Partition(kind, frozenset(blocks[0]), frozenset(blocks[1]))
+    partition = Partition(
+        kind, _unrepeated(blocks[0], "block1"), _unrepeated(blocks[1], "block2")
+    )
     problems = partition_problems(partition, kind, election)
     if problems:
         raise DocumentParseError(problems[0])
@@ -273,7 +270,7 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
             except ValueError:
                 raise DocumentParseError(f"k must be an integer, got {value!r}", lineno) from None
         else:
-            sets.append(frozenset(value.split()))
+            sets.append(_unrepeated(value.split(), "set", lineno))
     if elements is None:
         raise DocumentParseError("missing 'elements:' line")
     if bound is None:
@@ -553,20 +550,16 @@ def _cmd_evaluate(args, argv) -> RunReport:
 def _cmd_solve(args, argv) -> RunReport:
     control_type = _control_type(args.type)
     doc, instance = _instance_from(args)
-    system = instance.election.system
-    polynomial = POLYNOMIAL_SEARCHES.get((system, control_type))
-    if args.algorithm == "poly" and polynomial is None:
-        raise UsageError(
-            f"no polynomial algorithm is in scope for {system.value} {control_type}"
-        )
+    polynomial = POLYNOMIAL_SEARCHES.get((instance.election.system, control_type))
     payload = {
         "type": str(control_type),
         "election": serialize_election(doc),
         "focus": instance.focus,
     }
-    if args.algorithm in ("poly", "auto") and polynomial is not None:
-        algorithm = polynomial[0]
+    if args.algorithm == "poly" or (args.algorithm == "auto" and polynomial is not None):
+        # Off its table, polynomial_search refuses by naming the system and type.
         outcome = polynomial_search(control_type, instance)
+        algorithm = polynomial[0]
     else:
         oracle = BruteForceOracle() if args.algorithm == "oracle" else None
         algorithm = "brute-force" if oracle is None else "oracle-binary-search"

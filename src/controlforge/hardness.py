@@ -45,6 +45,8 @@ class HittingSetInstance:
     bound: int
 
     def __post_init__(self):
+        if not self.elements:
+            raise InvalidInstanceError("the ground set needs at least one element")
         seen = set()
         for name in self.elements:
             check_candidate_name(name)

@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
+import re
 import string
 import subprocess
 import sys
@@ -33,7 +35,7 @@ from controlforge.cli import (
     serialize_partition,
 )
 from controlforge.control import Partition, PartitionKind
-from controlforge.elections import InvalidCandidateError, check_candidate_name
+from controlforge.elections import InvalidCandidateError, check_candidate_name, vote_kind_for
 from controlforge.hardness import (
     FOCUS_NAME,
     SPOILER_NAME,
@@ -87,8 +89,11 @@ class TestElectionDocuments:
         [
             ("a>a", "repeats"),
             ("a>z", "unknown candidate"),
-            ("a", "incomplete"),
-            ("{a}", "approval ballot in a linear-order election"),
+            ("a", "is not a permutation"),
+            ("{a}", "take order ballots, got approval"),
+            ("a>", "unknown candidate ''"),
+            ("0 x a>b", "multiplicity must be positive"),
+            ("{a", "unterminated approval ballot"),
         ],
     )
     def test_ballot_errors_carry_line_numbers(self, body, fragment):
@@ -97,14 +102,50 @@ class TestElectionDocuments:
             parse_election(text)
         assert fragment in str(err.value)
         assert "line 3" in str(err.value)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("{a,a}", "ballot {a,a} repeats a candidate"),
+            ("{z}", "ballot names unknown candidate 'z'"),
+            ("{a,}", "ballot names unknown candidate ''"),
+            ("a>b", "approval elections take approval ballots, got order"),
+            ("0 x {a}", "vote multiplicity must be positive"),
+        ],
+    )
+    def test_approval_ballot_errors_name_their_line(self, body, message):
+        # The defect sits on line 4, after a valid ballot on line 3.
+        text = f"system: approval\ncandidates: a b\n{{b}}\n{body}\n"
+        with pytest.raises(DocumentParseError) as err:
+            parse_election(text)
+        assert err.value.line == 4
+        assert str(err.value) == f"line 4: {message}"
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ("a b:c", "candidate name 'b:c' contains reserved character ':'"),
+            ("a a", "duplicate candidate name 'a'"),
+            ("", "an election needs at least one candidate"),
+        ],
+    )
+    def test_candidate_list_errors_name_their_line(self, names, message):
+        text = f"# comment\nsystem: plurality\ncandidates: {names}\na\n"
+        with pytest.raises(DocumentParseError) as err:
+            parse_election(text)
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: {message}"
 
     def test_votes_before_headers_rejected(self):
         with pytest.raises(DocumentParseError):
             parse_election("a>b\nsystem: plurality\ncandidates: a b\n")
 
     def test_unknown_distinguished_rejected(self):
-        with pytest.raises(DocumentParseError):
+        with pytest.raises(DocumentParseError) as err:
             parse_election("system: plurality\ncandidates: a b\ndistinguished: z\n")
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: distinguished candidate 'z' is not running"
 
     @pytest.mark.parametrize(
         "text, key, line",
@@ -131,6 +172,90 @@ class TestElectionDocuments:
             again = parse_election(serialize_election(doc))
             assert again.election == doc.election
             assert again.distinguished == doc.distinguished
+
+
+def _reference_parse(system, names, ballots):
+    """The old per-ballot walk: (line of the first defect, None) or (None, election).
+
+    The document is ``system:`` on line 1, ``candidates: names`` on line 2
+    and one ballot per line from line 3; each check reads a single line.
+    """
+    candidates = tuple(names.split())
+    if not candidates or len(set(candidates)) != len(candidates):
+        return 2, None
+    approval_election = system is System.APPROVAL
+    groups = []
+    for lineno, text in enumerate(ballots, start=3):
+        mult = 1
+        matched = re.match(r"^(\d+)\s*x\s+(.*)$", text)
+        if matched:
+            mult, text = int(matched.group(1)), matched.group(2).strip()
+            if mult < 1:
+                return lineno, None
+        if text.startswith("{"):
+            body = text[1:-1].strip()
+            entries = [t.strip() for t in body.split(",")] if body else []
+            if not approval_election:
+                return lineno, None
+        else:
+            entries = [t.strip() for t in text.split(">")]
+            if approval_election:
+                return lineno, None
+        if not all(entries) or not set(entries) <= set(candidates):
+            return lineno, None
+        if len(set(entries)) != len(entries):
+            return lineno, None
+        if not approval_election and len(entries) != len(candidates):
+            return lineno, None
+        groups.append((Vote(vote_kind_for(system), tuple(entries)), mult))
+    return None, Election(system, VoteCollection(candidates, tuple(groups)))
+
+
+def _ballot_pool(system, names):
+    """Ballot lines over ``names``: valid ones first, then one of each defect."""
+    if system is System.APPROVAL:
+        valid = ["{}", "{" + ",".join(reversed(names)) + "}", "3 x {a}"]
+        # A repeat, an unknown name, an empty name, a ranking, multiplicity 0.
+        return valid + ["{a,a}", "{z}", "{a,}", ">".join(names), "0 x {a}"]
+    ranking = ">".join(names)
+    valid = [ranking, ">".join(reversed(names)), "2 x " + ranking]
+    malformed = [
+        ranking + ">a",  # a repeat
+        ">".join(names[:-1] + ["z"]),  # an unknown name
+        ranking + ">",  # an empty name
+        "{a}",  # an approval ballot
+        "0 x " + ranking,
+    ]
+    if len(names) > 1:
+        malformed.append(">".join(names[:-1]))  # an incomplete ranking
+    return valid + malformed
+
+
+class TestElectionDocumentsMatchReference:
+    """The parser refuses what the per-item walk refused, at its line, and builds the same election."""
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_every_small_document(self, system):
+        refused = 0
+        for m in (1, 2, 3):
+            names = list("abc"[:m])
+            pool = _ballot_pool(system, names)
+            for candidate_line in (" ".join(names), " ".join(names + ["a"]), ""):
+                for count in range(4):
+                    for ballots in itertools.product(pool, repeat=count):
+                        text = f"system: {system.value}\ncandidates: {candidate_line}\n"
+                        text += "".join(f"{ballot}\n" for ballot in ballots)
+                        line, election = _reference_parse(system, candidate_line, ballots)
+                        if line is None:
+                            assert parse_election(text).election == election, text
+                            continue
+                        refused += 1
+                        with pytest.raises(DocumentParseError) as err:
+                            parse_election(text)
+                        # Both name the first defective line in document
+                        # order, so the lines agree for any number of defects.
+                        assert err.value.line == line, text
+        assert refused > 0
 
 
 class TestPartitionDocuments:
@@ -163,6 +288,20 @@ class TestPartitionDocuments:
         # "²" is a digit to str.isdigit but not a number to int.
         with pytest.raises(DocumentParseError):
             parse_partition("block1: 0 ² | block2: 1", PartitionKind.VOTER, election)
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            ("block1: a a | block2: b c", PartitionKind.CANDIDATE, "block1 repeats 'a'"),
+            ("block1: 0 0 | block2: 1", PartitionKind.VOTER, "block1 repeats 0"),
+            ("block1: 0 | block2: 1 01", PartitionKind.VOTER, "block2 repeats 1"),
+        ],
+    )
+    def test_repeated_item_rejected(self, text, kind, message):
+        election = make_election("plurality", "abc", [("abc", 1), ("cab", 1)])
+        with pytest.raises(DocumentParseError) as err:
+            parse_partition(text, kind, election)
+        assert str(err.value) == message
 
     def test_round_trip(self):
         partition = Partition.of_candidates({"a"}, {"p"})
@@ -257,11 +396,24 @@ class TestHittingSetDocuments:
             "elements: b1\nk: one\n",
             "elements: b1\nk: \u00b2\n",
             "elements: b1\nk: --1\n",
+            "elements: b1\nk: 1\nset: b1 b1\n",
+            "elements:\nk: 1\n",
         ],
     )
     def test_malformed_documents(self, text):
         with pytest.raises(DocumentParseError):
             parse_hitting_set(text)
+
+    def test_repeated_set_member_names_its_line(self):
+        with pytest.raises(DocumentParseError) as err:
+            parse_hitting_set("elements: b1 b2\nk: 1\nset: b2\nset: b1 b1\n")
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: set repeats 'b1'"
+
+    def test_empty_ground_set_refused_by_name(self):
+        with pytest.raises(DocumentParseError) as err:
+            parse_hitting_set("elements:\nk: 1\n")
+        assert str(err.value) == "the ground set needs at least one element"
 
     @pytest.mark.parametrize(
         "text, key",
@@ -395,6 +547,8 @@ class TestRunCommand:
         )
         assert code == 2
         assert report.outcome == "error"
+        message = report.payload["message"]
+        assert "plurality" in message and "DC-PC-TP-NUW" in message
 
     def test_solve_requires_focus(self, tmp_path):
         election = write(tmp_path, "e.txt", PLURALITY_DOC)

@@ -34,6 +34,12 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             HittingSetInstance(("b1",), (), 2)
 
+    def test_ground_set_must_be_nonempty(self):
+        # Checked before the bound, which no k could meet.
+        message = "^the ground set needs at least one element$"
+        with pytest.raises(InvalidInstanceError, match=message):
+            HittingSetInstance((), (), 1)
+
     def test_sets_must_be_nonempty_subsets(self):
         with pytest.raises(InvalidInstanceError):
             HittingSetInstance(("b1",), (frozenset(),), 1)
