@@ -247,10 +247,18 @@ def serialize_partition(partition: Partition, election: Election) -> str:
 
 
 def parse_hitting_set(text: str) -> HittingSetInstance:
+    """Read the document's syntax, then let ``HittingSetInstance`` check the whole value.
+
+    As for election documents, only a refused document is searched for its
+    line: the instance is rebuilt from ``elements:`` alone, then with ``k:``,
+    then with each ``set:`` line alone, and the first refusal is raised with
+    its line.
+    """
     elements = None
     bound = None
-    declared = set()
+    declared = {}
     sets: list[frozenset[str]] = []
+    set_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -261,7 +269,7 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
         key, value = matched.group(1), matched.group(2).strip()
         if key != "set" and key in declared:
             raise DocumentParseError(f"duplicate '{key}:' line", lineno)
-        declared.add(key)
+        declared[key] = lineno
         if key == "elements":
             elements = tuple(value.split())
         elif key == "k":
@@ -271,13 +279,21 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
                 raise DocumentParseError(f"k must be an integer, got {value!r}", lineno) from None
         else:
             sets.append(_unrepeated(value.split(), "set", lineno))
+            set_lines.append(lineno)
     if elements is None:
         raise DocumentParseError("missing 'elements:' line")
     if bound is None:
         raise DocumentParseError("missing 'k:' line")
     try:
         return HittingSetInstance(elements, tuple(sets), bound)
-    except InvalidInstanceError as err:
+    except (InvalidInstanceError, ElectionError) as err:
+        trials = [(declared["elements"], (), 1), (declared["k"], (), bound)]
+        trials += [(lineno, (subset,), bound) for lineno, subset in zip(set_lines, sets)]
+        for lineno, alone, trial_bound in trials:
+            try:
+                HittingSetInstance(elements, alone, trial_bound)
+            except (InvalidInstanceError, ElectionError) as at_line:
+                raise DocumentParseError(str(at_line), lineno) from at_line
         raise DocumentParseError(str(err)) from err
 
 

@@ -417,7 +417,7 @@ class SubsetWinners:
     than decisions asked for, by ``_popcount_winners``, which builds no
     votes or elections. ``mask_of[block]`` is the mask of a block of
     candidate names or of voter indices (names are strings and indices
-    integers, so one lookup serves both kinds), and ``named[mask]`` the
+    integers, so one table serves both kinds), and ``named[mask]`` the
     candidate names of a mask.
     """
 
@@ -446,7 +446,6 @@ class SubsetWinners:
                     passed[c].append((before, voters))
                 before |= c
         rows = tuple(passed.items())
-        item_bit = {**bit_of, **{j: 1 << (n - 1 - j) for j in range(n)}}
         self.bit_of = bit_of
         self.everyone = everyone = (1 << m) - 1
         self.all_voters = all_voters = (1 << n) - 1
@@ -457,7 +456,13 @@ class SubsetWinners:
         # drops it, until a full garbage collection.
         self.by_candidates = _Table(lambda held: _popcount_winners(rows, veto, held, all_voters))
         self.by_voters = _Table(lambda chosen: _popcount_winners(whole, veto, everyone, chosen))
-        self.mask_of = _Table(lambda block: sum(map(item_bit.__getitem__, block)))
+        # Voter bits are made as blocks are filled, not up front: n voter
+        # masks would hold about n * n / 2 bits before any lookup.
+        self.mask_of = _Table(
+            lambda block: sum(
+                bit_of[item] if isinstance(item, str) else 1 << (n - 1 - item) for item in block
+            )
+        )
         self.named = _Table(
             lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
         )

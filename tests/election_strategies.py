@@ -1,4 +1,5 @@
-"""Hypothesis strategies and partition enumerations shared across the test modules."""
+"""Hypothesis strategies, partition enumerations and the reference's plain
+form of an instance, shared across the test modules."""
 
 import string
 
@@ -14,6 +15,8 @@ from controlforge import (
 )
 from controlforge.control import ALL_CONTROL_TYPES, PartitionKind, partition_items
 from controlforge.solvers import enumerate_partitions
+
+import reference
 
 ALL_SYSTEMS = tuple(System)
 
@@ -77,3 +80,20 @@ def every_partition(instance, control_type):
     for partition in enumerate_partitions(instance, control_type.partition_kind):
         yield partition
         yield from malformed_variants(partition, instance)
+
+
+def plain(instance):
+    """The instance in the plain form of ``bench/reference.py``."""
+    election = instance.election
+    ballots = tuple((vote.entries, count) for vote, count in election.votes.groups)
+    return election.system.value, election.candidates, ballots, instance.focus
+
+
+TAGS = {control_type: str(control_type) for control_type in ALL_CONTROL_TYPES}
+
+
+def reference_verifies(control_type, data, partition):
+    """The reference's verdict on a partition, which must be of the type's kind."""
+    if partition.kind is not control_type.partition_kind:
+        return False
+    return reference.verifies(data, TAGS[control_type], partition.first, partition.second)

@@ -386,23 +386,34 @@ class TestHittingSetDocuments:
         )
         assert parse_hitting_set(serialize_hitting_set(hs)) == hs
 
+    # Each defect with the line it is reported on; a missing header has none.
     @pytest.mark.parametrize(
-        "text",
+        "text, line",
         [
-            "k: 1\nset: b1\n",
-            "elements: b1\nset: b1\n",
-            "elements: b1\nk: 0\n",
-            "elements: b1\nk: 1\nset:\n",
-            "elements: b1\nk: one\n",
-            "elements: b1\nk: \u00b2\n",
-            "elements: b1\nk: --1\n",
-            "elements: b1\nk: 1\nset: b1 b1\n",
-            "elements:\nk: 1\n",
+            ("k: 1\nset: b1\n", None),
+            ("elements: b1\nset: b1\n", None),
+            ("elements: b1\nk: 0\n", 2),
+            ("elements: b1\nk: 1\nset:\n", 3),
+            ("elements: b1\nk: one\n", 2),
+            ("elements: b1\nk: \u00b2\n", 2),
+            ("elements: b1\nk: --1\n", 2),
+            ("elements: b1\nk: 1\nset: b1 b1\n", 3),
+            ("elements:\nk: 1\n", 1),
+            ("elements: b1\nk: 1\nset: b9\n", 3),
+            ("elements: b1 b1\nk: 1\n", 1),
+            ("elements: b1\nk: 5\nset: b1\n", 2),
+            ("elements: c\nk: 1\n", 1),
+            ("elements: b,1\nk: 1\n", 1),
+            ("k: 1\nelements: b1 b2\nset: b1\nset: b3\n", 4),
+            ("elements: b1 b2\nk: 3\nset: b3\n", 2),
         ],
     )
-    def test_malformed_documents(self, text):
-        with pytest.raises(DocumentParseError):
+    def test_malformed_documents(self, text, line):
+        with pytest.raises(DocumentParseError) as err:
             parse_hitting_set(text)
+        assert err.value.line == line
+        if line is not None:
+            assert str(err.value).startswith(f"line {line}: ")
 
     def test_repeated_set_member_names_its_line(self):
         with pytest.raises(DocumentParseError) as err:
@@ -413,7 +424,7 @@ class TestHittingSetDocuments:
     def test_empty_ground_set_refused_by_name(self):
         with pytest.raises(DocumentParseError) as err:
             parse_hitting_set("elements:\nk: 1\n")
-        assert str(err.value) == "the ground set needs at least one element"
+        assert str(err.value) == "line 1: the ground set needs at least one element"
 
     @pytest.mark.parametrize(
         "text, key",

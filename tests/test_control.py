@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from controlforge import (
     ControlInstance,
     ControlTypeId,
-    Election,
     Partition,
     System,
     check_solution,
     make_election,
-    mask_votes,
     verify_solution,
     winners,
 )
@@ -28,37 +26,21 @@ from controlforge.control import (
 )
 from controlforge.solvers import Universe, enumerate_partitions, iter_elections, iter_instances
 
-from election_strategies import control_instances, control_types, every_partition, partitions_for
+import reference
+from election_strategies import (
+    control_instances,
+    control_types,
+    every_partition,
+    partitions_for,
+    plain,
+    reference_verifies,
+)
 
 T = ControlTypeId.parse
 
 
 def approval(candidates, *approvals):
     return make_election("approval", candidates, [(a, m) for a, m in approvals])
-
-
-def goal_satisfied(direction, winner_model, focus, final_winners):
-    """The attack's goal on the final winner set, the reference the deciding
-    path is held to. A focus absent from the final is simply not a winner."""
-    if direction is Direction.CC:
-        if winner_model is WinnerModel.UW:
-            return final_winners == frozenset((focus,))
-        return focus in final_winners
-    if winner_model is WinnerModel.UW:
-        return final_winners != frozenset((focus,))
-    return focus not in final_winners
-
-
-def reference_verdict(checked, focus):
-    """The goal read off the explaining path's final winners; False for a
-    malformed partition, which has no trace."""
-    trace = checked.trace
-    if trace is None:
-        return False
-    control_type = trace.control_type
-    return goal_satisfied(
-        control_type.direction, control_type.winner_model, focus, trace.final_winners
-    )
 
 
 def trace_of(control_type, instance, partition):
@@ -104,16 +86,9 @@ class TestControlTypeId:
             assert fresh == t and hash(fresh) == hash(t) and repr(fresh) == repr(t)
 
 
-def survivors(system, candidates, votes, tie_rule):
-    """The subelection winners that advance under the tie rule: a reference
-    built from ``winners``, independent of the library's rule on masks."""
-    won = winners(system, candidates, votes)
-    return won if tie_rule is TieRule.TP or len(won) == 1 else frozenset()
-
-
 class TestSurvivors:
-    """The tie rule on hand-checked rounds, in the reference and in a trace
-    of the round that runs the whole candidate set."""
+    """The tie rule on hand-checked rounds, in a trace of the round that runs
+    the whole candidate set."""
 
     @staticmethod
     def first_round_survivors(election, tie_rule):
@@ -126,12 +101,10 @@ class TestSurvivors:
         election = make_election("plurality", "ab", [("ab", 1), ("ba", 1)])
         assert winners(election.system, "ab", election.votes) == {"a", "b"}
         for tie_rule, expected in ((TieRule.TE, frozenset()), (TieRule.TP, {"a", "b"})):
-            assert survivors(election.system, "ab", election.votes, tie_rule) == expected
             assert self.first_round_survivors(election, tie_rule) == expected
 
     def test_te_unique_winner_advances(self):
         election = make_election("plurality", "ab", [("ab", 2), ("ba", 1)])
-        assert survivors(election.system, "ab", election.votes, TieRule.TE) == {"a"}
         assert self.first_round_survivors(election, TieRule.TE) == {"a"}
 
 
@@ -211,84 +184,75 @@ class TestRunTwoStage:
     def test_pc_equals_rpc_when_second_block_survives_whole(self, instance, data):
         tie_rule = data.draw(st.sampled_from(list(TieRule)))
         partition = data.draw(partitions_for(instance, PartitionKind.CANDIDATE))
-        election = instance.election
-        second_survivors = survivors(
-            election.system, partition.second, election.votes, tie_rule
-        )
-        if second_survivors != partition.second:
+        rpc = trace_of(T(f"CC-RPC-{tie_rule.value}-NUW"), instance, partition)
+        if rpc.first_rounds[1].survivors != partition.second:
             return
         pc = trace_of(T(f"CC-PC-{tie_rule.value}-NUW"), instance, partition)
-        rpc = trace_of(T(f"CC-RPC-{tie_rule.value}-NUW"), instance, partition)
         assert pc.final_candidates == rpc.final_candidates
         assert pc.final_winners == rpc.final_winners
-
-
-def _winners_of_built_election(system, votes):
-    if not votes.universe:
-        # No election has an empty candidate set, and no candidate wins.
-        return frozenset()
-    election = Election(system, votes)
-    return winners(system, election.candidates, election.votes)
 
 
 @pytest.mark.parametrize("system", list(System))
 def test_rounds_match_explicitly_built_elections(system):
     """Scoring a round's candidates against the full votes gives the winners
-    of the round's own election, built from masked or selected votes; the
-    bit-level decision agrees with the goal on those winners."""
+    of the round's own election, built by the reference from the round's
+    candidates or the block's ballots; the bit-level decision agrees with
+    the reference's goal on the final winners."""
     for election in iter_elections(Universe(system, 3, 3)):
         instance = ControlInstance(election, election.candidates[0])
-        votes = election.votes
+        data = plain(instance)
+        ballots = data[2]
+        everyone = frozenset(election.candidates)
         for control_type in ALL_CONTROL_TYPES:
+            tag = str(control_type)
             for partition in enumerate_partitions(instance, control_type.partition_kind):
                 trace = trace_of(control_type, instance, partition)
                 blocks = (partition.first, partition.second)
                 if control_type.action is Action.PV:
-                    expected = [votes.select_voters(block) for block in blocks]
+                    expected = [(everyone, reference.voter_ballots(ballots, b)) for b in blocks]
                 else:
                     rounds = 1 if control_type.action is Action.PC else 2
-                    expected = [mask_votes(votes, block) for block in blocks[:rounds]]
-                assert [r.winners for r in trace.first_rounds] == [
-                    _winners_of_built_election(system, sub) for sub in expected
-                ]
+                    expected = [(block, ballots) for block in blocks[:rounds]]
+                won = [reference.winners(system.value, held, cast) for held, cast in expected]
+                assert [r.winners for r in trace.first_rounds] == won
                 assert [r.candidates for r in trace.first_rounds] == [
-                    frozenset(sub.universe) for sub in expected
+                    held for held, _ in expected
                 ]
+                # The tie rule, as TestSurvivors checks it by hand.
                 advancing = [
-                    survivors(system, sub.universe, sub, control_type.tie_rule)
-                    for sub in expected
+                    w if control_type.tie_rule is TieRule.TP or len(w) == 1 else frozenset()
+                    for w in won
                 ]
                 assert [r.survivors for r in trace.first_rounds] == advancing
                 final_candidates = frozenset().union(*advancing)
                 if control_type.action is Action.PC:
                     final_candidates |= partition.second
                 assert trace.final_candidates == final_candidates
-                final = mask_votes(votes, final_candidates)
-                final_winners = _winners_of_built_election(system, final)
+                final_winners = reference.winners(system.value, final_candidates, ballots)
                 assert trace.final_winners == final_winners
+                assert final_winners == reference.final_winners(data, tag, *blocks)
                 for focus in election.candidates:
                     assert verify_solution(
                         control_type, ControlInstance(election, focus), partition
-                    ) == goal_satisfied(
-                        control_type.direction, control_type.winner_model, focus, final_winners
-                    )
+                    ) == reference.goal_holds(tag, focus, final_winners)
 
 
 class TestGoal:
-    """The reference goal that the differential tests hold the deciding path to."""
+    """The goal of ``bench/reference.py``, which the differential tests hold
+    the deciding path to."""
 
     def test_examples(self):
-        assert goal_satisfied(Direction.DC, WinnerModel.UW, "a", frozenset("ab"))
-        assert not goal_satisfied(Direction.CC, WinnerModel.NUW, "a", frozenset())
-        assert goal_satisfied(Direction.DC, WinnerModel.NUW, "a", frozenset("b"))
+        assert reference.goal_holds("DC-PC-TE-UW", "a", frozenset("ab"))
+        assert not reference.goal_holds("CC-PC-TE-NUW", "a", frozenset())
+        assert reference.goal_holds("DC-PC-TE-NUW", "a", frozenset("b"))
 
     @given(st.sets(st.sampled_from("abcd")), st.sampled_from("abcd"))
     def test_winner_model_monotonicity(self, final_winners, focus):
         final = frozenset(final_winners)
-        if goal_satisfied(Direction.DC, WinnerModel.NUW, focus, final):
-            assert goal_satisfied(Direction.DC, WinnerModel.UW, focus, final)
-        if goal_satisfied(Direction.CC, WinnerModel.UW, focus, final):
-            assert goal_satisfied(Direction.CC, WinnerModel.NUW, focus, final)
+        if reference.goal_holds("DC-PC-TE-NUW", focus, final):
+            assert reference.goal_holds("DC-PC-TE-UW", focus, final)
+        if reference.goal_holds("CC-PC-TE-UW", focus, final):
+            assert reference.goal_holds("CC-PC-TE-NUW", focus, final)
 
 
 class TestVerifySolution:
@@ -406,19 +370,20 @@ def reference_round_focus_lost(checked, focus):
 
 
 class TestDecidePathMatchesReference:
-    """The deciding path against the goal read off the explaining path's
-    trace, on every <=3-candidate, <=3-ballot instance of each system, for
-    all 24 types and every partition, malformed ones included."""
+    """The deciding path against ``reference.verifies``, on every
+    <=3-candidate, <=3-ballot instance of each system, for all 24 types and
+    every partition, malformed ones included."""
 
     @pytest.mark.parametrize("system", list(System))
     def test_every_partition(self, system):
         malformed = 0
         for instance in iter_instances(Universe(system, 3, 3)):
+            data = plain(instance)
             for control_type in ALL_CONTROL_TYPES:
                 for partition in every_partition(instance, control_type):
                     checked = check_solution(control_type, instance, partition)
                     verified = verify_solution(control_type, instance, partition)
-                    assert verified == reference_verdict(checked, instance.focus)
+                    assert verified == reference_verifies(control_type, data, partition)
                     assert checked.ok == verified
                     if verified:
                         lost = round_focus_lost(control_type, instance, partition)

@@ -27,6 +27,7 @@ from controlforge.elections import (
 )
 from controlforge.solvers import Universe, iter_elections
 
+import reference
 from election_strategies import elections
 
 
@@ -437,24 +438,28 @@ class TestDiagnosticsMatchReference:
 
 
 class TestSubsetWinnersMatchReference:
-    """Every entry of both winner tables against ``winners`` on explicitly
-    masked or selected votes; six ballots exercise multiplicities."""
+    """Every entry of both winner tables against ``reference.winners`` on the
+    candidate set, or on the chosen voters' ballots; six ballots exercise
+    multiplicities."""
 
     @pytest.mark.parametrize("max_candidates, max_votes", [(4, 4), (3, 6)])
     @pytest.mark.parametrize("system", list(System))
     def test_every_entry(self, system, max_candidates, max_votes):
+        kind = system.value
         for election in iter_elections(Universe(system, max_candidates, max_votes)):
             table = subset_winners(election)
-            votes, candidates = election.votes, election.candidates
-            m, n = len(candidates), votes.total
+            candidates = election.candidates
+            ballots = tuple((vote.entries, count) for vote, count in election.votes.groups)
+            m, n = len(candidates), election.votes.total
             bit = {c: 1 << (m - 1 - i) for i, c in enumerate(candidates)}
             for subset in range(1 << m):
                 names = [c for c in candidates if bit[c] & subset]
-                expected = winners(system, names, mask_votes(votes, names))
+                expected = reference.winners(kind, names, ballots)
                 assert table.by_candidates[subset] == sum(map(bit.get, expected))
             for chosen in range(1 << n):
-                voters = frozenset(j for j in range(n) if chosen >> (n - 1 - j) & 1)
-                expected = winners(system, candidates, votes.select_voters(voters))
+                voters = {j for j in range(n) if chosen >> (n - 1 - j) & 1}
+                chosen_ballots = reference.voter_ballots(ballots, voters)
+                expected = reference.winners(kind, candidates, chosen_ballots)
                 assert table.by_voters[chosen] == sum(map(bit.get, expected))
 
 

@@ -36,7 +36,7 @@ from controlforge.solvers import (
     vetoer_partition,
 )
 
-from election_strategies import every_partition
+from election_strategies import every_partition, plain, reference_verifies
 
 T = ControlTypeId.parse
 
@@ -299,13 +299,12 @@ def reference_vetoer_partition(instance):
     return Partition.of_voters(vetoers, set(range(len(ballots))) - vetoers)
 
 
-def reference_construction(construction, source_type, target_type, instance, solution):
-    """The constructive rules' outputs, read off the explaining path's check.
-
-    Its verdict is the deciding path's, which ``TestDecidePathMatchesReference``
-    holds to the goal on this universe."""
-    checked = check_solution(target_type, instance, solution)
-    if not checked.ok:
+def reference_construction(rule, instance, data, solution):
+    """The constructive rules' outputs, with the verdicts of ``bench/reference.py``
+    on ``data``, the instance's plain form; the round the focus lost is read
+    off the explaining path's trace."""
+    construction, source_type, target_type = rule.construction, rule.source_type, rule.target_type
+    if not reference_verifies(target_type, data, solution):
         return TransferOutcome(None)
     if construction is pass_through:
         return TransferOutcome(solution)
@@ -318,15 +317,16 @@ def reference_construction(construction, source_type, target_type, instance, sol
             return TransferOutcome(Partition.of_candidates(everyone - alone, alone))
         return TransferOutcome(Partition.of_candidates(alone, everyone - alone))
     if construction is keep_or_empty_voters:
-        if check_solution(source_type, instance, solution).ok:
+        if reference_verifies(source_type, data, solution):
             return TransferOutcome(solution)
         voters = range(sum(count for _, count in instance.election.votes.groups))
         return TransferOutcome(Partition.of_voters(set(), voters))
     if construction is split_off_vetoers:
         return TransferOutcome(reference_vetoer_partition(instance))
     assert construction is focus_lost_round
-    lost_in = checked.trace.final_candidates
-    for stage in checked.trace.first_rounds:
+    trace = check_solution(target_type, instance, solution).trace
+    lost_in = trace.final_candidates
+    for stage in trace.first_rounds:
         if instance.focus in stage.candidates and instance.focus not in stage.survivors:
             lost_in = stage.candidates
             break
@@ -342,13 +342,11 @@ class TestConstructionsMatchReference:
         rules = rules_for(system=system)
         transferred = rejected = 0
         for instance in iter_instances(Universe(system, 3, 3)):
+            data = plain(instance)
             for rule in rules:
-                target = rule.target_type
-                for solution in every_partition(instance, target):
+                for solution in every_partition(instance, rule.target_type):
                     outcome = rule.apply(instance, solution)
-                    assert outcome == reference_construction(
-                        rule.construction, rule.source_type, target, instance, solution
-                    )
+                    assert outcome == reference_construction(rule, instance, data, solution)
                     transferred += not outcome.rejected
                     rejected += outcome.rejected
         assert transferred > 0 and rejected > 0

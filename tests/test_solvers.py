@@ -242,6 +242,21 @@ def test_one_off_decisions_on_a_large_election_fill_lazily():
     assert len(table.by_voters) == 2
 
 
+def test_one_off_decision_on_a_large_electorate_stays_small():
+    # The table of 20 000 identical ballots holds no mask per voter.
+    election = make_election("plurality", "ab", [("ab", 20_000)])
+    instance = ControlInstance(election, "b")
+    partition = Partition.of_candidates((), ("a", "b"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert verify_solution(T("DC-PC-TE-UW"), instance, partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_table_cache_is_bounded():
     assert subset_winners.cache_info().maxsize is not None
 
