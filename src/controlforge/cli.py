@@ -134,6 +134,21 @@ def _ballot(text: str, lineno: int) -> Vote:
     return Vote(VoteKind.APPROVAL, tuple(name.strip() for name in names))
 
 
+def _build_at_line(build, whole, trials, errors):
+    """``build(*whole)``; if the model refuses it, ``build(*args)`` for each
+    ``(lineno, args)`` in ``trials``, raising the first refusal at its line,
+    and the whole value's refusal, without a line, if none refuses."""
+    try:
+        return build(*whole)
+    except errors as err:
+        for lineno, args in trials:
+            try:
+                build(*args)
+            except errors as at_line:
+                raise DocumentParseError(str(at_line), lineno) from at_line
+        raise DocumentParseError(str(err)) from err
+
+
 def parse_election(text: str) -> ElectionDocument:
     """Read the document's syntax, then let ``Election`` check the whole value.
 
@@ -177,17 +192,10 @@ def parse_election(text: str) -> ElectionDocument:
         ballot_lines.append(lineno)
     if system is None or candidates is None:
         raise DocumentParseError("document declares no system or candidates")
-    try:
-        election = Election(system, VoteCollection(candidates, tuple(groups)))
-    except ElectionError as err:
-        trials = [(declared["candidates"], ())]
-        trials += [(lineno, (group,)) for lineno, group in zip(ballot_lines, groups)]
-        for lineno, alone in trials:
-            try:
-                Election(system, VoteCollection(candidates, alone))
-            except ElectionError as at_line:
-                raise DocumentParseError(str(at_line), lineno) from at_line
-        raise DocumentParseError(str(err)) from err
+    trials = [(declared["candidates"], ((),))]
+    trials += [(lineno, ((group,),)) for lineno, group in zip(ballot_lines, groups)]
+    build = lambda alone: Election(system, VoteCollection(candidates, alone))
+    election = _build_at_line(build, (tuple(groups),), trials, ElectionError)
     if distinguished is not None and distinguished not in candidates:
         message = f"distinguished candidate {distinguished!r} is not running"
         raise DocumentParseError(message, declared["distinguished"])
@@ -284,17 +292,11 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
         raise DocumentParseError("missing 'elements:' line")
     if bound is None:
         raise DocumentParseError("missing 'k:' line")
-    try:
-        return HittingSetInstance(elements, tuple(sets), bound)
-    except (InvalidInstanceError, ElectionError) as err:
-        trials = [(declared["elements"], (), 1), (declared["k"], (), bound)]
-        trials += [(lineno, (subset,), bound) for lineno, subset in zip(set_lines, sets)]
-        for lineno, alone, trial_bound in trials:
-            try:
-                HittingSetInstance(elements, alone, trial_bound)
-            except (InvalidInstanceError, ElectionError) as at_line:
-                raise DocumentParseError(str(at_line), lineno) from at_line
-        raise DocumentParseError(str(err)) from err
+    trials = [(declared["elements"], ((), 1)), (declared["k"], ((), bound))]
+    trials += [(lineno, ((subset,), bound)) for lineno, subset in zip(set_lines, sets)]
+    build = lambda chosen, k: HittingSetInstance(elements, chosen, k)
+    refusals = (InvalidInstanceError, ElectionError)
+    return _build_at_line(build, (tuple(sets), bound), trials, refusals)
 
 
 def serialize_hitting_set(hs: HittingSetInstance) -> str:

@@ -82,18 +82,19 @@ def every_partition(instance, control_type):
         yield from malformed_variants(partition, instance)
 
 
+def plain_ballots(election):
+    """The election's ballot groups in the plain form of ``bench/reference.py``."""
+    return tuple((vote.entries, count) for vote, count in election.votes.groups)
+
+
 def plain(instance):
     """The instance in the plain form of ``bench/reference.py``."""
     election = instance.election
-    ballots = tuple((vote.entries, count) for vote, count in election.votes.groups)
-    return election.system.value, election.candidates, ballots, instance.focus
-
-
-TAGS = {control_type: str(control_type) for control_type in ALL_CONTROL_TYPES}
+    return election.system.value, election.candidates, plain_ballots(election), instance.focus
 
 
 def reference_verifies(control_type, data, partition):
     """The reference's verdict on a partition, which must be of the type's kind."""
     if partition.kind is not control_type.partition_kind:
         return False
-    return reference.verifies(data, TAGS[control_type], partition.first, partition.second)
+    return reference.verifies(data, str(control_type), partition.first, partition.second)

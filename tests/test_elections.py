@@ -28,7 +28,7 @@ from controlforge.elections import (
 from controlforge.solvers import Universe, iter_elections
 
 import reference
-from election_strategies import elections
+from election_strategies import elections, plain_ballots
 
 
 def linear(candidates, *rankings):
@@ -449,7 +449,7 @@ class TestSubsetWinnersMatchReference:
         for election in iter_elections(Universe(system, max_candidates, max_votes)):
             table = subset_winners(election)
             candidates = election.candidates
-            ballots = tuple((vote.entries, count) for vote, count in election.votes.groups)
+            ballots = plain_ballots(election)
             m, n = len(candidates), election.votes.total
             bit = {c: 1 << (m - 1 - i) for i, c in enumerate(candidates)}
             for subset in range(1 << m):
