@@ -113,11 +113,12 @@ def _in_order(items, names) -> list:
 
 def _unrepeated(items: list, what: str, lineno: "int | None" = None) -> frozenset:
     """The items as a set; an item given twice is a parse error naming it."""
-    held = frozenset(items)
-    if len(held) != len(items):
-        repeated = next(item for i, item in enumerate(items) if item in items[:i])
-        raise DocumentParseError(f"{what} repeats {repeated!r}", lineno)
-    return held
+    held = set()
+    for item in items:
+        if item in held:
+            raise DocumentParseError(f"{what} repeats {item!r}", lineno)
+        held.add(item)
+    return frozenset(held)
 
 
 _BALLOT_RE = re.compile(r"^(?:(\d+)\s*x\s+)?(.*)$")  # "[<mult> x ]<ballot>"

@@ -10,12 +10,13 @@ voter set) as tables keyed by bitmask and filled on demand by bit counts;
 the two-stage semantics reads every round from them. ``subset_winners`` is
 the bounded cache of those tables, and the library's only cache.
 
-Validation: ``Election`` and ``VoteCollection`` accept a valid value by a
-few whole-value checks (the names joined and split back, a duplicate-free
-name set, each ballot compared with the universe as a set). Only when those
-checks fail does the per-item walk run, to name the first defect with the
-same error and message it always gave; nothing is cached and there is no
-unchecked constructor.
+Validation: ``Election`` accepts valid names by whole-value checks (the
+names joined and split back, a duplicate-free name set), and only when they
+fail walks the names for the first defect. ``VoteCollection`` walks its
+ballots once, accepting each by comparing it with the universe as a set and
+naming the first defect, or putting an approval ballot in canonical order,
+only when that fails. Errors and messages are as they always were; nothing
+is cached and there is no unchecked constructor.
 """
 
 import functools
@@ -132,38 +133,6 @@ class Vote:
         return "{" + ",".join(self.entries) + "}"
 
 
-def _canonical_groups(universe, groups) -> bool:
-    """Whole-value test: True only if ``VoteCollection._normalize`` would keep the groups as given.
-
-    Each multiplicity must be positive and every ballot of the first
-    ballot's kind: an order ballot a permutation of the (duplicate-free)
-    universe, an approval ballot a subset of it in canonical order. False
-    leaves the verdict, and any reordering, to the walk.
-    """
-    universe_set = frozenset(universe)
-    if not groups:
-        return True
-    try:
-        m = len(universe)
-        if len(universe_set) != m:
-            return False
-        kind = groups[0][0].kind
-        order = kind is VoteKind.ORDER
-        for vote, count in groups:
-            if count <= 0 or vote.kind is not kind:
-                return False
-            entries = vote.entries
-            if order:
-                if len(entries) != m or universe_set != set(entries):
-                    return False
-            elif tuple(filter(set(entries).__contains__, universe)) != entries:
-                return False
-    except (TypeError, ValueError, AttributeError):
-        # An ill-formed group or ballot: the walk names its first defect.
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class VoteCollection:
     """An ordered list of (ballot, multiplicity) groups over a fixed universe.
@@ -177,42 +146,49 @@ class VoteCollection:
     groups: tuple[tuple[Vote, int], ...]
 
     def __post_init__(self):
-        if not _canonical_groups(self.universe, self.groups):
-            self._normalize()
-
-    def _normalize(self):
-        """Walk the ballots: raise on the first defect, put approval ballots in canonical order."""
-        universe_set = frozenset(self.universe)
-        position = {name: i for i, name in enumerate(self.universe)}
-        normalized = []
-        changed = False
-        kind = None
+        """Walk the ballots once: raise on the first defect, order approval ballots canonically."""
+        universe = self.universe
+        universe_set = frozenset(universe)
+        m = len(universe)
+        distinct = len(universe_set) == m  # the whole-ballot test needs a duplicate-free universe
+        kind = position = reordered = None
         for vote, count in self.groups:
             if count <= 0:
                 raise InvalidVoteError("vote multiplicity must be positive")
             if kind is None:
                 kind = vote.kind
+                order = kind is VoteKind.ORDER
             elif vote.kind is not kind:
                 raise InvalidVoteError("mixed ballot kinds in one collection")
-            unknown = [c for c in vote.entries if c not in universe_set]
+            entries = vote.entries
+            try:
+                # An order equal to the universe as a set, or an approval
+                # ballot equal to its entries in universe order, stands as given.
+                if distinct and (
+                    len(entries) == m and universe_set == set(entries)
+                    if order
+                    else tuple(filter(set(entries).__contains__, universe)) == entries
+                ):
+                    continue
+            except (TypeError, ValueError, AttributeError):
+                pass  # an ill-formed ballot: the walk below names its defect
+            unknown = [c for c in entries if c not in universe_set]
             if unknown:
                 raise InvalidCandidateError(f"ballot names unknown candidate {unknown[0]!r}")
-            if len(set(vote.entries)) != len(vote.entries):
+            if len(set(entries)) != len(entries):
                 raise InvalidVoteError(f"ballot {vote} repeats a candidate")
-            if vote.kind is VoteKind.ORDER:
-                if len(vote.entries) != len(self.universe):
-                    raise InvalidVoteError(
-                        f"ballot {vote} is not a permutation of the candidate set"
-                    )
-                normalized.append((vote, count))
-            else:
-                canonical = tuple(sorted(vote.entries, key=position.__getitem__))
-                if canonical != vote.entries:
-                    vote = Vote(VoteKind.APPROVAL, canonical)
-                    changed = True
-                normalized.append((vote, count))
-        if changed:
-            object.__setattr__(self, "groups", tuple(normalized))
+            if not order:
+                position = position or {name: j for j, name in enumerate(universe)}
+                canonical = tuple(sorted(entries, key=position.__getitem__))
+                if canonical != entries:
+                    # Keyed by id: a ballot's entries may be a list, which does not hash.
+                    reordered = reordered or {}
+                    reordered[id(vote)] = Vote(VoteKind.APPROVAL, canonical)
+            elif len(entries) != m:
+                raise InvalidVoteError(f"ballot {vote} is not a permutation of the candidate set")
+        if reordered:
+            groups = tuple((reordered.get(id(v), v), c) for v, c in self.groups)
+            object.__setattr__(self, "groups", groups)
 
     @property
     def kind(self) -> VoteKind | None:
@@ -456,13 +432,18 @@ class SubsetWinners:
         # drops it, until a full garbage collection.
         self.by_candidates = _Table(lambda held: _popcount_winners(rows, veto, held, all_voters))
         self.by_voters = _Table(lambda chosen: _popcount_winners(whole, veto, everyone, chosen))
-        # Voter bits are made as blocks are filled, not up front: n voter
-        # masks would hold about n * n / 2 bits before any lookup.
-        self.mask_of = _Table(
-            lambda block: sum(
-                bit_of[item] if isinstance(item, str) else 1 << (n - 1 - item) for item in block
-            )
-        )
+
+        def mask_of(block):
+            # A voter block is read from its bit string, voter j at digit j:
+            # n voter masks would hold n * n / 2 bits, and their sum take n * n time.
+            if not block or isinstance(next(iter(block)), str):
+                return sum(map(bit_of.__getitem__, block))
+            digits = bytearray(b"0") * n
+            for j in block:
+                digits[j] = ord("1")
+            return int(digits, 2)
+
+        self.mask_of = _Table(mask_of)
         self.named = _Table(
             lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
         )

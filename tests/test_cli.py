@@ -8,6 +8,7 @@ import re
 import string
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -302,6 +303,16 @@ class TestPartitionDocuments:
         with pytest.raises(DocumentParseError) as err:
             parse_partition(text, kind, election)
         assert str(err.value) == message
+
+    def test_repeat_at_the_end_of_a_long_block_is_found_in_one_pass(self):
+        # Searching the items before each item took seconds here.
+        text = "block1: " + " ".join(map(str, range(20_000))) + " 19999 | block2:"
+        election = make_election("plurality", "ab", [("ab", 20_000)])
+        start = time.perf_counter()
+        with pytest.raises(DocumentParseError) as err:
+            parse_partition(text, PartitionKind.VOTER, election)
+        assert time.perf_counter() - start < 0.5
+        assert str(err.value) == "block1 repeats 19999"
 
     def test_round_trip(self):
         partition = Partition.of_candidates({"a"}, {"p"})

@@ -295,6 +295,10 @@ def library_election(system, universe, groups):
     return Election(system, VoteCollection(universe, groups)).votes.groups
 
 
+def library_groups(universe, groups):
+    return VoteCollection(universe, groups).groups
+
+
 def outcome(build, *args):
     """("accepted", result), or the type and message of the error raised."""
     try:
@@ -304,6 +308,9 @@ def outcome(build, *args):
 
 
 def same_verdict(system, universe, groups):
+    # The collection alone too: an election refuses a duplicate name before
+    # its ballots' order could show.
+    assert outcome(library_groups, universe, groups) == outcome(reference_groups, universe, groups)
     ours = outcome(library_election, system, universe, groups)
     assert ours == outcome(reference_election, system, universe, groups)
     return ours
@@ -324,7 +331,9 @@ P, V, AP = System.PLURALITY, System.VETO, System.APPROVAL
 # In order: valid orders; unknown, repeated, missing and extra entries; zero
 # and negative multiplicities; two defects in either order; mixed kinds; a
 # system/kind mismatch; approval ballots out of order, empty, unknown,
-# repeated, or reordered behind a later defect; list entries; kinds given
+# repeated, or reordered behind a later defect; two reordered ballots; a
+# reordered ballot before an unknown name or a kind switch; an approval
+# ballot over a universe with a duplicate; list entries; kinds given
 # as plain strings; a universe with a duplicate; a bad name behind valid and
 # behind bad ballots; the empty universe; no ballots.
 BALLOT_CASES = [
@@ -346,6 +355,10 @@ BALLOT_CASES = [
     (AP, "abc", ((A("z"), 1),)),
     (AP, "abc", ((A("aa"), 1),)),
     (AP, "abc", ((A("ac"), 1), (A("ca"), 0))),
+    (AP, "abc", ((A("ca"), 1), (A("cb"), 2))),
+    (AP, "abc", ((A("ca"), 1), (A("z"), 1))),
+    (AP, "abc", ((A("ca"), 1), (O("abc"), 1))),
+    (AP, ("b", "a", "b"), ((A("ba"), 1),)),
     (AP, "abc", ((Vote(VoteKind.APPROVAL, ["a", "c"]), 1),)),
     (P, "abc", ((Vote(VoteKind.ORDER, ["c", "b", "a"]), 1),)),
     (AP, "abc", ((Vote("approval", ("c", "a")), 1),)),

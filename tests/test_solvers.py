@@ -23,7 +23,7 @@ from controlforge import (
 )
 from controlforge import solvers
 from controlforge.control import ALL_CONTROL_TYPES, PartitionKind
-from controlforge.elections import subset_winners
+from controlforge.elections import SubsetWinners, subset_winners
 from controlforge.solvers import (
     COLLAPSE_GROUPS,
     POLYNOMIAL_SEARCHES,
@@ -49,6 +49,7 @@ from controlforge.solvers import (
     verifying_partitions,
 )
 
+import reference
 from election_strategies import control_instances, control_types
 
 T = ControlTypeId.parse
@@ -255,6 +256,18 @@ def test_one_off_decision_on_a_large_electorate_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_voter_block_mask_is_read_from_its_bit_string():
+    # One shifted int summed per voter took about a second here.
+    n = 200_000
+    table = SubsetWinners(make_election("plurality", "ab", [("ab", n)]))
+    block = frozenset(range(0, n, 3))
+    start = time.perf_counter()
+    mask = table.mask_of[block]
+    assert time.perf_counter() - start < 0.1
+    assert mask == int(reference.bits(range(n), block), 2)
+    assert table.mask_of[frozenset()] == 0
 
 
 def test_table_cache_is_bounded():
