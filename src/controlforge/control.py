@@ -28,7 +28,10 @@ the ``Partition`` a mask names. Each round's winners are one lookup in the
 election's ``SubsetWinners`` tables, and two paths read them. *Deciding*
 (``decider``, ``verify_solution``) maps a first-block mask to a verdict and
 builds nothing; ``round_focus_lost`` names one round of a partition that
-has already verified, and checks nothing itself.
+has already verified, and checks nothing itself. A type's ``shape`` fixes
+its rounds and its ``goal`` only reads the final, so the four types of a
+shape share one mask sweep per election and focus (``_least_mask``), which
+``least_verifying_partition`` reads.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -72,6 +75,10 @@ class PartitionKind(str, Enum):
 # Reading a member off an enum class costs about 0.1 us on Python 3.11.
 _CANDIDATE = PartitionKind.CANDIDATE
 
+# Where the focus stands among the final winners: their unique winner, one
+# of several cowinners, or not a winner.
+_ALONE, _SHARED, _OUT = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class ControlTypeId:
@@ -83,17 +90,26 @@ class ControlTypeId:
     winner_model: WinnerModel
 
     def __post_init__(self):
-        # The compiled rule: the partition kind and the plain booleans the
+        # The compiled rule: the partition kind and the plain values the
         # decide path branches on, worked out once, since an enum member read
         # costs about 0.1 us. Equality, hashing and repr stay on the fields.
+        # ``shape`` (voter split, PC, TE) fixes the rounds, so the four types
+        # of one shape reach the same final; ``goal`` lists the standings of
+        # the focus in that final (see ``_standing``) that achieve the goal.
         pv = self.action is Action.PV
         kind = PartitionKind.VOTER if pv else PartitionKind.CANDIDATE
+        pc, te = self.action is Action.PC, self.tie_rule is TieRule.TE
+        uw = self.winner_model is WinnerModel.UW
+        if self.direction is Direction.CC:
+            goal = (_ALONE,) if uw else (_ALONE, _SHARED)
+        else:
+            goal = (_SHARED, _OUT) if uw else (_OUT,)
         object.__setattr__(self, "partition_kind", kind)
         object.__setattr__(self, "voter_split", pv)
-        object.__setattr__(self, "pc", self.action is Action.PC)
-        object.__setattr__(self, "te", self.tie_rule is TieRule.TE)
-        object.__setattr__(self, "cc", self.direction is Direction.CC)
-        object.__setattr__(self, "uw", self.winner_model is WinnerModel.UW)
+        object.__setattr__(self, "pc", pc)
+        object.__setattr__(self, "te", te)
+        object.__setattr__(self, "shape", (pv, pc, te))
+        object.__setattr__(self, "goal", goal)
 
     def __str__(self) -> str:
         return "-".join(
@@ -220,26 +236,96 @@ class TwoStageTrace:
     final_winners: frozenset[str]
 
 
-def _verdict(control_type: ControlTypeId, table: SubsetWinners, focus: int, first: int) -> bool:
-    """Whether the first-block mask ``first`` achieves the goal for the focus bit.
+def _standing(table: SubsetWinners, shape: tuple, focus: int, first: int) -> int:
+    """Where the focus bit stands in the final of the first-block mask ``first``.
 
     The rounds of ``_rounds``, inlined: every search runs them per mask.
     """
-    if control_type.voter_split:
+    pv, pc, te = shape
+    if pv:
         won, everyone = table.by_voters, table.all_voters
     else:
         won, everyone = table.by_candidates, table.everyone
     one = won[first]
-    if control_type.te and one & (one - 1):
+    if te and one & (one - 1):
         one = 0
-    if control_type.pc:
+    if pc:
         two = everyone ^ first
     else:
         two = won[everyone ^ first]
-        if control_type.te and two & (two - 1):
+        if te and two & (two - 1):
             two = 0
     final = table.by_candidates[one | two]
-    return (final == focus if control_type.uw else final & focus != 0) == control_type.cc
+    return (final != focus) + (not final & focus)  # _ALONE, _SHARED or _OUT
+
+
+def _verdict(control_type: ControlTypeId, table: SubsetWinners, focus: int, first: int) -> bool:
+    """Whether the first-block mask ``first`` achieves the goal for the focus bit."""
+    return _standing(table, control_type.shape, focus, first) in control_type.goal
+
+
+def _least_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -> "int | None":
+    """The least first-block mask that achieves the goal for the focus bit, or None.
+
+    The masks are decided in increasing order by one sweep per (shape,
+    focus), kept in ``table.memo``, which notes the least mask of each
+    standing it passes: the four types of a shape share the final, so a
+    type's answer is the least mask of its goal's standings. The sweep stops
+    once the asked type's answer is known, and a later type of the shape
+    resumes it there, so a search asked alone decides the masks up to its
+    answer and no further. Under RPC and PV swapping the blocks changes no
+    round, so a mask and its complement stand alike and only the lower half
+    of the masks (mask 0 alone when there are no items) is swept.
+    """
+    goal, shape = control_type.goal, control_type.shape
+    memo = table.memo
+    key = (shape, focus)
+    sweep = memo.get(key)
+    if sweep is None:
+        voters, pc, _ = shape
+        every = (table.all_voters if voters else table.everyone) + 1
+        end = every if pc else (every + 1) >> 1
+        # The least mask of each standing (``end`` until one is passed),
+        # the next mask to decide, and the end of the range.
+        sweep = memo[key] = [end, end, end, 0, end]
+    end = least = sweep[4]
+    for standing in goal:
+        if sweep[standing] < least:
+            least = sweep[standing]
+    if least < end:
+        return least
+    standing_of = _standing  # looked up once per sweep, not per mask
+    for first in range(sweep[3], end):
+        standing = standing_of(table, shape, focus, first)
+        if sweep[standing] == end:
+            sweep[standing] = first
+            if standing in goal:
+                sweep[3] = first + 1
+                return first
+    sweep[3] = end
+    return None
+
+
+def least_verifying_partition(
+    control_type: ControlTypeId, instance: ControlInstance
+) -> "Partition | None":
+    """The verifying partition of least first-block mask, or None if none verifies.
+
+    The mask comes from the instance's sweep (``_least_mask``), and its
+    ``Partition`` is built once per election and (kind, mask), in the same
+    ``table.memo``: the types of one kind often share an answer.
+    """
+    table = subset_winners(instance.election)
+    first = _least_mask(control_type, table, table.bit_of[instance.focus])
+    if first is None:
+        return None
+    kind = control_type.partition_kind
+    key = (kind, first)
+    partition = table.memo.get(key)
+    if partition is None:
+        items = partition_items(instance, kind)
+        partition = table.memo[key] = partition_of_mask(kind, items, first)
+    return partition
 
 
 def decider(control_type: ControlTypeId, instance: ControlInstance) -> Callable[[int], bool]:

@@ -7,8 +7,10 @@ values are immutable and ``winners`` is a pure function.
 
 ``SubsetWinners`` holds one election's winners of every candidate set (and
 voter set) as tables keyed by bitmask and filled on demand by bit counts;
-the two-stage semantics reads every round from them. ``subset_winners`` is
-the bounded cache of those tables, and the library's only cache.
+the two-stage semantics reads every round from them, and ``control`` keeps
+its mask sweeps and answer partitions in their ``memo`` dict.
+``subset_winners`` is the bounded cache of those tables, and the library's
+only cache.
 
 Validation: ``Election`` accepts valid names by whole-value checks (the
 names joined and split back, a duplicate-free name set), and only when they
@@ -99,15 +101,19 @@ def check_candidate_name(name: str) -> str:
 class Vote:
     """One ballot: a linear order over, or the approved subset of, a universe.
 
-    ``entries`` lists candidate names. For an order vote it is the full
-    ranking, best first. For an approval vote it lists exactly the approved
-    candidates, kept in canonical (universe) order.
+    ``entries`` lists candidate names (a list is kept as a tuple). For an
+    order vote it is the full ranking, best first. For an approval vote it
+    lists exactly the approved candidates, kept in canonical (universe) order.
     """
 
     kind: VoteKind
     entries: tuple[str, ...]
 
     def __post_init__(self):
+        # Entries given as a list are kept as a tuple: elections key the
+        # table cache, so their ballots must hash.
+        if type(self.entries) is list:
+            object.__setattr__(self, "entries", tuple(self.entries))
         # A kind given by its value ("order") means that member; others are refused.
         if type(self.kind) is not VoteKind:
             try:
@@ -181,7 +187,7 @@ class VoteCollection:
                 position = position or {name: j for j, name in enumerate(universe)}
                 canonical = tuple(sorted(entries, key=position.__getitem__))
                 if canonical != entries:
-                    # Keyed by id: a ballot's entries may be a list, which does not hash.
+                    # Keyed by id: a ballot's entries may not hash (a set, say).
                     reordered = reordered or {}
                     reordered[id(vote)] = Vote(VoteKind.APPROVAL, canonical)
             elif len(entries) != m:
@@ -447,6 +453,9 @@ class SubsetWinners:
         self.named = _Table(
             lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
         )
+        # The searches' state, kept by ``control``: its mask sweeps and the
+        # answer partitions. Held here, it is bounded and dropped with the tables.
+        self.memo = {}
 
 
 @functools.lru_cache(maxsize=256)
@@ -454,6 +463,6 @@ def subset_winners(election: Election) -> SubsetWinners:
     """The election's winner tables, shared by every decision about it.
 
     The only cache in the library: it holds the tables of the 256 elections
-    used last.
+    used last, and with them the searches' ``memo``.
     """
     return SubsetWinners(election)

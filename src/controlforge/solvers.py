@@ -14,9 +14,13 @@ in canonical candidate/voter order (bit i set means item i is in the first
 block); "lexicographically least" always refers to this encoding. Read as
 an integer, the encoding is the partition's first-block mask (item i of L
 is bit L-1-i, as in ``control.partition_of_mask``), so the searches decide
-the masks 0 .. 2^L - 1 in order through ``control.decider`` and build a
-``Partition`` only for the answer; under RPC and PV, where a mask verifies
-exactly when its complement does, brute force decides only the lower half.
+masks in increasing order and build a ``Partition`` only for the answer.
+Brute force reads its answer off the election's mask sweep
+(``control.least_verifying_partition``), which the four types of one action
+and tie rule share: a type whose sibling has swept past its answer decides
+no mask, and under RPC and PV, where a mask verifies exactly when its
+complement does, only the lower half is swept. ``verifying_partitions`` and
+``BruteForceOracle`` decide through ``control.decider``.
 """
 
 import itertools
@@ -31,6 +35,7 @@ from .control import (
     Partition,
     PartitionKind,
     decider,
+    least_verifying_partition,
     partition_items,
     partition_of_mask,
     verify_solution,
@@ -124,17 +129,12 @@ def verifying_partitions(
 def brute_force_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
     """The lexicographically least verifying partition, or None if none verifies.
 
-    Under RPC and PV swapping the blocks changes no round, so a mask
-    verifies exactly when its complement does; the least verifying mask has
-    its top bit clear, and only that lower half (mask 0 alone when there
-    are no items) is decided. PC decides every mask.
+    Read off the election's mask sweep for the type's shape and the focus
+    (``control.least_verifying_partition``): the masks are decided in
+    increasing order, the lower half only under RPC and PV, and a type whose
+    sibling of the same shape has swept past its answer decides none.
     """
-    kind = control_type.partition_kind
-    items = partition_items(instance, kind)
-    every = 1 << len(items)
-    count = every if control_type.pc else (every + 1) >> 1
-    first = next(filter(decider(control_type, instance), range(count)), None)
-    return SolveOutcome(None if first is None else partition_of_mask(kind, items, first))
+    return SolveOutcome(least_verifying_partition(control_type, instance))
 
 
 # ---------------------------------------------------------------------------

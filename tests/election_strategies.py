@@ -1,6 +1,7 @@
 """Hypothesis strategies, partition enumerations and the reference's plain
 form of an instance, shared across the test modules."""
 
+import itertools
 import string
 
 from hypothesis import strategies as st
@@ -13,7 +14,13 @@ from controlforge import (
     Vote,
     VoteCollection,
 )
-from controlforge.control import ALL_CONTROL_TYPES, PartitionKind, partition_items
+from controlforge.control import (
+    ALL_CONTROL_TYPES,
+    Action,
+    PartitionKind,
+    TieRule,
+    partition_items,
+)
 from controlforge.solvers import enumerate_partitions
 
 import reference
@@ -58,6 +65,12 @@ def partitions_for(instance, kind):
 control_types = st.sampled_from(ALL_CONTROL_TYPES)
 candidate_control_types = st.sampled_from(
     [t for t in ALL_CONTROL_TYPES if t.partition_kind is PartitionKind.CANDIDATE]
+)
+
+# The types grouped by action and tie rule: the four of a group share their rounds.
+TYPES_BY_ROUNDS = tuple(
+    tuple(t for t in ALL_CONTROL_TYPES if (t.action, t.tie_rule) == rounds)
+    for rounds in itertools.product(Action, TieRule)
 )
 
 

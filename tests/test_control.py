@@ -17,10 +17,8 @@ from controlforge import (
 from controlforge.control import (
     ALL_CONTROL_TYPES,
     Action,
-    Direction,
     PartitionKind,
     TieRule,
-    WinnerModel,
     partition_problems,
     round_focus_lost,
 )
@@ -28,9 +26,10 @@ from controlforge.solvers import Universe, enumerate_partitions, iter_elections,
 
 import reference
 from election_strategies import (
+    TYPES_BY_ROUNDS,
     control_instances,
     control_types,
-    every_partition,
+    malformed_variants,
     partitions_for,
     plain,
     reference_verifies,
@@ -73,14 +72,17 @@ class TestControlTypeId:
         assert T("CC-RPC-TE-UW").partition_kind is PartitionKind.CANDIDATE
 
     def test_compiled_rule(self):
+        # Standings of the focus in the final: its unique winner, a
+        # cowinner, not a winner.
+        final_of_standing = ({"p"}, {"p", "a"}, {"a"})
         for t in ALL_CONTROL_TYPES:
             fresh = ControlTypeId(t.direction, t.action, t.tie_rule, t.winner_model)
-            assert (t.voter_split, t.pc, t.te, t.cc, t.uw) == (
-                t.action is Action.PV,
-                t.action is Action.PC,
-                t.tie_rule is TieRule.TE,
-                t.direction is Direction.CC,
-                t.winner_model is WinnerModel.UW,
+            rounds = (t.action is Action.PV, t.action is Action.PC, t.tie_rule is TieRule.TE)
+            assert (t.voter_split, t.pc, t.te) == t.shape == rounds
+            assert t.goal == tuple(
+                standing
+                for standing, final in enumerate(final_of_standing)
+                if reference.goal_holds(str(t), "p", final)
             )
             # Worked-out booleans leave equality, hashing and repr on the fields.
             assert fresh == t and hash(fresh) == hash(t) and repr(fresh) == repr(t)
@@ -373,26 +375,43 @@ def reference_round_focus_lost(checked, focus):
     return checked.trace.final_candidates
 
 
+def decide_path_agrees(control_type, instance, partition, expected):
+    """Check the deciding path against the expected verdict; True if the partition is malformed."""
+    checked = check_solution(control_type, instance, partition)
+    verified = verify_solution(control_type, instance, partition)
+    assert verified == expected
+    assert checked.ok == verified
+    if verified:
+        lost = round_focus_lost(control_type, instance, partition)
+        assert lost == reference_round_focus_lost(checked, instance.focus)
+    return checked.trace is None
+
+
 class TestDecidePathMatchesReference:
-    """The deciding path against ``reference.verifies``, on every
-    <=3-candidate, <=3-ballot instance of each system, for all 24 types and
-    every partition, malformed ones included."""
+    """The deciding path against the reference, on every <=3-candidate,
+    <=3-ballot instance of each system, for all 24 types and every
+    partition, malformed ones included. A well-formed partition's final
+    winners come from ``reference.final_winners`` once per action and tie
+    rule, and each of the four goals from ``reference.goal_holds`` on them;
+    a malformed one is judged by ``reference.verifies``."""
 
     @pytest.mark.parametrize("system", list(System))
     def test_every_partition(self, system):
         malformed = 0
         for instance in iter_instances(Universe(system, 3, 3)):
             data = plain(instance)
-            for control_type in ALL_CONTROL_TYPES:
-                for partition in every_partition(instance, control_type):
-                    checked = check_solution(control_type, instance, partition)
-                    verified = verify_solution(control_type, instance, partition)
-                    assert verified == reference_verifies(control_type, data, partition)
-                    assert checked.ok == verified
-                    if verified:
-                        lost = round_focus_lost(control_type, instance, partition)
-                        assert lost == reference_round_focus_lost(checked, instance.focus)
-                    malformed += checked.trace is None
+            for types in TYPES_BY_ROUNDS:
+                tags = [str(t) for t in types]
+                for partition in enumerate_partitions(instance, types[0].partition_kind):
+                    # One replay of the rounds serves the four goals.
+                    won = reference.final_winners(data, tags[0], partition.first, partition.second)
+                    for control_type, tag in zip(types, tags):
+                        expected = reference.goal_holds(tag, instance.focus, won)
+                        malformed += decide_path_agrees(control_type, instance, partition, expected)
+                    for variant in malformed_variants(partition, instance):
+                        for control_type in types:
+                            expected = reference_verifies(control_type, data, variant)
+                            malformed += decide_path_agrees(control_type, instance, variant, expected)
         assert malformed > 0
 
 

@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from controlforge import (
+    ControlInstance,
+    ControlTypeId,
     Election,
+    Partition,
     System,
     Vote,
     VoteCollection,
     make_election,
     mask_votes,
     scores,
+    verify_solution,
     winners,
 )
+from controlforge.control import PartitionKind, partition_of_mask
 from controlforge.elections import (
     InvalidCandidateError,
     InvalidVoteError,
@@ -25,7 +30,7 @@ from controlforge.elections import (
     subset_winners,
     vote_kind_for,
 )
-from controlforge.solvers import Universe, iter_elections
+from controlforge.solvers import Universe, brute_force_search, iter_elections
 
 import reference
 from election_strategies import elections, plain_ballots
@@ -198,6 +203,22 @@ class TestValidation:
     def test_approval_entries_normalized_to_canonical_order(self):
         votes = VoteCollection(("a", "b", "c"), ((Vote.approval(("c", "a")), 1),))
         assert votes.groups[0][0].entries == ("a", "c")
+
+    def test_entries_given_as_a_list_are_kept_as_a_tuple(self):
+        # The election keys the table cache, so its ballots must hash.
+        vote = Vote(VoteKind.ORDER, ["c", "b", "a"])
+        election = Election(System.PLURALITY, VoteCollection(("a", "b", "c"), ((vote, 1),)))
+        instance = ControlInstance(election, "c")
+        data = ("plurality", ("a", "b", "c"), ((("c", "b", "a"), 1),), "c")
+        control_type = ControlTypeId.parse("CC-PC-TE-UW")
+        tag = str(control_type)
+        partition = Partition.of_candidates("a", "bc")
+        expected = reference.verifies(data, tag, partition.first, partition.second)
+        assert verify_solution(control_type, instance, partition) == expected
+        code = reference.least_code(data, tag)
+        least = partition_of_mask(PartitionKind.CANDIDATE, election.candidates, code)
+        assert brute_force_search(control_type, instance).solution == least
+        assert vote.entries == ("c", "b", "a") and vote == Vote.order("cba")
 
     @pytest.mark.parametrize("system", list(System))
     @pytest.mark.parametrize("kind", ["order", "approval", "bogus"])

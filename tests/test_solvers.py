@@ -1,6 +1,8 @@
 import collections
+import functools
 import gc
 import itertools
+import random
 import string
 import time
 import tracemalloc
@@ -21,8 +23,8 @@ from controlforge import (
     verify_solution,
     winners,
 )
-from controlforge import solvers
-from controlforge.control import ALL_CONTROL_TYPES, PartitionKind
+from controlforge import control, solvers
+from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind
 from controlforge.elections import SubsetWinners, subset_winners
 from controlforge.solvers import (
     COLLAPSE_GROUPS,
@@ -50,7 +52,7 @@ from controlforge.solvers import (
 )
 
 import reference
-from election_strategies import control_instances, control_types
+from election_strategies import TYPES_BY_ROUNDS, control_instances, control_types, plain
 
 T = ControlTypeId.parse
 
@@ -200,6 +202,111 @@ class TestHalfRangeSearchMatchesReference:
                     assert alike or control_type.pc
                     pc_differs |= not alike
         assert pc_differs
+
+
+TAGS = {t: str(t) for t in ALL_CONTROL_TYPES}
+
+
+@functools.lru_cache(maxsize=1)
+def reference_finals(system, candidates, ballots):
+    """For each group of ``TYPES_BY_ROUNDS``, ``reference.final_winners`` of
+    every code; the final does not depend on the focus, so the instances of
+    one election share it."""
+    data = (system, candidates, ballots, None)
+    finals = []
+    for types in TYPES_BY_ROUNDS:
+        items = reference.items_of(data, TAGS[types[0]])
+        finals.append([
+            reference.final_winners(data, TAGS[types[0]], *reference.partition_of_code(items, code))
+            for code in range(1 << len(items))
+        ])
+    return finals
+
+
+def reference_least_codes(data):
+    """``reference.least_code`` of every type: a well-formed partition
+    verifies exactly when ``goal_holds`` accepts its ``final_winners``."""
+    least = {}
+    for types, finals in zip(TYPES_BY_ROUNDS, reference_finals(*data[:3])):
+        for control_type in types:
+            tag = TAGS[control_type]
+            least[control_type] = next(
+                (code for code, won in enumerate(finals) if reference.goal_holds(tag, data[3], won)),
+                None,
+            )
+    return least
+
+
+class TestSearchOrderMatchesReference:
+    """All 24 types asked of each instance in three orders, each from a fresh
+    cache. The types of one action and tie rule share a mask sweep, so a
+    later one resumes where an earlier one stopped; every answer is still
+    ``reference.least_code``, and each search decides only the masks from
+    where its sweep stood up to its answer, or to the end of the range."""
+
+    ORDERS = (
+        ALL_CONTROL_TYPES,
+        ALL_CONTROL_TYPES[::-1],
+        tuple(random.Random(2022).sample(ALL_CONTROL_TYPES, len(ALL_CONTROL_TYPES))),
+    )
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_least_codes_are_the_references(self, system):
+        for instance in iter_instances(Universe(system, 3, 3)):
+            data = plain(instance)
+            expected = {t: reference.least_code(data, TAGS[t]) for t in ALL_CONTROL_TYPES}
+            assert reference_least_codes(data) == expected
+
+    @pytest.mark.parametrize(
+        "universe",
+        [Universe(system, m, 3) for m in (3, 4) for system in System],
+        ids=lambda universe: universe.describe(),
+    )
+    def test_every_order(self, universe, monkeypatch):
+        decided = [0]
+        standing = control._standing
+
+        def counting(*args):
+            decided[0] += 1
+            return standing(*args)
+
+        monkeypatch.setattr(control, "_standing", counting)
+        for instance in iter_instances(universe):
+            data = plain(instance)
+            expected = {}  # per type: least code, end of the swept range, least partition
+            for control_type, code in reference_least_codes(data).items():
+                items = reference.items_of(data, TAGS[control_type])
+                every = 1 << len(items)
+                end = every if control_type.action is Action.PC else (every + 1) >> 1
+                least = None
+                if code is not None:
+                    blocks = reference.partition_of_code(items, code)
+                    least = Partition(control_type.partition_kind, *blocks)
+                expected[control_type] = code, end, least
+            for order in self.ORDERS:
+                subset_winners.cache_clear()
+                swept = {}  # (action, tie rule): masks its sweep has decided
+                for control_type in order:
+                    code, end, least = expected[control_type]
+                    before = decided[0]
+                    assert brute_force_search(control_type, instance).solution == least
+                    rounds = (control_type.action, control_type.tie_rule)
+                    position = swept.get(rounds, 0)
+                    if code is None or code >= position:
+                        swept[rounds] = end if code is None else code + 1
+                    assert decided[0] - before == swept.get(rounds, 0) - position
+
+
+def test_one_off_search_decides_up_to_its_answer():
+    # 20 voters split evenly: with the first block empty neither block has a
+    # unique winner, so the final is empty and the focus does not win.
+    election = make_election("plurality", "ab", [("ab", 10), ("ba", 10)])
+    instance = ControlInstance(election, "a")
+    subset_winners.cache_clear()
+    outcome = brute_force_search(T("DC-PV-TE-NUW"), instance)
+    assert outcome.solution == Partition.of_voters((), range(20))
+    # Mask 0 alone: the empty block and the whole electorate.
+    assert len(subset_winners(election).by_voters) <= 2
 
 
 @pytest.mark.parametrize("system", list(System))
