@@ -4,7 +4,8 @@
 For each group of control types that coincide as sets, decide membership of
 every instance in the bounded universe by brute force, once per type, and
 report for each pair of the group whether the two types really agree
-everywhere. Exits nonzero if any pair disagrees.
+everywhere. Exits 1 if any pair disagrees, and 2 if a universe is too large
+to scan under the library's default evaluation cap.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import time
 
 from controlforge import System
 from controlforge.cli import _at_least
-from controlforge.solvers import COLLAPSE_GROUPS, Universe, collapse_scan
+from controlforge.solvers import COLLAPSE_GROUPS, Universe, UniverseTooLargeError, collapse_scan
 
 
 def main() -> int:
@@ -41,7 +42,11 @@ def main() -> int:
         print(f"== {universe.describe()}")
         for group in COLLAPSE_GROUPS[system]:
             tick = time.perf_counter()
-            scan = collapse_scan(group, universe)
+            try:
+                scan = collapse_scan(group, universe)
+            except UniverseTooLargeError as err:
+                print(f"error: {err}", file=sys.stderr)
+                return 2
             # The group's scan time goes on its first pair's line.
             took = f"  ({time.perf_counter() - tick:.2f}s)"
             for type_one, type_two in itertools.combinations(group, 2):

@@ -30,7 +30,6 @@ a non-verifying partition).
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -74,8 +73,6 @@ from .solvers import (
     lex_min_search_with_oracle,
     polynomial_search,
 )
-
-MAX_EVALS_ENV = "CONTROL_FORGE_MAX_EVALS"
 
 
 class DocumentParseError(ValueError):
@@ -440,6 +437,7 @@ def _build_parser() -> _Parser:
         default="auto",
     )
     p.add_argument("--candidate")
+    p.add_argument("--max-evals", type=_at_least(0), default=DEFAULT_MAX_EVALS)
     p.add_argument("election")
 
     p = sub.add_parser("reduce", help="transfer a solution between collapsing types")
@@ -460,7 +458,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="enumerate ballot sequences instead of multisets",
     )
-    p.add_argument("--max-evals", type=_at_least(0), default=None)
+    p.add_argument("--max-evals", type=_at_least(0), default=DEFAULT_MAX_EVALS)
 
     p = sub.add_parser("encode-hs", help="encode a hitting-set file as an election")
     p.add_argument("hitting_set")
@@ -502,20 +500,8 @@ def _instance_from(args) -> tuple[ElectionDocument, ControlInstance]:
     return doc, ControlInstance(doc.election, focus)
 
 
-def _max_evals(args) -> int:
-    override = getattr(args, "max_evals", None)
-    if override is not None:
-        return override
-    env = os.environ.get(MAX_EVALS_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError(f"{MAX_EVALS_ENV} must be an integer, got {env!r}") from None
-        if cap < 0:
-            raise UsageError(f"the evaluation cap {MAX_EVALS_ENV} must be at least 0, got {cap}")
-        return cap
-    return DEFAULT_MAX_EVALS
+# Ends both refusals of an exhaustive search: solve's and collapse-scan's.
+_RAISE_CAP = " (pass --max-evals to raise it)"
 
 
 def _cmd_winners(args, argv) -> RunReport:
@@ -587,11 +573,10 @@ def _cmd_solve(args, argv) -> RunReport:
         # 2^(L-1) masks under RPC and PV; the cap keeps the bound for all.
         length = encoding_length(instance, control_type.partition_kind)
         evaluations = (1 if oracle is None else 2) << length
-        cap = _max_evals(args)
-        if evaluations > cap:
+        if evaluations > args.max_evals:
             raise UsageError(
                 f"{algorithm} needs up to {evaluations} two-stage evaluations, above "
-                f"the cap of {cap} (set {MAX_EVALS_ENV} to raise it)"
+                f"the cap of {args.max_evals}{_RAISE_CAP}"
             )
         if oracle is None:
             outcome = brute_force_search(control_type, instance)
@@ -664,9 +649,9 @@ def _cmd_collapse_scan(args, argv) -> RunReport:
         as_multisets=not args.sequences,
     )
     try:
-        report = collapse_scan(pair, universe, _max_evals(args))
+        report = collapse_scan(pair, universe, args.max_evals)
     except UniverseTooLargeError as err:
-        raise UsageError(str(err)) from err
+        raise UsageError(f"{err}{_RAISE_CAP}") from err
     lines = [report.summary()]
     shown = []
     for ce in report.counterexamples[:20]:

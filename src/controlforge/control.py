@@ -105,9 +105,6 @@ class ControlTypeId:
         else:
             goal = (_SHARED, _OUT) if uw else (_OUT,)
         object.__setattr__(self, "partition_kind", kind)
-        object.__setattr__(self, "voter_split", pv)
-        object.__setattr__(self, "pc", pc)
-        object.__setattr__(self, "te", te)
         object.__setattr__(self, "shape", (pv, pc, te))
         object.__setattr__(self, "goal", goal)
 
@@ -361,14 +358,14 @@ def _rounds(control_type: ControlTypeId, table: SubsetWinners, first: int) -> tu
     A first round is one lookup (by voters for PV); under TE only a unique
     winner advances; in PC the second block skips to the final whole.
     """
-    pv = control_type.voter_split
+    pv, pc, te = control_type.shape
     won = table.by_voters if pv else table.by_candidates
     second = (table.all_voters if pv else table.everyone) ^ first
-    blocks, final = ((first,), second) if control_type.pc else ((first, second), 0)
+    blocks, final = ((first,), second) if pc else ((first, second), 0)
     rounds = []
     for block in blocks:
         winners = won[block]
-        kept = 0 if control_type.te and winners & (winners - 1) else winners
+        kept = 0 if te and winners & (winners - 1) else winners
         rounds.append((table.everyone if pv else block, winners, kept))
         final |= kept
     return rounds, final
@@ -415,7 +412,7 @@ def check_solution(
     table = subset_winners(instance.election)
     named = table.named
     first = table.mask_of[partition.first]
-    label = "voter block" if control_type.voter_split else "candidate block"
+    label = "voter block" if control_type.shape[0] else "candidate block"
     rounds, final = _rounds(control_type, table, first)
     rounds = tuple(
         SubElectionRound(f"{label} {i}", named[candidates], named[winners], named[kept])

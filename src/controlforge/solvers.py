@@ -175,7 +175,7 @@ def isolating_partition(control_type: ControlTypeId, instance: ControlInstance) 
     """
     focus = frozenset((instance.focus,))
     rest = frozenset(instance.election.candidates) - focus
-    if control_type.pc:
+    if control_type.action is Action.PC:
         return Partition.of_candidates(rest, focus)
     return Partition.of_candidates(focus, rest)
 

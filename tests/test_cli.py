@@ -732,8 +732,7 @@ class TestRunCommand:
         assert code == 1
         assert last_json(report)["counterexample_count"] > 0
 
-    def test_collapse_scan_cap_env(self, monkeypatch):
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "5")
+    def test_collapse_scan_cap_flag(self):
         code, report = run_command(
             [
                 "collapse-scan",
@@ -745,6 +744,8 @@ class TestRunCommand:
                 "2",
                 "--max-votes",
                 "2",
+                "--max-evals",
+                "5",
             ]
         )
         assert code == 2
@@ -763,14 +764,6 @@ class TestRunCommand:
         assert (code, report.outcome) == (2, "error")
         assert report.payload["message"].startswith(f"argument {flag}: must be at least")
 
-    def test_negative_cap_flag_is_a_usage_error(self):
-        code, report = run_command(
-            ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
-             "--max-candidates", "2", "--max-votes", "1", "--max-evals", "-1"]
-        )
-        assert (code, report.outcome) == (2, "error")
-        assert report.payload["message"] == "argument --max-evals: must be at least 0, got -1"
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -781,90 +774,95 @@ class TestRunCommand:
         ],
         ids=["collapse-scan", "brute", "oracle"],
     )
-    def test_negative_cap_env_is_a_usage_error(self, argv, tmp_path, monkeypatch):
+    def test_negative_cap_flag_is_a_usage_error(self, argv, tmp_path):
         if argv[0] == "solve":
             argv = argv + [write(tmp_path, "e.txt", PLURALITY_DOC + "distinguished: a\n")]
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "-5")
-        code, report = run_command(argv)
+        code, report = run_command(argv + ["--max-evals", "-1"])
         assert (code, report.outcome) == (2, "error")
-        assert report.payload["message"] == (
-            "the evaluation cap CONTROL_FORGE_MAX_EVALS must be at least 0, got -5"
-        )
+        assert report.payload["message"] == "argument --max-evals: must be at least 0, got -1"
 
-    def test_zero_cap_refuses_the_scan(self, monkeypatch):
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
+    def test_zero_cap_refuses_the_scan(self):
         code, report = run_command(
             ["collapse-scan", "--pair", "DC-RPC-TP-NUW,DC-PC-TP-NUW", "--system", "plurality",
-             "--max-candidates", "2", "--max-votes", "1"]
+             "--max-candidates", "2", "--max-votes", "1", "--max-evals", "0"]
         )
         assert code == 2
-        assert report.payload["message"].endswith("above the cap of 0")
+        assert report.payload["message"].endswith(
+            "above the cap of 0 (pass --max-evals to raise it)"
+        )
 
-    def test_solve_cap_counts_each_algorithms_worst_case(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("algorithm, worst", [("brute", 4), ("oracle", 8)])
+    def test_solve_cap_counts_each_algorithms_worst_case(self, tmp_path, algorithm, worst):
         # Two candidates: brute force evaluates up to 2^2 partitions, the
-        # oracle search up to 2^3.
+        # oracle search up to 2^3; a cap one below that refuses the search.
         election = write(tmp_path, "e.txt", PLURALITY_DOC + "distinguished: a\n")
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "4")
-        code, _ = run_command(
-            ["solve", "--type", "DC-PC-TP-NUW", "--algorithm", "brute", election]
-        )
+        solve = ["solve", "--type", "DC-PC-TP-NUW", "--algorithm", algorithm, "--max-evals"]
+        code, _ = run_command(solve + [str(worst), election])
         assert code in (0, 1)
-        code, report = run_command(
-            ["solve", "--type", "DC-PC-TP-NUW", "--algorithm", "oracle", election]
-        )
+        code, report = run_command(solve + [str(worst - 1), election])
         assert code == 2
-        assert "8 two-stage evaluations" in report.payload["message"]
+        assert f"{worst} two-stage evaluations" in report.payload["message"]
 
-    def test_solve_cap_read_only_for_exponential_searches(self, tmp_path, monkeypatch):
+    def test_solve_cap_read_only_for_exponential_searches(self, tmp_path):
         election = write(tmp_path, "e.txt", APPROVAL_DOC + "{p}\n")
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "x")
-        code, report = run_command(["solve", "--type", "CC-RPC-TE-NUW", election])
+        code, report = run_command(
+            ["solve", "--type", "CC-RPC-TE-NUW", "--max-evals", "0", election]
+        )
         assert code == 0
         assert last_json(report)["algorithm"] == "approval-isolate"
         code, report = run_command(
-            ["solve", "--type", "CC-RPC-TE-NUW", "--algorithm", "brute", election]
+            ["solve", "--type", "CC-RPC-TE-NUW", "--algorithm", "brute", "--max-evals", "0",
+             election]
         )
         assert code == 2
-        assert "CONTROL_FORGE_MAX_EVALS" in report.payload["message"]
+        assert "--max-evals" in report.payload["message"]
 
     VETO_DOC = "system: veto\ncandidates: a b c\ndistinguished: b\na>b>c\na>b>c\nc>b>a\n"
 
-    def test_solve_cap_refusal_says_how_to_raise_it(self, tmp_path, monkeypatch):
+    def test_solve_cap_refusal_says_how_to_raise_it(self, tmp_path):
         election = write(tmp_path, "e.txt", self.VETO_DOC)
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
         code, solved = run_command(
-            ["solve", "--type", "DC-PV-TE-NUW", "--algorithm", "brute", election]
+            ["solve", "--type", "DC-PV-TE-NUW", "--algorithm", "brute", "--max-evals", "0",
+             election]
         )
         assert (code, solved.outcome) == (2, "error")
-        assert solved.payload["message"].endswith("(set CONTROL_FORGE_MAX_EVALS to raise it)")
+        assert solved.payload["message"].endswith("(pass --max-evals to raise it)")
 
     @pytest.mark.parametrize("algorithm", ["auto", "poly"])
-    def test_solve_veto_row(self, tmp_path, monkeypatch, algorithm):
+    def test_solve_veto_row(self, tmp_path, algorithm):
         # The veto-vetoers row verifies one partition, so it reads no cap.
         election = write(tmp_path, "e.txt", self.VETO_DOC)
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", "0")
         code, report = run_command(
-            ["solve", "--type", "DC-PV-TE-NUW", "--algorithm", algorithm, election]
+            ["solve", "--type", "DC-PV-TE-NUW", "--algorithm", algorithm, "--max-evals", "0",
+             election]
         )
         assert (code, report.outcome) == (0, "solution-found")
         payload = last_json(report)
         assert payload["algorithm"] == "veto-vetoers"
         assert payload["solution"] == "block1: 2 | block2: 0 1\n"
 
-    @pytest.mark.parametrize("cap", ["x", "0"])
-    def test_reduce_reads_no_cap(self, tmp_path, monkeypatch, cap):
-        # Every transfer constructs its output, so neither a malformed cap nor
-        # a cap of 0 refuses a route, the veto DC-PV-TE rule included.
+    @pytest.mark.parametrize(
+        "source, target, output",
+        [
+            # The identity rule hands the solution on unchanged.
+            ("DC-PV-TE-NUW", "DC-PV-TE-UW", "block1: 0 1 | block2: 2\n"),
+            # The NUW output splits off a's one vetoer, the c>b>a ballot.
+            ("DC-PV-TE-UW", "DC-PV-TE-NUW", "block1: 2 | block2: 0 1\n"),
+        ],
+        ids=["NUW-to-UW", "UW-to-NUW"],
+    )
+    def test_reduce_reads_no_cap(self, tmp_path, source, target, output):
+        # Every transfer constructs its output, so reduce takes no cap, and
+        # every route runs, the veto DC-PV-TE rule included.
         election = write(tmp_path, "e.txt", self.VETO_DOC)
         solution = write(tmp_path, "s.txt", "block1: 0 1 | block2: 2\n")
-        monkeypatch.setenv("CONTROL_FORGE_MAX_EVALS", cap)
-        for source, target in (("DC-PV-TE-NUW", "DC-PV-TE-UW"), ("DC-PV-TE-UW", "DC-PV-TE-NUW")):
-            code, report = run_command(
-                ["reduce", "--from", source, "--to", target, "--solution", solution, election]
-            )
-            assert (code, report.outcome) == (0, "transfer-solution")
-        # The NUW output splits off a's one vetoer, the c>b>a ballot.
-        assert last_json(report)["solution"] == "block1: 2 | block2: 0 1\n"
+        reduce = ["reduce", "--from", source, "--to", target, "--solution", solution]
+        code, report = run_command(reduce + [election])
+        assert (code, report.outcome) == (0, "transfer-solution")
+        assert last_json(report)["solution"] == output
+        code, refused = run_command(reduce + ["--max-evals", "0", election])
+        assert code == 2
+        assert refused.payload["message"].startswith("unrecognized arguments: --max-evals")
 
     def test_lying_oracle_is_an_internal_error(self, tmp_path, monkeypatch):
         class LyingOracle:
@@ -933,7 +931,8 @@ _PARSER_SEQUENCE = [
     ["verify", "--type", "DC-RPC-TP-NUW", "--partition", "p.txt", "--candidate", "a",
      "--trace", "e.txt"],
     ["verify", "--type", "DC-RPC-TP-NUW", "--partition", "p.txt", "e.txt"],
-    ["solve", "--type", "CC-PV-TE-UW", "--algorithm", "oracle", "--candidate", "a", "e.txt"],
+    ["solve", "--type", "CC-PV-TE-UW", "--algorithm", "oracle", "--candidate", "a",
+     "--max-evals", "64", "e.txt"],
     ["solve", "--type", "CC-PV-TE-UW", "e.txt"],
     ["reduce", "--from", "CC-RPC-TE-NUW", "--to", "CC-PC-TE-NUW", "--solution", "s.txt",
      "--candidate", "p", "--trace", "e.txt"],
@@ -1034,6 +1033,16 @@ class TestScriptsRefuseEmptyUniverses:
         done = _run_script("run_hardness_sweep.py", flag, value)
         assert done.returncode == 2
         assert f"argument {flag}: must be at least" in done.stderr
+
+
+def test_collapse_matrix_refuses_a_universe_above_the_cap():
+    # Exit 1 reports a disagreeing pair, so a refused universe exits 2.
+    done = _run_script("run_collapse_matrix.py", "--max-candidates", "6", "--system", "veto")
+    assert done.returncode == 2
+    assert re.fullmatch(
+        r"error: scan needs an estimated \d+ two-stage evaluations, above the cap of 10000000\n",
+        done.stderr,
+    )
 
 
 class TestModuleEntryPoint:

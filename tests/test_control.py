@@ -78,7 +78,7 @@ class TestControlTypeId:
         for t in ALL_CONTROL_TYPES:
             fresh = ControlTypeId(t.direction, t.action, t.tie_rule, t.winner_model)
             rounds = (t.action is Action.PV, t.action is Action.PC, t.tie_rule is TieRule.TE)
-            assert (t.voter_split, t.pc, t.te) == t.shape == rounds
+            assert t.shape == rounds
             assert t.goal == tuple(
                 standing
                 for standing, final in enumerate(final_of_standing)

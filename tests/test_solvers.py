@@ -173,21 +173,47 @@ class TestBruteForce:
 
 class TestHalfRangeSearchMatchesReference:
     """Brute force decides only the lower half of the masks of RPC and PV
-    types; its answer is still the first of the full-range enumeration."""
+    types; its answer is still ``reference.least_code``. ``verifying_partitions``
+    decides every mask and lists the codes whose reference final meets the
+    goal; it is held to them up to 3 ballots, since listing the verifying
+    partitions of every instance makes the test about 2.5 times as long."""
+
+    @staticmethod
+    def _partitions(instance):
+        """Per group of ``TYPES_BY_ROUNDS``: its types, the reference finals
+        of its codes and the partition of a code."""
+        data = plain(instance)
+        for types, finals in zip(TYPES_BY_ROUNDS, reference_finals(*data[:3])):
+            kind, items = types[0].partition_kind, reference.items_of(data, TAGS[types[0]])
+            yield types, finals, (
+                lambda code, kind=kind, items=items:
+                Partition(kind, *reference.partition_of_code(items, code))
+            )
 
     @pytest.mark.parametrize(
-        "universe",
-        [Universe(system, 4, 3) for system in System]
-        + [Universe(system, 3, 6) for system in System],
-        ids=lambda universe: universe.describe(),
+        "universe", [Universe(system, 3, 6) for system in System], ids=Universe.describe
     )
     def test_first_verifying_partition(self, universe):
-        six_ballots = universe.max_votes > 3
-        types = [t for t in ALL_CONTROL_TYPES if t.voter_split or not six_ballots]
         for instance in iter_instances(universe):
-            for control_type in types:
-                expected = next(verifying_partitions(control_type, instance), None)
-                assert brute_force_search(control_type, instance).solution == expected
+            least = reference_least_codes(plain(instance))
+            for types, _, partition in self._partitions(instance):
+                for control_type in types:
+                    code = least[control_type]
+                    solution = brute_force_search(control_type, instance).solution
+                    assert solution == (None if code is None else partition(code))
+
+    @pytest.mark.parametrize(
+        "universe", [Universe(system, 3, 3) for system in System], ids=Universe.describe
+    )
+    def test_verifying_partitions(self, universe):
+        for instance in iter_instances(universe):
+            for types, finals, partition in self._partitions(instance):
+                for control_type in types:
+                    assert list(verifying_partitions(control_type, instance)) == [
+                        partition(code)
+                        for code, won in enumerate(finals)
+                        if reference.goal_holds(TAGS[control_type], instance.focus, won)
+                    ]
 
     @pytest.mark.parametrize("system", list(System))
     def test_blocks_swapped_verify_alike_except_under_pc(self, system):
@@ -199,7 +225,7 @@ class TestHalfRangeSearchMatchesReference:
                     alike = verify_solution(control_type, instance, partition) == verify_solution(
                         control_type, instance, swapped
                     )
-                    assert alike or control_type.pc
+                    assert alike or control_type.action is Action.PC
                     pc_differs |= not alike
         assert pc_differs
 
