@@ -179,9 +179,15 @@ def partition_items(instance: ControlInstance, kind: PartitionKind) -> tuple:
 
 def partition_of_mask(kind: PartitionKind, items: tuple, mask: int) -> Partition:
     """The partition whose first block is the items set in ``mask`` (item 0 is the top bit)."""
-    top = len(items) - 1
-    first = frozenset(item for i, item in enumerate(items) if mask >> (top - i) & 1)
-    return Partition(kind, first, frozenset(items) - first)
+    first, second = [], []
+    bit = 1 << len(items)
+    for item in items:
+        bit >>= 1
+        if mask & bit:
+            first.append(item)
+        else:
+            second.append(item)
+    return Partition(kind, frozenset(first), frozenset(second))
 
 
 def partition_problems(

@@ -6,9 +6,11 @@ candidate; a winner set is empty only for an empty candidate set. All
 values are immutable and ``winners`` is a pure function.
 
 ``SubsetWinners`` holds one election's winners of every candidate set (and
-voter set) as tables keyed by bitmask and filled on demand by bit counts;
-the two-stage semantics reads every round from them, and ``control`` keeps
-its mask sweeps and answer partitions in their ``memo`` dict.
+voter set) as two tables keyed by bitmask, each filled on demand by its own
+bit-count kernel (``_candidate_winners``, ``_voter_winners``) over voter
+masks that one walk of the ballots builds; the two-stage semantics reads
+every round from them, and ``control`` keeps its mask sweeps and answer
+partitions in their ``memo`` dict.
 ``subset_winners`` is the bounded cache of those tables, and the library's
 only cache.
 
@@ -356,13 +358,13 @@ class _Table(dict):
         return value
 
 
-def _popcount_winners(rows, veto: bool, subset: int, chosen: int) -> int:
-    """Winner mask of candidate set ``subset`` under the ballots of the ``chosen`` voters.
+def _candidate_winners(rows, veto: bool, subset: int) -> int:
+    """Winner mask of candidate set ``subset`` under every voter's ballot.
 
     ``rows`` pairs each candidate c with (rivals, voters) masks: those
     voters give c no point whenever ``subset`` holds one of ``rivals``. The
-    candidates losing the fewest chosen voters win; under veto, where the
-    point is a veto, those losing the most.
+    candidates losing the fewest voters win; under veto, where the point is
+    a veto, those losing the most.
     """
     best, won = None, 0
     for c, row in rows:
@@ -371,7 +373,7 @@ def _popcount_winners(rows, veto: bool, subset: int, chosen: int) -> int:
             for rivals, voters in row:
                 if rivals & subset:
                     lost |= voters
-            key = (lost & chosen).bit_count()
+            key = lost.bit_count()
             if veto:
                 key = -key
             if best is None or key < best:
@@ -381,26 +383,47 @@ def _popcount_winners(rows, veto: bool, subset: int, chosen: int) -> int:
     return won
 
 
+def _voter_winners(lost, veto: bool, chosen: int) -> int:
+    """Winner mask of the full candidate set under the ballots of the ``chosen`` voters.
+
+    ``lost`` pairs each candidate c with the voters who give it no point
+    over the full candidate set; the winners are picked as in
+    ``_candidate_winners``, counting the chosen voters only.
+    """
+    best, won = None, 0
+    for c, voters in lost:
+        key = (voters & chosen).bit_count()
+        if veto:
+            key = -key
+        if best is None or key < best:
+            best, won = key, c
+        elif key == best:
+            won |= c
+    return won
+
+
 class SubsetWinners:
     """The winners of every candidate set (and, for PV, voter set) of one election.
 
     Sets are bitmasks: candidate i of the canonical order is bit m-1-i and
     voter index j is bit n-1-j, so the integer of a partition's encoding
-    (item 0 first) is its first-block mask. Two tables, keyed by mask and
-    holding winner masks:
+    (item 0 first) is its first-block mask. Two winner tables, keyed by mask
+    and holding winner masks:
 
     * ``by_candidates[S]``: winners of candidate set S scored against the
       full votes, each ballot counting only for the candidates in S (the
-      winners of the election masked down to S);
+      winners of the election masked down to S), filled by
+      ``_candidate_winners``;
     * ``by_voters[V]``: winners of the full candidate set under the ballots
-      of the voters in V (the winners of ``select_voters``).
+      of the voters in V (the winners of ``select_voters``), filled by
+      ``_voter_winners``.
 
     Entries are filled on first lookup, so a table never holds more entries
-    than decisions asked for, by ``_popcount_winners``, which builds no
-    votes or elections. ``mask_of[block]`` is the mask of a block of
-    candidate names or of voter indices (names are strings and indices
-    integers, so one table serves both kinds), and ``named[mask]`` the
-    candidate names of a mask.
+    than decisions asked for; the kernels count bits and build no votes or
+    elections. Two memo tables serve the partitions: ``mask_of[block]`` is
+    the mask of a block of candidate names or of voter indices (names are
+    strings and indices integers, so one table serves both kinds), and
+    ``named[mask]`` the candidate names of a mask.
     """
 
     def __init__(self, election: Election):
@@ -409,35 +432,40 @@ class SubsetWinners:
         bits = tuple(1 << (m - 1 - i) for i in range(m))
         bit_of = dict(zip(election.candidates, bits))
         veto = system is System.VETO
-        n = election.votes.total
+        approval = system is System.APPROVAL
         # For each candidate c and ballot group: (the candidates it ranks above
         # c, its voters); below c under veto; c itself if it does not approve c.
+        # Over the full candidate set, c loses the voters of all its pairs.
+        # The groups are walked last-first, so the last group's voters take
+        # the lowest bits and n is counted on the way.
         passed = {c: [] for c in bits}
-        start = n
-        for vote, count in election.votes.groups:
-            start -= count
-            voters = ((1 << count) - 1) << start
-            if system is System.APPROVAL:
+        lost = dict.fromkeys(bits, 0)
+        n = 0
+        for vote, count in reversed(election.votes.groups):
+            voters = ((1 << count) - 1) << n
+            n += count
+            if approval:
                 for name in bit_of.keys() - vote.entries:
-                    passed[bit_of[name]].append((bit_of[name], voters))
+                    c = bit_of[name]
+                    passed[c].append((c, voters))
+                    lost[c] |= voters
                 continue
             before = 0
             for name in reversed(vote.entries) if veto else vote.entries:
                 c = bit_of[name]
                 if before:
                     passed[c].append((before, voters))
+                    lost[c] |= voters
                 before |= c
-        rows = tuple(passed.items())
         self.bit_of = bit_of
-        self.everyone = everyone = (1 << m) - 1
-        self.all_voters = all_voters = (1 << n) - 1
-        # Over every candidate, c loses the voters of all its pairs.
-        whole = tuple((c, ((everyone, sum(v for _, v in row)),)) for c, row in rows)
+        self.everyone = (1 << m) - 1
+        self.all_voters = (1 << n) - 1
         # The fills close over plain data, not over self: a table that
         # refers back to its owner would stay in memory after the cache
         # drops it, until a full garbage collection.
-        self.by_candidates = _Table(lambda held: _popcount_winners(rows, veto, held, all_voters))
-        self.by_voters = _Table(lambda chosen: _popcount_winners(whole, veto, everyone, chosen))
+        rows, lost = tuple(passed.items()), tuple(lost.items())
+        self.by_candidates = _Table(functools.partial(_candidate_winners, rows, veto))
+        self.by_voters = _Table(functools.partial(_voter_winners, lost, veto))
 
         def mask_of(block):
             # A voter block is read from its bit string, voter j at digit j:

@@ -1,5 +1,6 @@
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -471,6 +472,24 @@ class TestDiagnosticsMatchReference:
         same_verdict(*raw)
 
 
+def assert_every_entry_matches_the_reference(election):
+    table = subset_winners(election)
+    kind = election.system.value
+    candidates = election.candidates
+    ballots = plain_ballots(election)
+    m, n = len(candidates), election.votes.total
+    bit = {c: 1 << (m - 1 - i) for i, c in enumerate(candidates)}
+    for subset in range(1 << m):
+        names = [c for c in candidates if bit[c] & subset]
+        expected = reference.winners(kind, names, ballots)
+        assert table.by_candidates[subset] == sum(map(bit.get, expected))
+    for chosen in range(1 << n):
+        voters = {j for j in range(n) if chosen >> (n - 1 - j) & 1}
+        chosen_ballots = reference.voter_ballots(ballots, voters)
+        expected = reference.winners(kind, candidates, chosen_ballots)
+        assert table.by_voters[chosen] == sum(map(bit.get, expected))
+
+
 class TestSubsetWinnersMatchReference:
     """Every entry of both winner tables against ``reference.winners`` on the
     candidate set, or on the chosen voters' ballots; six ballots exercise
@@ -479,22 +498,26 @@ class TestSubsetWinnersMatchReference:
     @pytest.mark.parametrize("max_candidates, max_votes", [(4, 4), (3, 6)])
     @pytest.mark.parametrize("system", list(System))
     def test_every_entry(self, system, max_candidates, max_votes):
-        kind = system.value
         for election in iter_elections(Universe(system, max_candidates, max_votes)):
-            table = subset_winners(election)
-            candidates = election.candidates
-            ballots = plain_ballots(election)
-            m, n = len(candidates), election.votes.total
-            bit = {c: 1 << (m - 1 - i) for i, c in enumerate(candidates)}
-            for subset in range(1 << m):
-                names = [c for c in candidates if bit[c] & subset]
-                expected = reference.winners(kind, names, ballots)
-                assert table.by_candidates[subset] == sum(map(bit.get, expected))
-            for chosen in range(1 << n):
-                voters = {j for j in range(n) if chosen >> (n - 1 - j) & 1}
-                chosen_ballots = reference.voter_ballots(ballots, voters)
-                expected = reference.winners(kind, candidates, chosen_ballots)
-                assert table.by_voters[chosen] == sum(map(bit.get, expected))
+            assert_every_entry_matches_the_reference(election)
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_every_entry_at_six_candidates_and_eight_voters(self, system):
+        # The command line's sizes, which the universes above do not reach:
+        # seeded random elections, the 8 voters in groups of random sizes.
+        rng = random.Random(f"{system}:6x8")
+        candidates = tuple("abcdef")
+
+        def ballot():
+            if system is System.APPROVAL:
+                return [c for c in candidates if rng.random() < 0.5]
+            return rng.sample(candidates, len(candidates))
+
+        for _ in range(100):
+            cuts = sorted(rng.sample(range(1, 8), rng.randint(0, 7)))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, 8])]
+            election = make_election(system, candidates, [(ballot(), size) for size in sizes])
+            assert_every_entry_matches_the_reference(election)
 
 
 class TestVoterSelection:

@@ -6,6 +6,7 @@ import random
 import string
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -405,6 +406,26 @@ def test_voter_block_mask_is_read_from_its_bit_string():
 
 def test_table_cache_is_bounded():
     assert subset_winners.cache_info().maxsize is not None
+
+
+def test_a_dropped_table_is_freed_without_the_collector():
+    # The fills close over plain data, never over the table, so clearing
+    # the cache frees a table by reference counting alone.
+    election = make_election("plurality", "abcd", [("abcd", 1), ("bcda", 2), ("dcba", 1)])
+    instance = ControlInstance(election, "b")
+    subset_winners.cache_clear()
+    gc.disable()
+    try:
+        for control_type in ALL_CONTROL_TYPES:
+            solution = brute_force_search(control_type, instance).solution
+            if solution is not None:
+                assert check_solution(control_type, instance, solution).ok
+        table = weakref.ref(subset_winners(election))
+        assert table().by_candidates and table().by_voters and table().named
+        subset_winners.cache_clear()
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 class TestImmunitySearch:
