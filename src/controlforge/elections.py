@@ -3,14 +3,15 @@
 Three election systems are supported: plurality and veto (linear-order
 ballots) and approval (approval ballots). Every election has at least one
 candidate; a winner set is empty only for an empty candidate set. All
-values are immutable and ``winners`` is a pure function.
+values are immutable.
 
 ``SubsetWinners`` holds one election's winners of every candidate set (and
 voter set) as two tables keyed by bitmask, each filled on demand by its own
 bit-count kernel (``_candidate_winners``, ``_voter_winners``) over voter
 masks that one walk of the ballots builds; the two-stage semantics reads
-every round from them, and ``control`` keeps its mask sweeps and answer
-partitions in their ``memo`` dict.
+every round from them, ``scores`` and ``winners`` read the same tables,
+and ``control`` keeps its mask sweeps and answer partitions in their
+``memo`` dict.
 ``subset_winners`` is the bounded cache of those tables, and the library's
 only cache.
 
@@ -131,10 +132,6 @@ class Vote:
     def approval(cls, approved: Iterable[str]) -> "Vote":
         return cls(VoteKind.APPROVAL, tuple(approved))
 
-    def masked(self, keep: frozenset[str]) -> "Vote":
-        """Restrict the ballot to ``keep``, preserving relative order."""
-        return Vote(self.kind, tuple(c for c in self.entries if c in keep))
-
     def __str__(self) -> str:
         if self.kind is VoteKind.ORDER:
             return ">".join(self.entries)
@@ -206,12 +203,13 @@ class VoteCollection:
     def total(self) -> int:
         return sum(map(itemgetter(1), self.groups))
 
+    # No caller in src/: bench/tracer.py and test_bench.Binding look up
+    # ``masked``, ``select_voters`` and ``mask_votes`` by name.
     def masked(self, keep: frozenset[str]) -> "VoteCollection":
-        kept_universe = tuple(c for c in self.universe if c in keep)
-        return VoteCollection(
-            kept_universe,
-            tuple((vote.masked(keep), count) for vote, count in self.groups),
-        )
+        """Restrict every ballot to ``keep``, preserving relative order."""
+        kept = keep.__contains__
+        groups = tuple((Vote(v.kind, tuple(filter(kept, v.entries))), c) for v, c in self.groups)
+        return VoteCollection(tuple(filter(kept, self.universe)), groups)
 
     def select_voters(self, indices: frozenset[int]) -> "VoteCollection":
         """Sub-collection holding exactly the ballots at the given indices."""
@@ -245,6 +243,12 @@ class Election:
     votes: VoteCollection
 
     def __post_init__(self):
+        # A system given by its value ("veto") means that member: both key the same tables.
+        if type(self.system) is not System:
+            try:
+                object.__setattr__(self, "system", System(self.system))
+            except ValueError:
+                raise ElectionError(f"unknown election system {self.system!r}") from None
         names = self.votes.universe
         if not (names and _plain_names(names) and len(set(names)) == len(names)):
             _check_names(names)
@@ -288,60 +292,53 @@ def make_election(
     return Election(system, VoteCollection(tuple(candidates), groups))
 
 
-def mask_votes(votes: VoteCollection, subset: Iterable[str]) -> VoteCollection:
-    """Restrict every ballot to ``subset``, preserving order and multiplicities."""
-    keep = frozenset(subset)
-    unknown = keep.difference(votes.universe)
-    if unknown:
-        raise InvalidCandidateError(
-            f"cannot mask to unknown candidate {sorted(unknown)[0]!r}"
-        )
-    return votes.masked(keep)
-
-
-def scores(
-    system: System, candidates: Iterable[str], votes: VoteCollection
-) -> dict[str, int]:
-    """Per-candidate tally over the votes masked down to ``candidates``.
-
-    Plurality counts first places, veto counts last places, approval counts
-    approvals. Keys follow canonical candidate order.
-    """
+def _known(candidates: Iterable[str], votes: VoteCollection, action: str) -> frozenset[str]:
+    """The candidate set, refused if it names a candidate outside the votes' universe."""
     keep = frozenset(candidates)
     unknown = keep.difference(votes.universe)
     if unknown:
-        raise InvalidCandidateError(
-            f"cannot score unknown candidate {sorted(unknown)[0]!r}"
-        )
-    tally = {c: 0 for c in votes.universe if c in keep}
-    if system is System.APPROVAL:
-        for vote, count in votes.groups:
-            for name in vote.entries:
-                if name in keep:
-                    tally[name] += count
-    elif system is System.PLURALITY:
-        for vote, count in votes.groups:
-            first = next((c for c in vote.entries if c in keep), None)
-            if first is not None:
-                tally[first] += count
-    else:
-        for vote, count in votes.groups:
-            last = next((c for c in reversed(vote.entries) if c in keep), None)
-            if last is not None:
-                tally[last] += count
+        raise InvalidCandidateError(f"cannot {action} unknown candidate {sorted(unknown)[0]!r}")
+    return keep
+
+
+# No caller in src/: bench/tracer.py and test_bench.Binding look it up by name.
+def mask_votes(votes: VoteCollection, subset: Iterable[str]) -> VoteCollection:
+    """Restrict every ballot to ``subset``, preserving order and multiplicities."""
+    return votes.masked(_known(subset, votes, "mask to"))
+
+
+def scores(system: System, candidates: Iterable[str], votes: VoteCollection) -> dict[str, int]:
+    """Per-candidate tally over the votes masked down to ``candidates``, in canonical order.
+
+    Plurality counts first places, veto last places, approval approvals: the
+    voters a candidate does not lose in the round on that set, read from the
+    election's ``SubsetWinners`` rows. Votes ``Election`` refuses raise its
+    error (``InvalidVoteError`` for ballots of the wrong kind for the system,
+    ``InvalidCandidateError`` for malformed names); no candidates give ``{}``.
+    """
+    keep = _known(candidates, votes, "score")
+    if not keep:
+        return {}
+    table = subset_winners(Election(system, votes))
+    subset, n, tally = table.mask_of[keep], votes.total, {}
+    for name, (c, row) in zip(votes.universe, table.rows):
+        if c & subset:
+            lost = 0
+            for rivals, voters in row:
+                if rivals & subset:
+                    lost |= voters
+            tally[name] = n - lost.bit_count()
     return tally
 
 
-def winners(
-    system: System, candidates: Iterable[str], votes: VoteCollection
-) -> frozenset[str]:
-    """Winner set: argmax of scores (plurality/approval) or argmin of vetoes."""
-    keep = frozenset(candidates)
+def winners(system: System, candidates: Iterable[str], votes: VoteCollection) -> frozenset[str]:
+    """Winner set: the most points (fewest vetoes) of ``scores``, read from the
+    ``SubsetWinners`` table that decides every round. Raises as ``scores`` does."""
+    keep = _known(candidates, votes, "score")
     if not keep:
         return frozenset()
-    tally = scores(system, keep, votes)
-    best = min(tally.values()) if system is System.VETO else max(tally.values())
-    return frozenset(c for c, s in tally.items() if s == best)
+    table = subset_winners(Election(system, votes))
+    return table.named[table.by_candidates[table.mask_of[keep]]]
 
 
 class _Table(dict):
@@ -464,6 +461,7 @@ class SubsetWinners:
         # refers back to its owner would stay in memory after the cache
         # drops it, until a full garbage collection.
         rows, lost = tuple(passed.items()), tuple(lost.items())
+        self.rows = rows  # ``scores`` reads the losses too
         self.by_candidates = _Table(functools.partial(_candidate_winners, rows, veto))
         self.by_voters = _Table(functools.partial(_voter_winners, lost, veto))
 

@@ -60,7 +60,7 @@ class TransferOutcome:
 
     solution: "Partition | None"
     # Every rule constructs. bench/workloads.py and bench/tracer.py still read
-    # this flag; ROADMAP item 1 deletes it together with those reads.
+    # this flag; ROADMAP item 2 deletes it together with those reads.
     via_fallback = False
 
     @property

@@ -248,7 +248,7 @@ def polynomial_search(control_type: ControlTypeId, instance: ControlInstance) ->
     return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
 
 
-# The benchmark tracer binds these two names; ROADMAP item 1 renames its
+# The benchmark tracer binds these two names; ROADMAP item 2 renames its
 # spans and deletes them.
 immunity_search_approval = cc_rpc_te_nuw_search_approval = polynomial_search
 

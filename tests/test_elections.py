@@ -1,3 +1,4 @@
+import itertools
 import os
 import pickle
 import random
@@ -24,6 +25,7 @@ from controlforge import (
 )
 from controlforge.control import PartitionKind, partition_of_mask
 from controlforge.elections import (
+    ElectionError,
     InvalidCandidateError,
     InvalidVoteError,
     VoteKind,
@@ -119,6 +121,42 @@ class TestScores:
         tally = scores(election.system, subset, election.votes)
         assert sum(tally.values()) == election.votes.total
 
+    def test_empty_candidate_set(self):
+        votes = linear("ab", ("ab", 1))
+        assert scores(System.VETO, (), votes) == {}
+        # No election has an empty universe, so none is built for an empty set.
+        assert scores(System.PLURALITY, (), mask_votes(votes, ())) == {}
+
+    @pytest.mark.parametrize("call", [scores, winners])
+    def test_ballots_of_another_kind_are_refused(self, call):
+        # Both read the tables of an Election of the votes, so ballots that
+        # do not fit the system are refused as Election refuses them.
+        votes = approving("ab", (("a",), 1), (("a", "b"), 2))
+        message = "^veto elections take order ballots, got approval$"
+        with pytest.raises(InvalidVoteError, match=message):
+            call(System.VETO, "ab", votes)
+
+    @pytest.mark.parametrize("call", [scores, winners])
+    def test_malformed_names_are_refused(self, call):
+        votes = linear(("a b", "c"), (("a b", "c"), 1))
+        message = "^candidate name 'a b' contains whitespace$"
+        with pytest.raises(InvalidCandidateError, match=message):
+            call(System.PLURALITY, ["c"], votes)
+
+    @pytest.mark.parametrize(
+        "call, action",
+        [
+            (lambda votes, names: mask_votes(votes, names), "mask to"),
+            (lambda votes, names: scores(System.PLURALITY, names, votes), "score"),
+            (lambda votes, names: winners(System.PLURALITY, names, votes), "score"),
+        ],
+        ids=["mask_votes", "scores", "winners"],
+    )
+    def test_unknown_candidate_is_named(self, call, action):
+        message = f"^cannot {action} unknown candidate 'y'$"
+        with pytest.raises(InvalidCandidateError, match=message):
+            call(linear("ab", ("ab", 1)), {"a", "z", "y"})
+
 
 class TestWinners:
     def test_plurality_majority(self):
@@ -196,6 +234,16 @@ class TestValidation:
     def test_kind_must_match_system(self):
         with pytest.raises(InvalidVoteError):
             Election(System.PLURALITY, approving("ab", (("a",), 1)))
+
+    def test_system_given_by_value(self):
+        # "veto" and System.VETO are equal keys of the table cache, so the
+        # value must mean the member, whichever of them builds the tables.
+        votes = linear("abc", ("abc", 2), ("bca", 1))
+        subset_winners.cache_clear()
+        assert Election("veto", votes).system is System.VETO
+        assert winners("veto", "abc", votes) == winners(System.VETO, "abc", votes) == {"b"}
+        with pytest.raises(ElectionError, match="^unknown election system 'bogus'$"):
+            Election("bogus", votes)
 
     def test_nonpositive_multiplicity_rejected(self):
         with pytest.raises(InvalidVoteError):
@@ -472,6 +520,23 @@ class TestDiagnosticsMatchReference:
         same_verdict(*raw)
 
 
+def six_by_eight_elections(system):
+    """The command line's sizes, which the exhaustive universes do not reach:
+    100 seeded random elections, the 8 voters in groups of random sizes."""
+    rng = random.Random(f"{system}:6x8")
+    candidates = tuple("abcdef")
+
+    def ballot():
+        if system is System.APPROVAL:
+            return [c for c in candidates if rng.random() < 0.5]
+        return rng.sample(candidates, len(candidates))
+
+    for _ in range(100):
+        cuts = sorted(rng.sample(range(1, 8), rng.randint(0, 7)))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, 8])]
+        yield make_election(system, candidates, [(ballot(), size) for size in sizes])
+
+
 def assert_every_entry_matches_the_reference(election):
     table = subset_winners(election)
     kind = election.system.value
@@ -503,21 +568,50 @@ class TestSubsetWinnersMatchReference:
 
     @pytest.mark.parametrize("system", list(System))
     def test_every_entry_at_six_candidates_and_eight_voters(self, system):
-        # The command line's sizes, which the universes above do not reach:
-        # seeded random elections, the 8 voters in groups of random sizes.
-        rng = random.Random(f"{system}:6x8")
-        candidates = tuple("abcdef")
-
-        def ballot():
-            if system is System.APPROVAL:
-                return [c for c in candidates if rng.random() < 0.5]
-            return rng.sample(candidates, len(candidates))
-
-        for _ in range(100):
-            cuts = sorted(rng.sample(range(1, 8), rng.randint(0, 7)))
-            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, 8])]
-            election = make_election(system, candidates, [(ballot(), size) for size in sizes])
+        for election in six_by_eight_elections(system):
             assert_every_entry_matches_the_reference(election)
+
+
+def reference_tally(system, subset, votes):
+    """Points from the ballots ``mask_votes`` leaves: the first entry under
+    plurality, the last under veto, every entry under approval."""
+    masked = mask_votes(votes, subset)
+    tally = dict.fromkeys(masked.universe, 0)
+    for vote, count in masked.groups:
+        entries = vote.entries
+        if system is not System.APPROVAL:
+            entries = entries[:1] if system is System.PLURALITY else entries[-1:]
+        for name in entries:
+            tally[name] += count
+    return tally
+
+
+def assert_scores_and_winners_match_the_reference(election):
+    system, candidates, votes = election.system, election.candidates, election.votes
+    ballots = plain_ballots(election)
+    for size in range(len(candidates) + 1):
+        for subset in itertools.combinations(candidates, size):
+            expected = reference.winners(system.value, subset, ballots)
+            assert winners(system, subset, votes) == expected
+            # Compared as item lists: the keys must be in canonical order.
+            tally = reference_tally(system, subset, votes)
+            assert list(scores(system, subset, votes).items()) == list(tally.items())
+
+
+class TestScoresAndWinnersMatchReference:
+    """``scores`` and ``winners``, which read the winner tables, on every
+    candidate subset: winners against ``reference.winners`` on the plain
+    ballots, scores against a tally of the masked ballots."""
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_every_subset(self, system):
+        for election in iter_elections(Universe(system, 3, 4)):
+            assert_scores_and_winners_match_the_reference(election)
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_every_subset_at_six_candidates_and_eight_voters(self, system):
+        for election in six_by_eight_elections(system):
+            assert_scores_and_winners_match_the_reference(election)
 
 
 class TestVoterSelection:

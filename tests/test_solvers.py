@@ -238,15 +238,34 @@ TAGS = {t: str(t) for t in ALL_CONTROL_TYPES}
 def reference_finals(system, candidates, ballots):
     """For each group of ``TYPES_BY_ROUNDS``, ``reference.final_winners`` of
     every code; the final does not depend on the focus, so the instances of
-    one election share it."""
+    one election share it.
+
+    The codes of one election ask ``reference.winners`` the same questions
+    many times (a code and its complement have the same blocks, and the
+    final is held over few finalist sets), so its answers are memoized for
+    the election by (candidates, ballots) while the finals are computed.
+    """
     data = (system, candidates, ballots, None)
     finals = []
-    for types in TYPES_BY_ROUNDS:
-        items = reference.items_of(data, TAGS[types[0]])
-        finals.append([
-            reference.final_winners(data, TAGS[types[0]], *reference.partition_of_code(items, code))
-            for code in range(1 << len(items))
-        ])
+    plain_winners, memo = reference.winners, {}
+
+    def memoized(kind, keep, chosen):
+        key = keep, tuple(chosen)
+        if key not in memo:
+            memo[key] = plain_winners(kind, keep, chosen)
+        return memo[key]
+
+    reference.winners = memoized
+    try:
+        for types in TYPES_BY_ROUNDS:
+            tag = TAGS[types[0]]
+            items = reference.items_of(data, tag)
+            finals.append([
+                reference.final_winners(data, tag, *reference.partition_of_code(items, code))
+                for code in range(1 << len(items))
+            ])
+    finally:
+        reference.winners = plain_winners
     return finals
 
 
