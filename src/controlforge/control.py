@@ -31,7 +31,8 @@ builds nothing; ``round_focus_lost`` names one round of a partition that
 has already verified, and checks nothing itself. A type's ``shape`` fixes
 its rounds and its ``goal`` only reads the final, so the four types of a
 shape share one mask sweep per election and focus (``_least_mask``), which
-``least_verifying_partition`` reads.
+``least_verifying_outcome`` reads; it memoizes each answer's ``SolveOutcome``
+and returns the one ``NO_SOLUTION`` when nothing verifies.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -220,6 +221,21 @@ def partition_problems(
 
 
 @dataclass(frozen=True)
+class SolveOutcome:
+    """A verifying partition, or None when no partition verifies."""
+
+    solution: "Partition | None"
+
+    @property
+    def found(self) -> bool:
+        return self.solution is not None
+
+
+# The one outcome of every search that finds nothing.
+NO_SOLUTION = SolveOutcome(None)
+
+
+@dataclass(frozen=True)
 class SubElectionRound:
     """One first-round subelection with its outcome."""
 
@@ -309,26 +325,28 @@ def _least_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -
     return None
 
 
-def least_verifying_partition(
+def least_verifying_outcome(
     control_type: ControlTypeId, instance: ControlInstance
-) -> "Partition | None":
-    """The verifying partition of least first-block mask, or None if none verifies.
+) -> SolveOutcome:
+    """The outcome holding the verifying partition of least first-block mask.
 
     The mask comes from the instance's sweep (``_least_mask``), and its
-    ``Partition`` is built once per election and (kind, mask), in the same
-    ``table.memo``: the types of one kind often share an answer.
+    ``SolveOutcome`` is built once per election, voter split and mask, in the
+    same ``table.memo``, keyed by plain values (an enum member hashes in
+    Python): the types of one kind often share an answer, and asking again
+    returns the same object. ``NO_SOLUTION`` when no partition verifies.
     """
     table = subset_winners(instance.election)
     first = _least_mask(control_type, table, table.bit_of[instance.focus])
     if first is None:
-        return None
-    kind = control_type.partition_kind
-    key = (kind, first)
-    partition = table.memo.get(key)
-    if partition is None:
+        return NO_SOLUTION
+    key = (control_type.shape[0], first)
+    outcome = table.memo.get(key)
+    if outcome is None:
+        kind = control_type.partition_kind
         items = partition_items(instance, kind)
-        partition = table.memo[key] = partition_of_mask(kind, items, first)
-    return partition
+        outcome = table.memo[key] = SolveOutcome(partition_of_mask(kind, items, first))
+    return outcome
 
 
 def decider(control_type: ControlTypeId, instance: ControlInstance) -> Callable[[int], bool]:

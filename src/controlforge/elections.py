@@ -10,8 +10,8 @@ voter set) as two tables keyed by bitmask, each filled on demand by its own
 bit-count kernel (``_candidate_winners``, ``_voter_winners``) over voter
 masks that one walk of the ballots builds; the two-stage semantics reads
 every round from them, ``scores`` and ``winners`` read the same tables,
-and ``control`` keeps its mask sweeps and answer partitions in their
-``memo`` dict.
+and ``control`` keeps its mask sweeps and answered ``SolveOutcome``s in
+their ``memo`` dict, keyed by plain values.
 ``subset_winners`` is the bounded cache of those tables, and the library's
 only cache.
 
@@ -479,8 +479,9 @@ class SubsetWinners:
         self.named = _Table(
             lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
         )
-        # The searches' state, kept by ``control``: its mask sweeps and the
-        # answer partitions. Held here, it is bounded and dropped with the tables.
+        # The searches' state, kept by ``control``: its mask sweeps, keyed by
+        # (shape, focus bit), and the answered outcomes, keyed by (voter
+        # split, mask). Held here, it is bounded and dropped with the tables.
         self.memo = {}
 
 

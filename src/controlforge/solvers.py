@@ -15,12 +15,13 @@ block); "lexicographically least" always refers to this encoding. Read as
 an integer, the encoding is the partition's first-block mask (item i of L
 is bit L-1-i, as in ``control.partition_of_mask``), so the searches decide
 masks in increasing order and build a ``Partition`` only for the answer.
-Brute force reads its answer off the election's mask sweep
-(``control.least_verifying_partition``), which the four types of one action
+Brute force returns the election's memoized outcome for its mask sweep
+(``control.least_verifying_outcome``), which the four types of one action
 and tie rule share: a type whose sibling has swept past its answer decides
-no mask, and under RPC and PV, where a mask verifies exactly when its
-complement does, only the lower half is swept. ``verifying_partitions`` and
-``BruteForceOracle`` decide through ``control.decider``.
+no mask and builds nothing, and under RPC and PV, where a mask verifies
+exactly when its complement does, only the lower half is swept. A search
+that finds nothing returns ``control.NO_SOLUTION``. ``verifying_partitions``
+and ``BruteForceOracle`` decide through ``control.decider``.
 """
 
 import itertools
@@ -29,13 +30,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .control import (
+    NO_SOLUTION,
     Action,
     ControlInstance,
     ControlTypeId,
     Partition,
     PartitionKind,
+    SolveOutcome,
     decider,
-    least_verifying_partition,
+    least_verifying_outcome,
     partition_items,
     partition_of_mask,
     verify_solution,
@@ -74,17 +77,6 @@ class UniverseTooLargeError(ValueError):
 
 
 DEFAULT_MAX_EVALS = 10_000_000
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    """A verifying partition, or None when no partition verifies."""
-
-    solution: "Partition | None"
-
-    @property
-    def found(self) -> bool:
-        return self.solution is not None
 
 
 def encoding_length(instance: ControlInstance, kind: PartitionKind) -> int:
@@ -129,12 +121,12 @@ def verifying_partitions(
 def brute_force_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
     """The lexicographically least verifying partition, or None if none verifies.
 
-    Read off the election's mask sweep for the type's shape and the focus
-    (``control.least_verifying_partition``): the masks are decided in
+    The election's memoized outcome for the type's shape and the focus
+    (``control.least_verifying_outcome``): the masks are decided in
     increasing order, the lower half only under RPC and PV, and a type whose
     sibling of the same shape has swept past its answer decides none.
     """
-    return SolveOutcome(least_verifying_partition(control_type, instance))
+    return least_verifying_outcome(control_type, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +227,9 @@ def polynomial_search(control_type: ControlTypeId, instance: ControlInstance) ->
     """Decide the instance by one verification of its row's partition.
 
     The row's builder makes a partition that verifies whenever any partition
-    of the type does (its docstring holds the proof). Raises ``UnsupportedAlgorithmError`` when ``POLYNOMIAL_SEARCHES`` has no
-    row for the (system, type).
+    of the type does (its docstring holds the proof). Raises
+    ``UnsupportedAlgorithmError`` when ``POLYNOMIAL_SEARCHES`` has no row for
+    the (system, type).
     """
     system = instance.election.system
     row = POLYNOMIAL_SEARCHES.get((system, control_type))
@@ -245,7 +238,9 @@ def polynomial_search(control_type: ControlTypeId, instance: ControlInstance) ->
             f"no polynomial search covers {system.value} {control_type}"
         )
     partition = row[1](control_type, instance)
-    return SolveOutcome(partition if verify_solution(control_type, instance, partition) else None)
+    if verify_solution(control_type, instance, partition):
+        return SolveOutcome(partition)
+    return NO_SOLUTION
 
 
 # The benchmark tracer binds these two names; ROADMAP item 2 renames its
@@ -291,7 +286,7 @@ def lex_min_search_with_oracle(
     evaluations, where brute force performs up to 2^L.
     """
     if not oracle(control_type, instance, ""):
-        return SolveOutcome(None)
+        return NO_SOLUTION
     kind = control_type.partition_kind
     prefix = ""
     for _ in range(encoding_length(instance, kind)):
@@ -366,11 +361,14 @@ def iter_elections(universe: Universe) -> Iterator[Election]:
 
     Pools of ballot indices are enumerated (multisets, or sequences) in the
     order of ``all_ballots``, and each run of equal indices becomes one
-    (ballot, multiplicity) group.
+    (ballot, multiplicity) group. A candidate count above what
+    ``candidate_names`` supports is refused before any election is built,
+    and a universe without ballots builds none of the m! (or 2^m).
     """
+    names = candidate_names(universe.max_candidates)
     for m in range(1, universe.max_candidates + 1):
-        candidates = candidate_names(m)
-        ballots = all_ballots(universe.system, candidates)
+        candidates = names[:m]
+        ballots = all_ballots(universe.system, candidates) if universe.max_votes else ()
         codes = range(len(ballots))
         for size in range(universe.max_votes + 1):
             if universe.as_multisets:

@@ -22,6 +22,7 @@ from controlforge import (
     VoteCollection,
     cli,
     make_election,
+    solvers,
 )
 from controlforge.cli import (
     DocumentParseError,
@@ -780,6 +781,24 @@ class TestRunCommand:
         code, report = run_command(argv + ["--max-evals", "-1"])
         assert (code, report.outcome) == (2, "error")
         assert report.payload["message"] == "argument --max-evals: must be at least 0, got -1"
+
+    @pytest.mark.parametrize("candidates, code", [("12", 0), ("27", 2)])
+    def test_zero_ballot_scan_builds_no_ballot(self, candidates, code, monkeypatch):
+        # 12! ballots would take minutes and gigabytes; 27 candidates have
+        # no names and are refused before any instance is built.
+        def no_ballots(*args):
+            raise AssertionError("a universe without ballots built its ballots")
+
+        monkeypatch.setattr(solvers, "all_ballots", no_ballots)
+        got, report = run_command(
+            ["collapse-scan", "--pair", "DC-PV-TE-UW,DC-PV-TE-NUW", "--system", "veto",
+             "--max-candidates", candidates, "--max-votes", "0"]
+        )
+        assert got == code
+        if code:
+            assert report.payload["message"] == "scan universes support at most 26 candidates"
+        else:
+            assert report.payload["instances_checked"] == 78
 
     def test_zero_cap_refuses_the_scan(self):
         code, report = run_command(

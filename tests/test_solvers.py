@@ -7,6 +7,7 @@ import string
 import time
 import tracemalloc
 import weakref
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
@@ -371,7 +372,34 @@ def test_searches_match_the_explaining_path(system):
             )
             assert brute_force_search(control_type, instance).solution == expected
             oracle = BruteForceOracle()
-            assert lex_min_search_with_oracle(control_type, instance, oracle).solution == expected
+            outcome = lex_min_search_with_oracle(control_type, instance, oracle)
+            assert outcome.solution == expected
+            assert outcome.found or outcome is control.NO_SOLUTION
+
+
+def _leaves(key):
+    if isinstance(key, tuple):
+        for part in key:
+            yield from _leaves(part)
+    else:
+        yield key
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_an_answered_search_returns_the_memoized_outcome(system):
+    """Asked again on the same cached tables, brute force returns the very
+    outcome it returned first; every search that finds nothing returns the
+    one ``NO_SOLUTION``; and the searches' memo is keyed by plain values,
+    never an enum member, whose hash runs in Python."""
+    subset_winners.cache_clear()
+    for instance in iter_instances(Universe(system, 3, 3)):
+        first = [brute_force_search(t, instance) for t in ALL_CONTROL_TYPES]
+        again = [brute_force_search(t, instance) for t in ALL_CONTROL_TYPES]
+        for one, two in zip(first, again):
+            assert two is one
+            assert one.found or one is control.NO_SOLUTION
+        memo = subset_winners(instance.election).memo
+        assert not any(isinstance(leaf, Enum) for key in memo for leaf in _leaves(key))
 
 
 def test_one_off_decisions_on_a_large_election_fill_lazily():
@@ -566,6 +594,7 @@ class TestPolynomialSearchesMatchReference:
             for control_type in types:
                 fast = polynomial_search(control_type, instance)
                 assert fast.found == brute_force_search(control_type, instance).found
+                assert fast.found or fast is control.NO_SOLUTION
                 solved += fast.found
         assert solved > 0
 
@@ -744,3 +773,27 @@ class TestCollapseRegistry:
         for system in System:
             universe = Universe(system, 2, 2)
             assert sum(1 for _ in iter_instances(universe)) == instance_count(universe)
+
+
+def _no_ballots(*args):
+    raise AssertionError("a universe without ballots built its ballots")
+
+
+class TestZeroBallotUniverses:
+    """A universe of no ballots builds none of the m! (or 2^m) ballots it
+    never casts, and a candidate count without names is refused before any
+    instance is built. ``all_ballots`` raises here, so neither test can
+    spend the time or memory of building them."""
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_no_ballot_is_built(self, system, monkeypatch):
+        monkeypatch.setattr(solvers, "all_ballots", _no_ballots)
+        universe = Universe(system, 9, 0)
+        instances = list(iter_instances(universe))
+        assert len(instances) == instance_count(universe) == 45
+        assert {instance.voter_count for instance in instances} == {0}
+
+    def test_more_candidates_than_names_are_refused_first(self, monkeypatch):
+        monkeypatch.setattr(solvers, "all_ballots", _no_ballots)
+        with pytest.raises(ValueError, match="at most 26 candidates"):
+            next(iter_instances(Universe(System.VETO, 27, 1)))
