@@ -23,16 +23,17 @@ set against their voter block's ballots. No round builds an election of its
 own, and the final round always uses the full original vote collection.
 
 A partition is named by its first-block mask: item i of the L items it
-splits (``partition_items``) is bit L-1-i, and ``partition_of_mask`` builds
-the ``Partition`` a mask names. Each round's winners are one lookup in the
-election's ``SubsetWinners`` tables, and two paths read them. *Deciding*
-(``decider``, ``verify_solution``) maps a first-block mask to a verdict and
-builds nothing; ``round_focus_lost`` names one round of a partition that
-has already verified, and checks nothing itself. A type's ``shape`` fixes
-its rounds and its ``goal`` only reads the final, so the four types of a
-shape share one mask sweep per election and focus (``_least_mask``), which
-``least_verifying_outcome`` reads; it memoizes each answer's ``SolveOutcome``
-and returns the one ``NO_SOLUTION`` when nothing verifies.
+splits (``partition_items``) is bit L-1-i. Each round's winners are one
+lookup in the election's ``SubsetWinners`` tables, and two paths read them.
+*Deciding* (``decider``, ``verify_solution``) maps a first-block mask to a
+verdict and builds nothing; ``focus_lost_mask`` names one round of a
+verified mask. A type's ``shape`` fixes its rounds and its ``goal`` only
+reads the final, so the four types of a shape share one mask sweep per
+election and focus (``_least_mask``), which ``least_verifying_outcome``
+reads. A mask's ``Partition`` (``partition_of_mask``) is built once per
+election, in the ``SolveOutcome`` that ``outcome_of_mask`` memoizes for the
+searches, the transfers and the polynomial builders; a search that finds
+nothing returns the one ``NO_SOLUTION``.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -202,10 +203,13 @@ def partition_problems(
         items, label = election.votes.universe, "candidate"
     else:
         items, label = range(election.votes.total), "voter index"
-    # Accept a valid partition without building the universe as a set.
+    # Accept a valid partition without building the universe as a set; voter
+    # indices are type-checked in C, since 0.0 == 0 passes the set checks.
     covered = first | second
     if len(first) + len(second) == len(covered) == len(items) and covered.issuperset(items):
-        return []
+        if kind is _CANDIDATE or all(map(int.__instancecheck__, covered)):
+            return []
+        return [f"{label} {next(i for i in covered if not isinstance(i, int))!r} is not an integer"]
     universe = frozenset(items)
     overlap = first & second
     problems = []
@@ -325,26 +329,31 @@ def _least_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -
     return None
 
 
-def least_verifying_outcome(
-    control_type: ControlTypeId, instance: ControlInstance
-) -> SolveOutcome:
-    """The outcome holding the verifying partition of least first-block mask.
+def least_verifying_outcome(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
+    """The memoized outcome (``outcome_of_mask``) of the least verifying first-block mask.
 
-    The mask comes from the instance's sweep (``_least_mask``), and its
-    ``SolveOutcome`` is built once per election, voter split and mask, in the
-    same ``table.memo``, keyed by plain values (an enum member hashes in
-    Python): the types of one kind often share an answer, and asking again
-    returns the same object. ``NO_SOLUTION`` when no partition verifies.
+    The mask comes from the instance's sweep (``_least_mask``); an answered
+    search reads its outcome inline. ``NO_SOLUTION`` when none verifies.
     """
     table = subset_winners(instance.election)
     first = _least_mask(control_type, table, table.bit_of[instance.focus])
     if first is None:
         return NO_SOLUTION
-    key = (control_type.shape[0], first)
+    outcome = table.memo.get((control_type.shape[0], first))  # an outcome is never falsy
+    return outcome or outcome_of_mask(table, control_type.partition_kind, first)
+
+
+def outcome_of_mask(table: SubsetWinners, kind: PartitionKind, first: int) -> SolveOutcome:
+    """The outcome holding the partition of first-block mask ``first`` of the table's election.
+
+    Built once per election, voter split and mask in ``table.memo``, keyed by
+    plain values (an enum member hashes in Python), and shared by searches,
+    transfers and polynomial builders: asking again returns the same object.
+    """
+    key = (kind is not _CANDIDATE, first)
     outcome = table.memo.get(key)
     if outcome is None:
-        kind = control_type.partition_kind
-        items = partition_items(instance, kind)
+        items = tuple(table.bit_of) if kind is _CANDIDATE else range(table.all_voters.bit_length())
         outcome = table.memo[key] = SolveOutcome(partition_of_mask(kind, items, first))
     return outcome
 
@@ -395,22 +404,30 @@ def _rounds(control_type: ControlTypeId, table: SubsetWinners, first: int) -> tu
     return rounds, final
 
 
-def round_focus_lost(
-    control_type: ControlTypeId, instance: ControlInstance, partition: Partition
-) -> frozenset[str]:
-    """Candidates of the round the focus lost, on a partition the caller has verified.
+def focus_lost_mask(
+    control_type: ControlTypeId, table: SubsetWinners, focus: int, first: int
+) -> int:
+    """The mask of the round the focus bit lost, on a first-block mask the caller has verified.
 
     That is the first round the focus sat in and did not survive, else the
     final. On a verifying destructive candidate partition under TE, or TP
     with the cowinner goal, the focus would lose a first round on this set.
     """
-    table = subset_winners(instance.election)
-    focus = table.bit_of[instance.focus]
-    rounds, final = _rounds(control_type, table, table.mask_of[partition.first])
+    rounds, final = _rounds(control_type, table, first)
     for candidates, _, kept in rounds:
         if candidates & focus and not kept & focus:
-            return table.named[candidates]
-    return table.named[final]
+            return candidates
+    return final
+
+
+def round_focus_lost(
+    control_type: ControlTypeId, instance: ControlInstance, partition: Partition
+) -> frozenset[str]:
+    """The candidates of the round the focus lost, on a partition the caller has
+    verified: the names of ``focus_lost_mask``, which checks nothing itself."""
+    table = subset_winners(instance.election)
+    focus, first = table.bit_of[instance.focus], table.mask_of[partition.first]
+    return table.named[focus_lost_mask(control_type, table, focus, first)]
 
 
 @dataclass(frozen=True)

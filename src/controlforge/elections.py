@@ -10,7 +10,7 @@ voter set) as two tables keyed by bitmask, each filled on demand by its own
 bit-count kernel (``_candidate_winners``, ``_voter_winners``) over voter
 masks that one walk of the ballots builds; the two-stage semantics reads
 every round from them, ``scores`` and ``winners`` read the same tables,
-and ``control`` keeps its mask sweeps and answered ``SolveOutcome``s in
+and ``control`` keeps its mask sweeps and memoized ``SolveOutcome``s in
 their ``memo`` dict, keyed by plain values.
 ``subset_winners`` is the bounded cache of those tables, and the library's
 only cache.
@@ -479,9 +479,10 @@ class SubsetWinners:
         self.named = _Table(
             lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
         )
-        # The searches' state, kept by ``control``: its mask sweeps, keyed by
-        # (shape, focus bit), and the answered outcomes, keyed by (voter
-        # split, mask). Held here, it is bounded and dropped with the tables.
+        # ``control``'s state: the searches' mask sweeps, keyed by (shape,
+        # focus bit), and the outcomes of ``outcome_of_mask``, keyed by (voter
+        # split, mask), which searches, transfers and polynomial builders
+        # share. Held here, it is bounded and dropped with the tables.
         self.memo = {}
 
 

@@ -3,13 +3,16 @@
 A transfer rule consumes a verifying partition for one control type (its
 target) and constructs, on the same instance, a verifying partition for a
 type that coincides with it as a set (its source). ``TransferRule.apply``
-rejects an input that does not verify for the target type (verification is
-cheap: all three systems have polynomial winner evaluation); otherwise the
-rule's row of ``_RULE_TABLE`` names the construction that builds the output,
-one of four:
+returns the one ``REJECTED`` for an input that does not verify for the
+target type (verification is cheap: all three systems have polynomial
+winner evaluation); otherwise the rule's row of ``_RULE_TABLE`` names the
+construction of the output. A construction names the output's first-block
+mask and returns the election's memoized partition of it
+(``control.outcome_of_mask``), or returns the verified input itself, so a
+transfer builds no partition. There are four:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
-  rule): ``control.round_focus_lost`` reads off the winner tables the round
+  rule): ``control.focus_lost_mask`` reads off the winner tables the round
   the focus took part in and did not survive; putting that round's
   candidate set D in the first block, ``(D, C - D)``, replays it as round
   one of either game, so the focus is out before the final.
@@ -19,12 +22,11 @@ one of four:
   solves the cowinner type, else the empty first voter block ``(empty, V)``.
 * a builder of ``solvers.POLYNOMIAL_SEARCHES``, bound by ``_from_builder``:
   the one partition it makes for the source type, which verifies whenever
-  any partition does (the proof is in the builder's docstring). Three
-  rules are built this way: ``empty_block`` (approval, the do-nothing
-  partition ``(empty, C)``), ``isolate_focus`` (approval CC-TE candidate
-  types, the partition that isolates the focus) and ``split_off_vetoers``
-  (veto DC-PV-TE, the voters who veto one candidate other than the focus
-  form the first block).
+  any partition does (the proof is in the builder's docstring):
+  ``empty_block`` (approval, the do-nothing partition ``(empty, C)``),
+  ``isolate_focus`` (approval CC-TE candidate types, the partition that
+  isolates the focus) and ``split_off_vetoers`` (veto DC-PV-TE, the voters
+  who veto one candidate other than the focus form the first block).
 
 Each runs in time polynomial in the instance and the given solution. A
 transfer decides; it builds no trace.
@@ -39,10 +41,12 @@ from .control import (
     ControlInstance,
     ControlTypeId,
     Partition,
-    round_focus_lost,
+    PartitionKind,
+    focus_lost_mask,
+    outcome_of_mask,
     verify_solution,
 )
-from .elections import System
+from .elections import System, subset_winners
 from .solvers import PartitionBuilder, do_nothing_partition, isolating_partition, vetoer_partition
 
 
@@ -68,11 +72,12 @@ class TransferOutcome:
         return self.solution is None
 
 
+REJECTED = TransferOutcome(None)  # the one outcome of every rejected input
+
+
 # A construction maps (source type, target type, instance, target solution
 # that ``TransferRule.apply`` has verified) to a source solution.
-Construction = Callable[
-    [ControlTypeId, ControlTypeId, ControlInstance, Partition], Partition
-]
+Construction = Callable[[ControlTypeId, ControlTypeId, ControlInstance, Partition], Partition]
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class TransferRule:
                 f"{self.system.value} elections"
             )
         if not verify_solution(self.target_type, instance, solution):
-            return TransferOutcome(None)
+            return REJECTED
         return TransferOutcome(
             self.construction(self.source_type, self.target_type, instance, solution)
         )
@@ -114,9 +119,10 @@ def focus_lost_round(
     round on D has the same outcome as a first block; the focus does not
     survive it under the tie rule source and target share.
     """
-    lost_in = round_focus_lost(target_type, instance, solution)
-    everyone = frozenset(instance.election.candidates)
-    return Partition.of_candidates(lost_in, everyone - lost_in)
+    table = subset_winners(instance.election)
+    focus, first = table.bit_of[instance.focus], table.mask_of[solution.first]
+    lost_in = focus_lost_mask(target_type, table, focus, first)
+    return outcome_of_mask(table, PartitionKind.CANDIDATE, lost_in).solution
 
 
 def pass_through(
@@ -130,16 +136,9 @@ def pass_through(
 
 
 def _from_builder(build: PartitionBuilder) -> Construction:
-    """The construction ``build(source_type, instance)``, whatever the verified input.
-
-    ``build`` is a builder of ``solvers.POLYNOMIAL_SEARCHES``; its docstring
-    argues that its partition verifies whenever any partition does.
-    """
-
-    def construction(source_type, target_type, instance, solution):
-        return build(source_type, instance)
-
-    return construction
+    """``build(source_type, instance)``, whatever the verified input: ``build`` is a
+    ``solvers.POLYNOMIAL_SEARCHES`` builder, whose partition verifies whenever any does."""
+    return lambda source_type, target_type, instance, solution: build(source_type, instance)
 
 
 empty_block = _from_builder(do_nothing_partition)
@@ -164,7 +163,7 @@ def keep_or_empty_voters(
     """
     if verify_solution(source_type, instance, solution):
         return solution
-    return Partition.of_voters((), range(instance.voter_count))
+    return outcome_of_mask(subset_winners(instance.election), PartitionKind.VOTER, 0).solution
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .control import (
     SolveOutcome,
     decider,
     least_verifying_outcome,
+    outcome_of_mask,
     partition_items,
     partition_of_mask,
     verify_solution,
@@ -48,6 +49,7 @@ from .elections import (
     System,
     Vote,
     VoteCollection,
+    subset_winners,
     winners,  # unused here; bench/test_bench.py's Binding test looks it up
 )
 
@@ -148,7 +150,7 @@ def do_nothing_partition(control_type: ControlTypeId, instance: ControlInstance)
     election, which this partition satisfies whenever any verified input
     exists.
     """
-    return Partition.of_candidates((), instance.election.candidates)
+    return outcome_of_mask(subset_winners(instance.election), PartitionKind.CANDIDATE, 0).solution
 
 
 def isolating_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
@@ -165,11 +167,11 @@ def isolating_partition(control_type: ControlTypeId, instance: ControlInstance) 
     final. The PC and RPC isolating partitions lead to the same final, so if
     the source's fails, no partition of the target type verifies either.
     """
-    focus = frozenset((instance.focus,))
-    rest = frozenset(instance.election.candidates) - focus
+    table = subset_winners(instance.election)
+    first = table.bit_of[instance.focus]
     if control_type.action is Action.PC:
-        return Partition.of_candidates(rest, focus)
-    return Partition.of_candidates(focus, rest)
+        first ^= table.everyone
+    return outcome_of_mask(table, PartitionKind.CANDIDATE, first).solution
 
 
 def vetoer_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
@@ -191,16 +193,15 @@ def vetoer_partition(control_type: ControlTypeId, instance: ControlInstance) -> 
     vetoes. So ``(empty, V)`` verifies whenever any partition does.
     """
     election = instance.election
-    voters = frozenset(range(instance.voter_count))
-    if len(election.candidates) < 3:
-        return Partition.of_voters((), voters)
-    vetoed = next(c for c in election.candidates if c != instance.focus)
-    vetoers, start = set(), 0
-    for vote, count in election.votes.groups:
-        if vote.entries[-1] == vetoed:
-            vetoers.update(range(start, start + count))
-        start += count
-    return Partition.of_voters(vetoers, voters - vetoers)
+    vetoers = 0
+    if len(election.candidates) >= 3:
+        vetoed = next(c for c in election.candidates if c != instance.focus)
+        start = instance.voter_count  # voter j is bit n-1-j
+        for vote, count in election.votes.groups:
+            start -= count
+            if vote.entries[-1] == vetoed:
+                vetoers |= ((1 << count) - 1) << start
+    return outcome_of_mask(subset_winners(instance.election), PartitionKind.VOTER, vetoers).solution
 
 
 PartitionBuilder = Callable[[ControlTypeId, ControlInstance], Partition]

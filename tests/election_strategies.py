@@ -111,3 +111,12 @@ def reference_verifies(control_type, data, partition):
     if partition.kind is not control_type.partition_kind:
         return False
     return reference.verifies(data, str(control_type), partition.first, partition.second)
+
+
+def leaves(key):
+    """The plain values of a memo key, however its tuples nest."""
+    if isinstance(key, tuple):
+        for part in key:
+            yield from leaves(part)
+    else:
+        yield key

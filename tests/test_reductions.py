@@ -1,3 +1,5 @@
+from enum import Enum
+
 import pytest
 
 from controlforge import (
@@ -9,9 +11,12 @@ from controlforge import (
     make_election,
     verify_solution,
 )
-from controlforge.control import Action, PartitionKind
+from controlforge import control
+from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind, partition_items
+from controlforge.elections import subset_winners
 from controlforge.reductions import (
     ALL_TRANSFER_RULES,
+    REJECTED,
     CompositionError,
     TransferError,
     TransferOutcome,
@@ -26,6 +31,7 @@ from controlforge.reductions import (
     split_off_vetoers,
 )
 from controlforge.solvers import (
+    POLYNOMIAL_SEARCHES,
     VETOER_TYPES,
     Universe,
     brute_force_search,
@@ -36,7 +42,13 @@ from controlforge.solvers import (
     vetoer_partition,
 )
 
-from election_strategies import every_partition, plain, reference_verifies
+from election_strategies import (
+    every_partition,
+    leaves,
+    malformed_variants,
+    plain,
+    reference_verifies,
+)
 
 T = ControlTypeId.parse
 
@@ -468,3 +480,89 @@ class TestVetoerSplitReference:
                 assert verify_solution(rule.source_type, instance, built)
             transferred += inputs
         assert transferred > 0
+
+
+def _mask(instance, partition):
+    """The first-block mask of a partition: item i of L is bit L-1-i."""
+    items = partition_items(instance, partition.kind)
+    return int("0" + "".join("1" if item in partition.first else "0" for item in items), 2)
+
+
+def _memoized(instance, kind, mask):
+    return control.outcome_of_mask(subset_winners(instance.election), kind, mask).solution
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_transfers_return_the_memoized_partition(system):
+    """Every accepted transfer returns the election's memoized partition of
+    its mask: the object a second apply returns, and the one brute force
+    returns when that mask is its answer. Every rejection is the one
+    ``REJECTED``; a polynomial search finds its builder's memoized
+    partition; and no memo key holds an enum member. ``pass_through`` and
+    ``keep_or_empty_voters`` return a verified input as it is, so the inputs
+    are the memo's own partitions, each followed by its malformed variants."""
+    subset_winners.cache_clear()
+    rules = rules_for(system=system)
+    searched = [(t, build) for (s, t), (_, build) in POLYNOMIAL_SEARCHES.items() if s is system]
+    transferred = rejected = found = 0
+    for instance in iter_instances(Universe(system, 3, 3)):
+        outputs = []
+        for rule in rules:
+            kind = rule.target_type.partition_kind
+            for mask in range(1 << len(partition_items(instance, kind))):
+                solution = _memoized(instance, kind, mask)
+                for given in [solution, *malformed_variants(solution, instance)]:
+                    outcome = rule.apply(instance, given)
+                    if outcome.rejected:
+                        assert outcome is REJECTED
+                        rejected += 1
+                        continue
+                    output = outcome.solution
+                    assert rule.apply(instance, given).solution is output
+                    source_kind = rule.source_type.partition_kind
+                    assert output is _memoized(instance, source_kind, _mask(instance, output))
+                    outputs.append(output)
+                    transferred += 1
+        answers = [brute_force_search(t, instance).solution for t in ALL_CONTROL_TYPES]
+        for output in outputs:
+            assert all(answer is output for answer in answers if answer == output)
+        for control_type, build in searched:
+            outcome = polynomial_search(control_type, instance)
+            if outcome.found:
+                assert outcome.solution is build(control_type, instance)
+                mask = _mask(instance, outcome.solution)
+                assert outcome.solution is _memoized(instance, control_type.partition_kind, mask)
+                found += 1
+        memo = subset_winners(instance.election).memo
+        assert not any(isinstance(leaf, Enum) for key in memo for leaf in leaves(key))
+    assert transferred and rejected
+    assert found or not searched
+
+
+class TestNonIntegerVoterIndices:
+    """A voter index equal to an int but of another type (0.0 == 0) is a
+    structural defect: verification says False, the check names it, and a
+    transfer rejects it. The cache is cleared first, so the float block is
+    not answered by the mask memo of an equal int block."""
+
+    ELECTION = make_election("veto", "pab", [("pab", 1), ("abp", 1)])
+
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            Partition(PartitionKind.VOTER, frozenset({0.0}), frozenset({1})),
+            Partition(PartitionKind.VOTER, frozenset({0}), frozenset({1.0})),
+            Partition(PartitionKind.VOTER, frozenset({0.0, 1.0}), frozenset()),
+        ],
+    )
+    @pytest.mark.parametrize("tag", ["identity", "vetoers"])
+    def test_rejected_not_raised(self, partition, tag):
+        subset_winners.cache_clear()
+        instance = ControlInstance(self.ELECTION, "p")
+        (rule,) = [rule for rule in rules_for(system=System.VETO) if rule.tag == tag]
+        assert verify_solution(rule.target_type, instance, partition) is False
+        check = check_solution(rule.target_type, instance, partition)
+        assert not check.ok and check.trace is None
+        assert check.diagnostic.startswith("voter index ")
+        assert check.diagnostic.endswith(".0 is not an integer")
+        assert rule.apply(instance, partition) is REJECTED

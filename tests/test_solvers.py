@@ -54,7 +54,7 @@ from controlforge.solvers import (
 )
 
 import reference
-from election_strategies import TYPES_BY_ROUNDS, control_instances, control_types, plain
+from election_strategies import TYPES_BY_ROUNDS, control_instances, control_types, leaves, plain
 
 T = ControlTypeId.parse
 
@@ -377,14 +377,6 @@ def test_searches_match_the_explaining_path(system):
             assert outcome.found or outcome is control.NO_SOLUTION
 
 
-def _leaves(key):
-    if isinstance(key, tuple):
-        for part in key:
-            yield from _leaves(part)
-    else:
-        yield key
-
-
 @pytest.mark.parametrize("system", list(System))
 def test_an_answered_search_returns_the_memoized_outcome(system):
     """Asked again on the same cached tables, brute force returns the very
@@ -399,7 +391,7 @@ def test_an_answered_search_returns_the_memoized_outcome(system):
             assert two is one
             assert one.found or one is control.NO_SOLUTION
         memo = subset_winners(instance.election).memo
-        assert not any(isinstance(leaf, Enum) for key in memo for leaf in _leaves(key))
+        assert not any(isinstance(leaf, Enum) for key in memo for leaf in leaves(key))
 
 
 def test_one_off_decisions_on_a_large_election_fill_lazily():
