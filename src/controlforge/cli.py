@@ -40,6 +40,7 @@ from .control import (
     Partition,
     PartitionKind,
     check_solution,
+    mask_of_partition,
     partition_problems,
     verify_solution,
 )
@@ -51,6 +52,7 @@ from .elections import (
     VoteCollection,
     VoteKind,
     scores,
+    subset_winners,
     winners,
 )
 from .hardness import (
@@ -233,9 +235,8 @@ def parse_partition(text: str, kind: PartitionKind, election: Election) -> Parti
     partition = Partition(
         kind, _unrepeated(blocks[0], "block1"), _unrepeated(blocks[1], "block2")
     )
-    problems = partition_problems(partition, kind, election)
-    if problems:
-        raise DocumentParseError(problems[0])
+    if mask_of_partition(subset_winners(election), kind, partition) < 0:
+        raise DocumentParseError(partition_problems(partition, kind, election)[0])
     return partition
 
 

@@ -26,14 +26,16 @@ A partition is named by its first-block mask: item i of the L items it
 splits (``partition_items``) is bit L-1-i. Each round's winners are one
 lookup in the election's ``SubsetWinners`` tables, and two paths read them.
 *Deciding* (``decider``, ``verify_solution``) maps a first-block mask to a
-verdict and builds nothing; ``focus_lost_mask`` names one round of a
-verified mask. A type's ``shape`` fixes its rounds and its ``goal`` only
-reads the final, so the four types of a shape share one mask sweep per
-election and focus (``_least_mask``), which ``least_verifying_outcome``
-reads. A mask's ``Partition`` (``partition_of_mask``) is built once per
-election, in the ``SolveOutcome`` that ``outcome_of_mask`` memoizes for the
-searches, the transfers and the polynomial builders; a search that finds
-nothing returns the one ``NO_SOLUTION``.
+verdict and builds nothing; ``mask_of_partition`` reads a ``Partition``'s
+mask, -1 if malformed (``partition_problems`` says why, for a refusal
+only), and ``focus_lost_mask`` names one round of a verified mask. A
+type's ``shape`` fixes its rounds and its ``goal`` only reads the final, so
+the four types of a shape share one mask sweep per election and focus
+(``_least_mask``), which ``least_verifying_outcome`` reads. A mask's
+``Partition`` (``partition_of_mask``) is built once per election, in the
+``SolveOutcome`` that ``outcome_of_mask`` memoizes for the searches, the
+transfers and the polynomial builders; a search that finds nothing returns
+the one ``NO_SOLUTION``.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -192,36 +194,67 @@ def partition_of_mask(kind: PartitionKind, items: tuple, mask: int) -> Partition
     return Partition(kind, frozenset(first), frozenset(second))
 
 
+def mask_of_partition(table: SubsetWinners, kind: PartitionKind, partition: Partition) -> int:
+    """The first-block mask of a valid partition of this kind, else -1; it builds nothing.
+    Voter indices are type-checked per call: ``{0.0}`` and ``{0}`` share a ``block_mask`` entry."""
+    first, second = partition.first, partition.second
+    try:
+        one, two = table.block_mask[first], table.block_mask[second]
+    except TypeError:  # a block that is not a frozenset, or an index that is not an int
+        return -1
+    if kind is _CANDIDATE:
+        everyone = table.everyone
+    elif all(map(int.__instancecheck__, first)) and all(map(int.__instancecheck__, second)):
+        shift = len(table.bit_of)  # voter masks sit above the candidate bits
+        one, two, everyone = one >> shift, two >> shift, table.all_voters
+    else:
+        return -1
+    return one if partition.kind is kind and not one & two and one | two == everyone else -1
+
+
+def _least(items):
+    """The least item, or the one of least repr if the items do not compare."""
+    try:
+        return sorted(items)[0]
+    except TypeError:  # names mixed with indices, say
+        return min(items, key=repr)
+
+
 def partition_problems(
     partition: Partition, kind: PartitionKind, election: Election
 ) -> list[str]:
-    """Structural defects of a partition of this kind for the election, empty if valid."""
+    """Why a partition is not a valid partition of this kind for the election, empty if it
+    is: the explaining side of ``mask_of_partition``, asked only to word a refusal."""
     if partition.kind is not kind:
-        return [f"expected a {kind.value} partition, got a {partition.kind.value} partition"]
-    first, second = partition.first, partition.second
+        got = getattr(partition.kind, "value", repr(partition.kind))
+        return [f"expected a {kind.value} partition, got a {got} partition"]
     if kind is _CANDIDATE:
-        items, label = election.votes.universe, "candidate"
+        universe, label = frozenset(election.candidates), "candidate"
     else:
-        items, label = range(election.votes.total), "voter index"
-    # Accept a valid partition without building the universe as a set; voter
-    # indices are type-checked in C, since 0.0 == 0 passes the set checks.
-    covered = first | second
-    if len(first) + len(second) == len(covered) == len(items) and covered.issuperset(items):
-        if kind is _CANDIDATE or all(map(int.__instancecheck__, covered)):
-            return []
-        return [f"{label} {next(i for i in covered if not isinstance(i, int))!r} is not an integer"]
-    universe = frozenset(items)
-    overlap = first & second
-    problems = []
+        universe, label = frozenset(range(election.votes.total)), "voter index"
+    blocks, problems = (partition.first, partition.second), []
+    try:
+        first, second = map(frozenset, blocks)
+    except TypeError:  # not collections of hashable items: only their type is named
+        first, second = universe, frozenset()
+    covered, overlap = first | second, first & second
     if overlap:
-        problems.append(f"blocks overlap on {label} {sorted(overlap)[0]!r}")
+        problems.append(f"blocks overlap on {label} {_least(overlap)!r}")
     stray = covered - universe
     if stray:
-        problems.append(f"unknown {label} {sorted(stray)[0]!r}")
+        problems.append(f"unknown {label} {_least(stray)!r}")
     missing = universe - covered
     if missing:
-        problems.append(f"{label} {sorted(missing)[0]!r} is in neither block")
-    return problems
+        problems.append(f"{label} {_least(missing)!r} is in neither block")
+    if not problems and kind is not _CANDIDATE:  # the set checks read values: 0.0 == 0
+        odd = [i for i in covered if not isinstance(i, int)]
+        if odd:
+            problems.append(f"{label} {odd[0]!r} is not an integer")
+    return problems or [
+        f"block {i} is a {type(block).__name__}, not a frozenset"
+        for i, block in enumerate(blocks, start=1)
+        if not isinstance(block, frozenset)
+    ]
 
 
 @dataclass(frozen=True)
@@ -377,12 +410,9 @@ def verify_solution(
     Malformed partitions yield False rather than an error, so solvers can
     enumerate blindly. Decides like ``decider``, and builds nothing.
     """
-    election = instance.election
-    if partition_problems(partition, control_type.partition_kind, election):
-        return False
-    table = subset_winners(election)
-    first = table.mask_of[partition.first]
-    return _verdict(control_type, table, table.bit_of[instance.focus], first)
+    table = subset_winners(instance.election)
+    first = mask_of_partition(table, control_type.partition_kind, partition)
+    return first >= 0 and _verdict(control_type, table, table.bit_of[instance.focus], first)
 
 
 def _rounds(control_type: ControlTypeId, table: SubsetWinners, first: int) -> tuple[list, int]:
@@ -426,7 +456,8 @@ def round_focus_lost(
     """The candidates of the round the focus lost, on a partition the caller has
     verified: the names of ``focus_lost_mask``, which checks nothing itself."""
     table = subset_winners(instance.election)
-    focus, first = table.bit_of[instance.focus], table.mask_of[partition.first]
+    focus = table.bit_of[instance.focus]
+    first = mask_of_partition(table, control_type.partition_kind, partition)
     return table.named[focus_lost_mask(control_type, table, focus, first)]
 
 
@@ -447,12 +478,12 @@ def check_solution(
     The verdict is the deciding path's, on the same first-block mask; the
     explaining path builds the trace only to name the rounds of ``_rounds``.
     """
-    problems = partition_problems(partition, control_type.partition_kind, instance.election)
-    if problems:
+    kind, table = control_type.partition_kind, subset_winners(instance.election)
+    first = mask_of_partition(table, kind, partition)
+    if first < 0:
+        problems = partition_problems(partition, kind, instance.election)
         return SolutionCheck(False, "; ".join(problems), None)
-    table = subset_winners(instance.election)
     named = table.named
-    first = table.mask_of[partition.first]
     label = "voter block" if control_type.shape[0] else "candidate block"
     rounds, final = _rounds(control_type, table, first)
     rounds = tuple(

@@ -320,7 +320,7 @@ def scores(system: System, candidates: Iterable[str], votes: VoteCollection) -> 
     if not keep:
         return {}
     table = subset_winners(Election(system, votes))
-    subset, n, tally = table.mask_of[keep], votes.total, {}
+    subset, n, tally = table.block_mask[keep], votes.total, {}
     for name, (c, row) in zip(votes.universe, table.rows):
         if c & subset:
             lost = 0
@@ -338,7 +338,7 @@ def winners(system: System, candidates: Iterable[str], votes: VoteCollection) ->
     if not keep:
         return frozenset()
     table = subset_winners(Election(system, votes))
-    return table.named[table.by_candidates[table.mask_of[keep]]]
+    return table.named[table.by_candidates[table.block_mask[keep]]]
 
 
 class _Table(dict):
@@ -417,10 +417,13 @@ class SubsetWinners:
 
     Entries are filled on first lookup, so a table never holds more entries
     than decisions asked for; the kernels count bits and build no votes or
-    elections. Two memo tables serve the partitions: ``mask_of[block]`` is
-    the mask of a block of candidate names or of voter indices (names are
-    strings and indices integers, so one table serves both kinds), and
-    ``named[mask]`` the candidate names of a mask.
+    elections. Two memo tables serve the partitions: ``block_mask[block]``
+    is the mask of a frozenset of candidate names, or of voter indices
+    shifted past the m candidate bits so that neither kind passes for the
+    other, and -1 for a frozenset of anything else; a block that is not a
+    frozenset, or an index that is not an int, raises ``TypeError`` and is
+    not kept (equal blocks share an entry, and ``{0.0} == {0}``), and
+    ``named[mask]`` holds the candidate names of a mask.
     """
 
     def __init__(self, election: Election):
@@ -465,17 +468,19 @@ class SubsetWinners:
         self.by_candidates = _Table(functools.partial(_candidate_winners, rows, veto))
         self.by_voters = _Table(functools.partial(_voter_winners, lost, veto))
 
-        def mask_of(block):
+        def block_mask(block):
+            if bit_of.keys() >= block:  # raises TypeError unless block is a set
+                return sum(map(bit_of.__getitem__, block))
             # A voter block is read from its bit string, voter j at digit j:
             # n voter masks would hold n * n / 2 bits, and their sum take n * n time.
-            if not block or isinstance(next(iter(block)), str):
-                return sum(map(bit_of.__getitem__, block))
-            digits = bytearray(b"0") * n
+            digits = bytearray(b"0") * (n + m)
             for j in block:
+                if not 0 <= j < n:
+                    return -1
                 digits[j] = ord("1")
             return int(digits, 2)
 
-        self.mask_of = _Table(mask_of)
+        self.block_mask = _Table(block_mask)
         self.named = _Table(
             lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
         )

@@ -3,13 +3,14 @@
 A transfer rule consumes a verifying partition for one control type (its
 target) and constructs, on the same instance, a verifying partition for a
 type that coincides with it as a set (its source). ``TransferRule.apply``
-returns the one ``REJECTED`` for an input that does not verify for the
-target type (verification is cheap: all three systems have polynomial
-winner evaluation); otherwise the rule's row of ``_RULE_TABLE`` names the
-construction of the output. A construction names the output's first-block
-mask and returns the election's memoized partition of it
-(``control.outcome_of_mask``), or returns the verified input itself, so a
-transfer builds no partition. There are four:
+decides the input once, on the input's first-block mask, and returns the
+one ``REJECTED`` for an input that does not verify for the target type
+(verification is cheap: all three systems have polynomial winner
+evaluation); otherwise it hands the table, focus bit and mask to the
+construction its row of ``_RULE_TABLE`` names. A construction names the
+output's first-block mask and returns the election's memoized partition of
+it (``control.outcome_of_mask``), or returns the verified input itself, so
+a transfer builds no partition. There are four:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
   rule): ``control.focus_lost_mask`` reads off the winner tables the round
@@ -19,7 +20,8 @@ transfer builds no partition. There are four:
 * ``pass_through``: cowinner failure implies unique-winner failure, so a
   destructive cowinner solution already solves the unique-winner type.
 * ``keep_or_empty_voters`` (approval DC-PV-TE): the input if it already
-  solves the cowinner type, else the empty first voter block ``(empty, V)``.
+  solves the cowinner type, decided on the input's mask, else the empty
+  first voter block ``(empty, V)``.
 * a builder of ``solvers.POLYNOMIAL_SEARCHES``, bound by ``_from_builder``:
   the one partition it makes for the source type, which verifies whenever
   any partition does (the proof is in the builder's docstring):
@@ -38,11 +40,14 @@ from operator import itemgetter
 from typing import Callable
 
 from .control import (
+    _CANDIDATE,
     ControlInstance,
     ControlTypeId,
     Partition,
     PartitionKind,
+    _verdict,
     focus_lost_mask,
+    mask_of_partition,
     outcome_of_mask,
     verify_solution,
 )
@@ -76,8 +81,9 @@ REJECTED = TransferOutcome(None)  # the one outcome of every rejected input
 
 
 # A construction maps (source type, target type, instance, target solution
-# that ``TransferRule.apply`` has verified) to a source solution.
-Construction = Callable[[ControlTypeId, ControlTypeId, ControlInstance, Partition], Partition]
+# that ``TransferRule.apply`` has verified) to a source solution. ``apply``
+# adds the table, focus bit and input mask it decided on; a direct call does not.
+Construction = Callable[..., Partition]
 
 
 @dataclass(frozen=True)
@@ -97,10 +103,13 @@ class TransferRule:
                 f"rule {self.source_type}<-{self.target_type} is scoped to "
                 f"{self.system.value} elections"
             )
-        if not verify_solution(self.target_type, instance, solution):
+        target, table = self.target_type, subset_winners(instance.election)
+        focus = table.bit_of[instance.focus]
+        first = mask_of_partition(table, target.partition_kind, solution)
+        if first < 0 or not _verdict(target, table, focus, first):
             return REJECTED
         return TransferOutcome(
-            self.construction(self.source_type, self.target_type, instance, solution)
+            self.construction(self.source_type, target, instance, solution, table, focus, first)
         )
 
     def describe(self) -> str:
@@ -112,6 +121,7 @@ def focus_lost_round(
     target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
+    *decided,
 ) -> Partition:
     """``(D, C - D)`` with D the candidates of the round the focus lost.
 
@@ -119,10 +129,13 @@ def focus_lost_round(
     round on D has the same outcome as a first block; the focus does not
     survive it under the tie rule source and target share.
     """
-    table = subset_winners(instance.election)
-    focus, first = table.bit_of[instance.focus], table.mask_of[solution.first]
+    if not decided:
+        table = subset_winners(instance.election)
+        first = mask_of_partition(table, _CANDIDATE, solution)
+        decided = table, table.bit_of[instance.focus], first
+    table, focus, first = decided
     lost_in = focus_lost_mask(target_type, table, focus, first)
-    return outcome_of_mask(table, PartitionKind.CANDIDATE, lost_in).solution
+    return outcome_of_mask(table, _CANDIDATE, lost_in).solution
 
 
 def pass_through(
@@ -130,6 +143,7 @@ def pass_through(
     target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
+    *decided,
 ) -> Partition:
     """The verified input itself: it already solves the (weaker) source type."""
     return solution
@@ -138,7 +152,7 @@ def pass_through(
 def _from_builder(build: PartitionBuilder) -> Construction:
     """``build(source_type, instance)``, whatever the verified input: ``build`` is a
     ``solvers.POLYNOMIAL_SEARCHES`` builder, whose partition verifies whenever any does."""
-    return lambda source_type, target_type, instance, solution: build(source_type, instance)
+    return lambda source_type, target_type, instance, *given: build(source_type, instance)
 
 
 empty_block = _from_builder(do_nothing_partition)
@@ -151,6 +165,7 @@ def keep_or_empty_voters(
     target_type: ControlTypeId,
     instance: ControlInstance,
     solution: Partition,
+    *decided,
 ) -> Partition:
     """The input if it verifies for the source type, else ``(empty, V)``.
 
@@ -161,9 +176,12 @@ def keep_or_empty_voters(
     most E's unique winner (the empty block ties every candidate at zero,
     and a lone candidate has no UW solution), so the focus does not win.
     """
-    if verify_solution(source_type, instance, solution):
-        return solution
-    return outcome_of_mask(subset_winners(instance.election), PartitionKind.VOTER, 0).solution
+    if decided:  # source and target split voters, so the input's mask serves both
+        table, kept = decided[0], _verdict(source_type, *decided)
+    else:
+        table = subset_winners(instance.election)
+        kept = verify_solution(source_type, instance, solution)
+    return solution if kept else outcome_of_mask(table, PartitionKind.VOTER, 0).solution
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ from controlforge.control import (
     Action,
     PartitionKind,
     TieRule,
+    mask_of_partition,
     partition_problems,
     round_focus_lost,
 )
+from controlforge.elections import SubsetWinners
 from controlforge.solvers import Universe, enumerate_partitions, iter_elections, iter_instances
 
 import reference
@@ -365,6 +367,69 @@ class TestPartitionProblemsMatchReference:
                     assert ours == reference_partition_problems(partition, expected, election)
                     valid += not ours
         assert valid == 2**m + 2**n  # one valid partition per first block of each kind
+
+
+def reference_mask(partition, kind, election):
+    """The first-block mask of a valid partition of this kind, item by item, else -1."""
+    if partition.kind is not kind:
+        return -1
+    if kind is PartitionKind.CANDIDATE:
+        items = election.candidates
+        is_item = lambda item: isinstance(item, str) and item in items
+    else:
+        items = tuple(range(election.votes.total))
+        is_item = lambda item: isinstance(item, int) and 0 <= item < len(items)
+    first, second = partition.first, partition.second
+    if not (isinstance(first, frozenset) and isinstance(second, frozenset)):
+        return -1
+    covered = first | second
+    if first & second or covered != frozenset(items) or not all(map(is_item, covered)):
+        return -1
+    return int("0" + "".join("1" if item in first else "0" for item in items), 2)
+
+
+class TestMaskOfPartitionMatchesReference:
+    """The deciding path's structural check, ``mask_of_partition``, against
+    an item-by-item walk and against the explaining path: it returns a mask
+    exactly when ``partition_problems`` finds nothing, and then the first
+    block's mask. The pools add strays of both kinds and voter indices that
+    are equal to an index (0.0, True) or are not (-1, n)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_pair_of_blocks(self, m, n):
+        candidates = "abc"[:m]
+        election = make_election("plurality", candidates, [(candidates, n)] if n else [])
+        table = SubsetWinners(election)  # its own table, so every block is a memo miss once
+        pools = {
+            PartitionKind.CANDIDATE: _subsets(tuple(candidates) + ("z", 0)),
+            PartitionKind.VOTER: _subsets(tuple(range(n)) + (n, -1, 0.0, True, "a")),
+        }
+        valid = set()
+        for kind, blocks in pools.items():
+            for first, second in itertools.product(blocks, repeat=2):
+                partition = Partition(kind, first, second)
+                for expected in PartitionKind:
+                    mask = mask_of_partition(table, expected, partition)
+                    assert mask == reference_mask(partition, expected, election)
+                    assert (mask >= 0) == (not partition_problems(partition, expected, election))
+                    if mask >= 0:
+                        valid.add((expected, mask))
+        assert valid == {(PartitionKind.CANDIDATE, mask) for mask in range(2**m)} | {
+            (PartitionKind.VOTER, mask) for mask in range(2**n)
+        }
+
+    @pytest.mark.parametrize("order", [(0, 0.0), (0.0, 0)], ids=["int-first", "float-first"])
+    def test_equal_blocks_share_a_memo_entry(self, order):
+        # {0.0} == {0} and both hash alike, so whichever is asked first, the
+        # other reads its entry; only the int block is a voter block.
+        election = make_election("veto", "ab", [("ab", 2)])
+        table = SubsetWinners(election)
+        for index in order:
+            partition = Partition.of_voters({index}, {1})
+            expected = 0b10 if type(index) is int else -1
+            assert mask_of_partition(table, PartitionKind.VOTER, partition) == expected
+            assert mask_of_partition(table, PartitionKind.CANDIDATE, partition) == -1
 
 
 def reference_round_focus_lost(checked, focus):

@@ -566,3 +566,95 @@ class TestNonIntegerVoterIndices:
         assert check.diagnostic.startswith("voter index ")
         assert check.diagnostic.endswith(".0 is not an integer")
         assert rule.apply(instance, partition) is REJECTED
+
+
+class TestMalformedPartitions:
+    """Partitions that break ``Partition``'s annotations (a kind given by
+    its value, blocks that are not frozensets, names mixed with indices) are
+    malformed: verification says False, the check names the defect, and a
+    transfer rejects them. A defect the check named before keeps its words."""
+
+    ELECTION = make_election("veto", "pab", [("pab", 1), ("abp", 1)])
+    VOTER, CANDIDATE = PartitionKind.VOTER, PartitionKind.CANDIDATE
+
+    @pytest.mark.parametrize(
+        "target, partition, diagnostic",
+        [
+            (
+                "DC-PV-TE-NUW",
+                Partition("voter", frozenset({0}), frozenset({1})),
+                "expected a voter partition, got a 'voter' partition",
+            ),
+            (
+                "DC-PV-TE-NUW",
+                Partition(VOTER, {0}, {1}),
+                "block 1 is a set, not a frozenset; block 2 is a set, not a frozenset",
+            ),
+            (
+                "DC-RPC-TE-UW",
+                Partition(CANDIDATE, ["p"], frozenset({"a", "b"})),
+                "block 1 is a list, not a frozenset",
+            ),
+            (
+                "DC-RPC-TE-UW",
+                Partition(CANDIDATE, frozenset({"a", "b"}), ("p",)),
+                "block 2 is a tuple, not a frozenset",
+            ),
+            (
+                "DC-RPC-TE-UW",
+                Partition(CANDIDATE, {"p", "a"}, {"a", "b"}),
+                "blocks overlap on candidate 'a'",
+            ),
+            ("DC-PV-TE-UW", Partition.of_voters({"a", 5}, {0, 1}), "unknown voter index 'a'"),
+            (
+                "DC-RPC-TE-UW",
+                Partition.of_candidates({"p", 0, "z"}, {"a", "b"}),
+                "unknown candidate 'z'",
+            ),
+        ],
+        ids=[
+            "plain-kind",
+            "set-blocks",
+            "list-block",
+            "tuple-block",
+            "set-overlap",
+            "mixed-voters",
+            "mixed-names",
+        ],
+    )
+    def test_rejected_not_raised(self, target, partition, diagnostic):
+        instance = ControlInstance(self.ELECTION, "p")
+        (rule, *_) = rules_for(system=System.VETO, target_type=T(target))
+        assert verify_solution(rule.target_type, instance, partition) is False
+        assert check_solution(rule.target_type, instance, partition) == (
+            control.SolutionCheck(False, diagnostic, None)
+        )
+        assert rule.apply(instance, partition) is REJECTED
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_apply_is_its_construction_and_never_explains(system, monkeypatch):
+    """On every <=3-candidate, <=3-ballot instance, each rule's ``apply``
+    returns the very partition its construction returns when called with
+    four arguments, on every input that verifies for the target type, and
+    ``REJECTED`` on every other, malformed ones included. The explaining
+    path raises throughout: deciding, in ``verify_solution`` and ``apply``,
+    never explains."""
+
+    def explain(*args):
+        raise AssertionError("a decision explained its partition")
+
+    monkeypatch.setattr(control, "partition_problems", explain)
+    accepted = rejected = 0
+    for instance in iter_instances(Universe(system, 3, 3)):
+        for rule in rules_for(system=system):
+            source, target = rule.source_type, rule.target_type
+            for given in every_partition(instance, target):
+                outcome = rule.apply(instance, given)
+                if verify_solution(target, instance, given):
+                    assert outcome.solution is rule.construction(source, target, instance, given)
+                    accepted += 1
+                else:
+                    assert outcome is REJECTED
+                    rejected += 1
+    assert accepted and rejected

@@ -437,10 +437,11 @@ def test_voter_block_mask_is_read_from_its_bit_string():
     table = SubsetWinners(make_election("plurality", "ab", [("ab", n)]))
     block = frozenset(range(0, n, 3))
     start = time.perf_counter()
-    mask = table.mask_of[block]
+    mask = table.block_mask[block]
     assert time.perf_counter() - start < 0.1
-    assert mask == int(reference.bits(range(n), block), 2)
-    assert table.mask_of[frozenset()] == 0
+    # Voter masks sit above the two candidate bits.
+    assert mask == int(reference.bits(range(n), block), 2) << 2
+    assert table.block_mask[frozenset()] == 0
 
 
 def test_table_cache_is_bounded():
