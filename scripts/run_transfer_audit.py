@@ -48,7 +48,7 @@ def main() -> int:
             for solution in verifying[key]:
                 outcome = rule.apply(instance, solution)
                 transferred += 1
-                if outcome.rejected or not verify_solution(
+                if not outcome.found or not verify_solution(
                     rule.source_type, instance, outcome.solution
                 ):
                     bad += 1

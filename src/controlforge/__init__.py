@@ -42,7 +42,6 @@ from .hardness import (
 )
 from .reductions import (
     ALL_TRANSFER_RULES,
-    TransferOutcome,
     TransferRule,
     compose,
     find_transfer_chain,

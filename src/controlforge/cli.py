@@ -614,7 +614,7 @@ def _cmd_reduce(args, argv) -> RunReport:
     else:
         solution = partition if verify_solution(from_type, instance, partition) else None
     steps = [
-        {"rule": rule.describe(), "rejected": outcome.rejected}
+        {"rule": rule.describe(), "rejected": not outcome.found}
         for rule, outcome in zip(chain, outcomes)
     ]
     lines = [f"route: {from_type} -> {to_type} in {len(chain)} step(s)"]

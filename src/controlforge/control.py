@@ -33,9 +33,9 @@ type's ``shape`` fixes its rounds and its ``goal`` only reads the final, so
 the four types of a shape share one mask sweep per election and focus
 (``_least_mask``), which ``least_verifying_outcome`` reads. A mask's
 ``Partition`` (``partition_of_mask``) is built once per election, in the
-``SolveOutcome`` that ``outcome_of_mask`` memoizes for the searches, the
-transfers and the polynomial builders; a search that finds nothing returns
-the one ``NO_SOLUTION``.
+``SolveOutcome`` that ``outcome_of_mask`` memoizes for the searches and
+the transfers; a search that finds nothing, and a transfer that rejects its
+input, returns the one ``NO_SOLUTION``.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -262,13 +262,17 @@ class SolveOutcome:
     """A verifying partition, or None when no partition verifies."""
 
     solution: "Partition | None"
+    # No search or transfer falls back. bench/workloads.py and bench/tracer.py
+    # still read this flag off a transfer's outcome; ROADMAP item 2 deletes it
+    # together with those reads.
+    via_fallback = False
 
     @property
     def found(self) -> bool:
         return self.solution is not None
 
 
-# The one outcome of every search that finds nothing.
+# The one outcome of every search that finds nothing and every rejected transfer.
 NO_SOLUTION = SolveOutcome(None)
 
 
@@ -380,8 +384,8 @@ def outcome_of_mask(table: SubsetWinners, kind: PartitionKind, first: int) -> So
     """The outcome holding the partition of first-block mask ``first`` of the table's election.
 
     Built once per election, voter split and mask in ``table.memo``, keyed by
-    plain values (an enum member hashes in Python), and shared by searches,
-    transfers and polynomial builders: asking again returns the same object.
+    plain values (an enum member hashes in Python), and shared by the brute-force
+    and polynomial searches and the transfers: asking again returns the same object.
     """
     key = (kind is not _CANDIDATE, first)
     outcome = table.memo.get(key)

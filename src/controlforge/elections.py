@@ -486,8 +486,8 @@ class SubsetWinners:
         )
         # ``control``'s state: the searches' mask sweeps, keyed by (shape,
         # focus bit), and the outcomes of ``outcome_of_mask``, keyed by (voter
-        # split, mask), which searches, transfers and polynomial builders
-        # share. Held here, it is bounded and dropped with the tables.
+        # split, mask), which searches and transfers share. Held here, it is
+        # bounded and dropped with the tables.
         self.memo = {}
 
 

@@ -3,14 +3,15 @@
 A transfer rule consumes a verifying partition for one control type (its
 target) and constructs, on the same instance, a verifying partition for a
 type that coincides with it as a set (its source). ``TransferRule.apply``
-decides the input once, on the input's first-block mask, and returns the
-one ``REJECTED`` for an input that does not verify for the target type
+decides the input once, on its first-block mask, and returns the one
+``NO_SOLUTION`` for an input that does not verify for the target type
 (verification is cheap: all three systems have polynomial winner
-evaluation); otherwise it hands the table, focus bit and mask to the
-construction its row of ``_RULE_TABLE`` names. A construction names the
-output's first-block mask and returns the election's memoized partition of
-it (``control.outcome_of_mask``), or returns the verified input itself, so
-a transfer builds no partition. There are four:
+evaluation). Otherwise it hands the table, focus bit and mask to the
+construction its row of ``_RULE_TABLE`` names, a plain function from the
+verified mask to the output's mask, and returns the verified input itself
+when the two masks are equal, else the election's memoized outcome of the
+output mask (``control.outcome_of_mask``); a transfer builds no partition.
+There are four constructions:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
   rule): ``control.focus_lost_mask`` reads off the winner tables the round
@@ -20,15 +21,15 @@ a transfer builds no partition. There are four:
 * ``pass_through``: cowinner failure implies unique-winner failure, so a
   destructive cowinner solution already solves the unique-winner type.
 * ``keep_or_empty_voters`` (approval DC-PV-TE): the input if it already
-  solves the cowinner type, decided on the input's mask, else the empty
-  first voter block ``(empty, V)``.
-* a builder of ``solvers.POLYNOMIAL_SEARCHES``, bound by ``_from_builder``:
-  the one partition it makes for the source type, which verifies whenever
-  any partition does (the proof is in the builder's docstring):
-  ``empty_block`` (approval, the do-nothing partition ``(empty, C)``),
-  ``isolate_focus`` (approval CC-TE candidate types, the partition that
-  isolates the focus) and ``split_off_vetoers`` (veto DC-PV-TE, the voters
-  who veto one candidate other than the focus form the first block).
+  solves the cowinner type, else the empty first voter block ``(empty, V)``.
+* a mask builder of ``solvers.POLYNOMIAL_SEARCHES``, bound by
+  ``_from_builder``: the one partition it names for the source type, which
+  verifies whenever any partition does (the proof is in the builder's
+  docstring): ``empty_block`` (approval, the do-nothing partition
+  ``(empty, C)``), ``isolate_focus`` (approval CC-TE candidate types, the
+  partition that isolates the focus) and ``split_off_vetoers`` (veto
+  DC-PV-TE, the voters who veto one candidate other than the focus form the
+  first block).
 
 Each runs in time polynomial in the instance and the given solution. A
 transfer decides; it builds no trace.
@@ -40,19 +41,19 @@ from operator import itemgetter
 from typing import Callable
 
 from .control import (
-    _CANDIDATE,
+    NO_SOLUTION,
     ControlInstance,
     ControlTypeId,
     Partition,
-    PartitionKind,
+    SolveOutcome,
     _verdict,
     focus_lost_mask,
     mask_of_partition,
     outcome_of_mask,
-    verify_solution,
+    verify_solution,  # unused here; bench/test_bench.py's Binding test looks it up
 )
-from .elections import System, subset_winners
-from .solvers import PartitionBuilder, do_nothing_partition, isolating_partition, vetoer_partition
+from .elections import SubsetWinners, System, subset_winners
+from .solvers import MaskBuilder, do_nothing_mask, isolating_mask, vetoer_mask
 
 
 class TransferError(ValueError):
@@ -63,27 +64,9 @@ class CompositionError(TransferError):
     """Two transfer rules do not chain: inner output type != outer input type."""
 
 
-@dataclass(frozen=True)
-class TransferOutcome:
-    """A verifying partition for the rule's source type, or None for a rejected input."""
-
-    solution: "Partition | None"
-    # Every rule constructs. bench/workloads.py and bench/tracer.py still read
-    # this flag; ROADMAP item 2 deletes it together with those reads.
-    via_fallback = False
-
-    @property
-    def rejected(self) -> bool:
-        return self.solution is None
-
-
-REJECTED = TransferOutcome(None)  # the one outcome of every rejected input
-
-
-# A construction maps (source type, target type, instance, target solution
-# that ``TransferRule.apply`` has verified) to a source solution. ``apply``
-# adds the table, focus bit and input mask it decided on; a direct call does not.
-Construction = Callable[..., Partition]
+# A construction maps (source type, target type, table, focus bit, first-block
+# mask of an input verified for the target type) to a source solution's mask.
+Construction = Callable[[ControlTypeId, ControlTypeId, SubsetWinners, int, int], int]
 
 
 @dataclass(frozen=True)
@@ -96,92 +79,67 @@ class TransferRule:
     tag: str
     construction: Construction = field(compare=False, repr=False)
 
-    def apply(self, instance: ControlInstance, solution: Partition) -> TransferOutcome:
-        """The rule's outcome on one input: rejected unless it verifies for the target type."""
+    def apply(self, instance: ControlInstance, solution: Partition) -> SolveOutcome:
+        """The rule's outcome on one input; ``NO_SOLUTION`` unless it verifies for the target."""
         if instance.election.system is not self.system:
             raise TransferError(
                 f"rule {self.source_type}<-{self.target_type} is scoped to "
                 f"{self.system.value} elections"
             )
-        target, table = self.target_type, subset_winners(instance.election)
+        source, target = self.source_type, self.target_type
+        table = subset_winners(instance.election)
         focus = table.bit_of[instance.focus]
         first = mask_of_partition(table, target.partition_kind, solution)
         if first < 0 or not _verdict(target, table, focus, first):
-            return REJECTED
-        return TransferOutcome(
-            self.construction(self.source_type, target, instance, solution, table, focus, first)
-        )
+            return NO_SOLUTION
+        out = self.construction(source, target, table, focus, first)
+        if out == first:  # the verified input, as it is: no memo lookup, no build
+            return SolveOutcome(solution)
+        return outcome_of_mask(table, source.partition_kind, out)
 
     def describe(self) -> str:
         return f"{self.system.value}: {self.source_type} <- {self.target_type} [{self.tag}]"
 
 
-def focus_lost_round(
-    source_type: ControlTypeId,
-    target_type: ControlTypeId,
-    instance: ControlInstance,
-    solution: Partition,
-    *decided,
-) -> Partition:
+def focus_lost_round(source_type, target_type, table, focus, first) -> int:
     """``(D, C - D)`` with D the candidates of the round the focus lost.
 
     Every round scores its candidate set against the full votes, so the
     round on D has the same outcome as a first block; the focus does not
     survive it under the tie rule source and target share.
     """
-    if not decided:
-        table = subset_winners(instance.election)
-        first = mask_of_partition(table, _CANDIDATE, solution)
-        decided = table, table.bit_of[instance.focus], first
-    table, focus, first = decided
-    lost_in = focus_lost_mask(target_type, table, focus, first)
-    return outcome_of_mask(table, _CANDIDATE, lost_in).solution
+    return focus_lost_mask(target_type, table, focus, first)
 
 
-def pass_through(
-    source_type: ControlTypeId,
-    target_type: ControlTypeId,
-    instance: ControlInstance,
-    solution: Partition,
-    *decided,
-) -> Partition:
+def pass_through(source_type, target_type, table, focus, first) -> int:
     """The verified input itself: it already solves the (weaker) source type."""
-    return solution
+    return first
 
 
-def _from_builder(build: PartitionBuilder) -> Construction:
-    """``build(source_type, instance)``, whatever the verified input: ``build`` is a
-    ``solvers.POLYNOMIAL_SEARCHES`` builder, whose partition verifies whenever any does."""
-    return lambda source_type, target_type, instance, *given: build(source_type, instance)
+def _from_builder(build: MaskBuilder) -> Construction:
+    """``build(source_type, table, focus)``, whatever the verified input: ``build`` is a
+    ``solvers.POLYNOMIAL_SEARCHES`` builder, whose mask verifies whenever any does."""
+    return lambda source_type, target_type, table, focus, first: build(source_type, table, focus)
 
 
-empty_block = _from_builder(do_nothing_partition)
-isolate_focus = _from_builder(isolating_partition)
-split_off_vetoers = _from_builder(vetoer_partition)
+empty_block = _from_builder(do_nothing_mask)
+isolate_focus = _from_builder(isolating_mask)
+split_off_vetoers = _from_builder(vetoer_mask)
 
 
-def keep_or_empty_voters(
-    source_type: ControlTypeId,
-    target_type: ControlTypeId,
-    instance: ControlInstance,
-    solution: Partition,
-    *decided,
-) -> Partition:
+def keep_or_empty_voters(source_type, target_type, table, focus, first) -> int:
     """The input if it verifies for the source type, else ``(empty, V)``.
 
-    Proof sketch: a verified DC-PV-TE-UW input that fails DC-PV-TE-NUW has
-    the focus tie some x in the final. Approval scores do not depend on the
-    candidate mask, so x has the focus's approval count, and the focus is not
-    the unique winner of E. Under TE, ``(empty, V)`` sends to the final at
-    most E's unique winner (the empty block ties every candidate at zero,
-    and a lone candidate has no UW solution), so the focus does not win.
+    Source and target split voters, so the input's mask is decided for the
+    source as it stands. Proof sketch: a verified DC-PV-TE-UW input that
+    fails DC-PV-TE-NUW has the focus tie some x in the final. Approval scores
+    do not depend on the candidate mask, so x has the focus's approval count,
+    and the focus is not the unique winner of E. Under TE, ``(empty, V)``
+    sends to the final at most E's unique winner (the empty block ties every
+    candidate at zero, and a lone candidate has no UW solution), so the focus
+    does not win.
     """
-    if decided:  # source and target split voters, so the input's mask serves both
-        table, kept = decided[0], _verdict(source_type, *decided)
-    else:
-        table = subset_winners(instance.election)
-        kept = verify_solution(source_type, instance, solution)
-    return solution if kept else outcome_of_mask(table, PartitionKind.VOTER, 0).solution
+    return first if _verdict(source_type, table, focus, first) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +202,13 @@ ALL_TRANSFER_RULES: tuple[TransferRule, ...] = transfer_registry()
 
 
 def rules_for(
-    system: "System | None" = None,
+    system: "System | str | None" = None,
     source_type: "ControlTypeId | None" = None,
     target_type: "ControlTypeId | None" = None,
 ) -> list[TransferRule]:
+    """The registered rules that match every given filter; a system may be given by its value."""
+    if system is not None:
+        system = System(system)
     return [
         rule
         for rule in ALL_TRANSFER_RULES
@@ -261,7 +222,7 @@ def compose(
     chain: "list[TransferRule]",
     instance: ControlInstance,
     solution: Partition,
-) -> list[TransferOutcome]:
+) -> list[SolveOutcome]:
     """Apply the rules in order, each to its predecessor's solution.
 
     Returns every step's outcome, stopping after the first rejection.
@@ -281,14 +242,14 @@ def compose(
     for rule in chain:
         outcome = rule.apply(instance, solution)
         outcomes.append(outcome)
-        if outcome.rejected:
+        if not outcome.found:
             break
         solution = outcome.solution
     return outcomes
 
 
 def find_transfer_chain(
-    system: System, source_type: ControlTypeId, target_type: ControlTypeId
+    system: "System | str", source_type: ControlTypeId, target_type: ControlTypeId
 ) -> "list[TransferRule] | None":
     """Shortest chain of registered rules producing source_type from target_type.
 

@@ -2,8 +2,8 @@
 
 Provides the exhaustive brute-force solver (the ground-truth oracle at desk
 scale), the polynomial-time approval and veto algorithms as rows of
-``POLYNOMIAL_SEARCHES`` (each row a partition builder, whose partition
-``polynomial_search`` verifies once and the transfers into the row's types
+``POLYNOMIAL_SEARCHES`` (each row a mask builder, whose first-block mask
+``polynomial_search`` decides once and the transfers into the row's types
 reuse), lexicographically-least search against a pluggable decision oracle,
 and the collapse scanner that compares the types of a collapse group as
 sets of instances over a bounded universe, deciding each type once per
@@ -20,7 +20,8 @@ Brute force returns the election's memoized outcome for its mask sweep
 and tie rule share: a type whose sibling has swept past its answer decides
 no mask and builds nothing, and under RPC and PV, where a mask verifies
 exactly when its complement does, only the lower half is swept. A search
-that finds nothing returns ``control.NO_SOLUTION``. ``verifying_partitions``
+that finds nothing returns ``control.NO_SOLUTION``, and one that finds a
+mask returns its memoized outcome (``control.outcome_of_mask``). ``verifying_partitions``
 and ``BruteForceOracle`` decide through ``control.decider``.
 """
 
@@ -37,6 +38,7 @@ from .control import (
     Partition,
     PartitionKind,
     SolveOutcome,
+    _verdict,
     decider,
     least_verifying_outcome,
     outcome_of_mask,
@@ -46,6 +48,7 @@ from .control import (
 )
 from .elections import (
     Election,
+    SubsetWinners,
     System,
     Vote,
     VoteCollection,
@@ -139,7 +142,7 @@ def _types(*tags: str) -> tuple[ControlTypeId, ...]:
     return tuple(ControlTypeId.parse(tag) for tag in tags)
 
 
-def do_nothing_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
+def do_nothing_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -> int:
     """The do-nothing partition ``(empty, C)``, which leaves the election unpartitioned.
 
     For the four immune approval types no partition can flip the goal once
@@ -150,10 +153,10 @@ def do_nothing_partition(control_type: ControlTypeId, instance: ControlInstance)
     election, which this partition satisfies whenever any verified input
     exists.
     """
-    return outcome_of_mask(subset_winners(instance.election), PartitionKind.CANDIDATE, 0).solution
+    return 0
 
 
-def isolating_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
+def isolating_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -> int:
     """The partition isolating the focus p: first block ``C - {p}`` under PC, ``{p}`` under RPC.
 
     For the four approval CC-TE candidate types it verifies whenever any
@@ -167,14 +170,10 @@ def isolating_partition(control_type: ControlTypeId, instance: ControlInstance) 
     final. The PC and RPC isolating partitions lead to the same final, so if
     the source's fails, no partition of the target type verifies either.
     """
-    table = subset_winners(instance.election)
-    first = table.bit_of[instance.focus]
-    if control_type.action is Action.PC:
-        first ^= table.everyone
-    return outcome_of_mask(table, PartitionKind.CANDIDATE, first).solution
+    return focus ^ table.everyone if control_type.action is Action.PC else focus
 
 
-def vetoer_partition(control_type: ControlTypeId, instance: ControlInstance) -> Partition:
+def vetoer_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -> int:
     """``(S_y, V - S_y)`` for the first candidate y other than the focus p;
     ``(empty, V)`` when at most two candidates run.
 
@@ -192,43 +191,43 @@ def vetoer_partition(control_type: ControlTypeId, instance: ControlInstance) -> 
     it, and the final is held over all of V, where p again has the fewer
     vetoes. So ``(empty, V)`` verifies whenever any partition does.
     """
-    election = instance.election
-    vetoers = 0
-    if len(election.candidates) >= 3:
-        vetoed = next(c for c in election.candidates if c != instance.focus)
-        start = instance.voter_count  # voter j is bit n-1-j
-        for vote, count in election.votes.groups:
-            start -= count
-            if vote.entries[-1] == vetoed:
-                vetoers |= ((1 << count) - 1) << start
-    return outcome_of_mask(subset_winners(instance.election), PartitionKind.VOTER, vetoers).solution
+    if len(table.rows) < 3:
+        return 0
+    # Under veto, y's row pairs exactly the ballot groups that do not rank y last.
+    row = next(row for c, row in table.rows if c != focus)
+    spared = 0
+    for _, voters in row:
+        spared |= voters
+    return table.all_voters ^ spared
 
 
-PartitionBuilder = Callable[[ControlTypeId, ControlInstance], Partition]
+# A mask builder maps (type, table, focus bit) to the first-block mask of the
+# one partition that verifies whenever any partition of the type does.
+MaskBuilder = Callable[[ControlTypeId, SubsetWinners, int], int]
 
 IMMUNE_APPROVAL_TYPES = _types("DC-PC-TE-UW", "DC-PC-TP-NUW", "CC-PC-TP-UW", "CC-PC-TP-NUW")
 ISOLATE_APPROVAL_TYPES = _types("CC-RPC-TE-NUW", "CC-PC-TE-NUW", "CC-RPC-TE-UW", "CC-PC-TE-UW")
 VETOER_TYPES = _types("DC-PV-TE-NUW", "DC-PV-TE-UW")
 
 # Every (system, type) with a polynomial-time search, mapped to the
-# algorithm's name and the builder of the one partition that verifies
-# whenever any partition of the type does.
-POLYNOMIAL_SEARCHES: dict[tuple[System, ControlTypeId], tuple[str, PartitionBuilder]] = {
+# algorithm's name and its mask builder.
+POLYNOMIAL_SEARCHES: dict[tuple[System, ControlTypeId], tuple[str, MaskBuilder]] = {
     (system, control_type): (name, build)
     for name, system, types, build in (
-        ("approval-immunity", System.APPROVAL, IMMUNE_APPROVAL_TYPES, do_nothing_partition),
-        ("approval-isolate", System.APPROVAL, ISOLATE_APPROVAL_TYPES, isolating_partition),
-        ("veto-vetoers", System.VETO, VETOER_TYPES, vetoer_partition),
+        ("approval-immunity", System.APPROVAL, IMMUNE_APPROVAL_TYPES, do_nothing_mask),
+        ("approval-isolate", System.APPROVAL, ISOLATE_APPROVAL_TYPES, isolating_mask),
+        ("veto-vetoers", System.VETO, VETOER_TYPES, vetoer_mask),
     )
     for control_type in types
 }
 
 
 def polynomial_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
-    """Decide the instance by one verification of its row's partition.
+    """Decide the instance on the one mask its row's builder names.
 
-    The row's builder makes a partition that verifies whenever any partition
-    of the type does (its docstring holds the proof). Raises
+    That mask verifies whenever any partition of the type does (the
+    builder's docstring holds the proof); the answer is its memoized outcome
+    (``control.outcome_of_mask``), or ``NO_SOLUTION``. Raises
     ``UnsupportedAlgorithmError`` when ``POLYNOMIAL_SEARCHES`` has no row for
     the (system, type).
     """
@@ -238,9 +237,11 @@ def polynomial_search(control_type: ControlTypeId, instance: ControlInstance) ->
         raise UnsupportedAlgorithmError(
             f"no polynomial search covers {system.value} {control_type}"
         )
-    partition = row[1](control_type, instance)
-    if verify_solution(control_type, instance, partition):
-        return SolveOutcome(partition)
+    table = subset_winners(instance.election)
+    focus = table.bit_of[instance.focus]
+    first = row[1](control_type, table, focus)
+    if _verdict(control_type, table, focus, first):
+        return outcome_of_mask(table, control_type.partition_kind, first)
     return NO_SOLUTION
 
 
@@ -320,6 +321,10 @@ class Universe:
     max_candidates: int
     max_votes: int
     as_multisets: bool = True
+
+    def __post_init__(self):
+        # A system given by its value ("veto") means that member, as in ``Election``.
+        object.__setattr__(self, "system", System(self.system))
 
     def describe(self) -> str:
         mode = "ballot multisets" if self.as_multisets else "ballot sequences"

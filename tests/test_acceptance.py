@@ -117,7 +117,7 @@ def test_criterion_2_transfer_soundness():
             for solution in verifying_partitions_cached(rule.target_type, instance):
                 checks += 1
                 outcome = rule.apply(instance, solution)
-                if outcome.rejected or not verify_solution(
+                if not outcome.found or not verify_solution(
                     rule.source_type, instance, outcome.solution
                 ):
                     failures.append((rule.describe(), instance, solution))

@@ -14,12 +14,12 @@ from controlforge import (
 from controlforge import control
 from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind, partition_items
 from controlforge.elections import subset_winners
+from controlforge.control import NO_SOLUTION, SolveOutcome
 from controlforge.reductions import (
     ALL_TRANSFER_RULES,
-    REJECTED,
     CompositionError,
     TransferError,
-    TransferOutcome,
+    TransferRule,
     compose,
     empty_block,
     find_transfer_chain,
@@ -39,7 +39,7 @@ from controlforge.solvers import (
     iter_instances,
     polynomial_search,
     verifying_partitions,
-    vetoer_partition,
+    vetoer_mask,
 )
 
 from election_strategies import (
@@ -110,8 +110,8 @@ class TestTpNuwTransfer:
     def test_non_solution_rejected(self):
         instance = plurality_instance("pa", [("pa", 1)], "p")
         losing = Partition.of_candidates(set(), {"p", "a"})
-        assert PC_FROM_RPC_TP.apply(instance, losing).rejected
-        assert RPC_FROM_PC_TP.apply(instance, losing).rejected
+        assert PC_FROM_RPC_TP.apply(instance, losing) is NO_SOLUTION
+        assert RPC_FROM_PC_TP.apply(instance, losing) is NO_SOLUTION
 
 
 class TestTeCycleTransfer:
@@ -148,7 +148,7 @@ class TestTeCycleTransfer:
         winning = Partition.of_candidates(set(), {"p", "a", "b"})
         # The focus wins the full election outright, so nothing is verified.
         instance = plurality_instance("pab", [("pab", 2), ("abp", 1)], "p")
-        assert NUWRPC_FROM_NUWPC.apply(instance, winning).rejected
+        assert NUWRPC_FROM_NUWPC.apply(instance, winning) is NO_SOLUTION
 
 
 class TestEmptyBlockTransfer:
@@ -178,7 +178,7 @@ class TestEmptyBlockTransfer:
     def test_unverified_input_rejected(self):
         winner = approval_instance("pa", [(("p",), 1)], "p")
         attempt = Partition.of_candidates(set(), {"p", "a"})
-        assert UWARP_DC.apply(winner, attempt).rejected
+        assert UWARP_DC.apply(winner, attempt) is NO_SOLUTION
 
     def test_scoped_to_approval(self):
         instance = plurality_instance("pa", [("ap", 1)], "p")
@@ -207,7 +207,7 @@ class TestIdentityTransfer:
     def test_unverified_input_rejected(self):
         instance = approval_instance("pa", [(("p",), 1)], "p")
         attempt = Partition.of_voters({0}, set())
-        assert APPROVAL_DC_PV_TE.apply(instance, attempt).rejected
+        assert APPROVAL_DC_PV_TE.apply(instance, attempt) is NO_SOLUTION
 
     def test_scope_checks(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
@@ -243,11 +243,12 @@ class TestVetoerAndIsolateTransfers:
         instance = approval_instance("pa", [(("a",), 1)], "p")
         attempt = Partition.of_candidates({"p"}, {"a"})
         rule = _rule(System.APPROVAL, "CC-PC-TE-NUW", "CC-RPC-TE-NUW")
-        assert rule.apply(instance, attempt).rejected
+        assert rule.apply(instance, attempt) is NO_SOLUTION
         # The vetoer split checks its input too.
         election = make_election("veto", "pa", [("pa", 1)])
         rule = _rule(System.VETO, "DC-PV-TE-NUW", "DC-PV-TE-UW")
-        assert rule.apply(ControlInstance(election, "p"), Partition.of_voters({0}, set())).rejected
+        attempt = Partition.of_voters({0}, set())
+        assert rule.apply(ControlInstance(election, "p"), attempt) is NO_SOLUTION
 
 
 class TestComposeAndRegistry:
@@ -260,6 +261,17 @@ class TestComposeAndRegistry:
         for system in System:
             for rule in rules_for(system=system):
                 assert rule.system is system
+
+    def test_system_by_value(self):
+        # Both used to compare systems by identity: "veto" found no rule and no chain.
+        for system in System:
+            assert rules_for(system=system.value) == rules_for(system=system)
+        assert len(rules_for(system="veto")) == 8
+        pc, rpc = T("DC-PC-TP-NUW"), T("DC-RPC-TP-NUW")
+        chain = find_transfer_chain(System.VETO, pc, rpc)
+        assert chain is not None and find_transfer_chain("veto", pc, rpc) == chain
+        with pytest.raises(ValueError):
+            rules_for(system="borda")
 
     def test_compose_cycle_steps(self):
         outer = _rule(System.PLURALITY, "DC-RPC-TE-UW", "DC-RPC-TE-NUW")
@@ -290,7 +302,7 @@ class TestComposeAndRegistry:
         instance = plurality_instance("pab", [("pab", 2), ("abp", 1)], "p")
         losing = Partition.of_candidates(set(), {"p", "a", "b"})
         outcomes = compose([inner, outer], instance, losing)
-        assert [outcome.rejected for outcome in outcomes] == [True]
+        assert outcomes == [NO_SOLUTION]
         assert compose([], instance, losing) == []
 
     def test_find_transfer_chain(self):
@@ -317,24 +329,24 @@ def reference_construction(rule, instance, data, solution):
     off the explaining path's trace."""
     construction, source_type, target_type = rule.construction, rule.source_type, rule.target_type
     if not reference_verifies(target_type, data, solution):
-        return TransferOutcome(None)
+        return NO_SOLUTION
     if construction is pass_through:
-        return TransferOutcome(solution)
+        return SolveOutcome(solution)
     everyone = frozenset(instance.election.candidates)
     if construction is empty_block:
-        return TransferOutcome(Partition.of_candidates(frozenset(), everyone))
+        return SolveOutcome(Partition.of_candidates(frozenset(), everyone))
     if construction is isolate_focus:
         alone = frozenset({instance.focus})
         if source_type.action is Action.PC:
-            return TransferOutcome(Partition.of_candidates(everyone - alone, alone))
-        return TransferOutcome(Partition.of_candidates(alone, everyone - alone))
+            return SolveOutcome(Partition.of_candidates(everyone - alone, alone))
+        return SolveOutcome(Partition.of_candidates(alone, everyone - alone))
     if construction is keep_or_empty_voters:
         if reference_verifies(source_type, data, solution):
-            return TransferOutcome(solution)
+            return SolveOutcome(solution)
         voters = range(sum(count for _, count in instance.election.votes.groups))
-        return TransferOutcome(Partition.of_voters(set(), voters))
+        return SolveOutcome(Partition.of_voters(set(), voters))
     if construction is split_off_vetoers:
-        return TransferOutcome(reference_vetoer_partition(instance))
+        return SolveOutcome(reference_vetoer_partition(instance))
     assert construction is focus_lost_round
     trace = check_solution(target_type, instance, solution).trace
     lost_in = trace.final_candidates
@@ -342,7 +354,7 @@ def reference_construction(rule, instance, data, solution):
         if instance.focus in stage.candidates and instance.focus not in stage.survivors:
             lost_in = stage.candidates
             break
-    return TransferOutcome(Partition.of_candidates(lost_in, everyone - lost_in))
+    return SolveOutcome(Partition.of_candidates(lost_in, everyone - lost_in))
 
 
 class TestConstructionsMatchReference:
@@ -359,8 +371,8 @@ class TestConstructionsMatchReference:
                 for solution in every_partition(instance, rule.target_type):
                     outcome = rule.apply(instance, solution)
                     assert outcome == reference_construction(rule, instance, data, solution)
-                    transferred += not outcome.rejected
-                    rejected += outcome.rejected
+                    transferred += outcome.found
+                    rejected += not outcome.found
         assert transferred > 0 and rejected > 0
 
 
@@ -401,7 +413,7 @@ def test_te_cycle_closes_on_small_universe(system):
                 current = solution
                 for rule in chain:
                     result = rule.apply(instance, current)
-                    assert not result.rejected
+                    assert result.found
                     current = result.solution
                     assert verify_solution(rule.source_type, instance, current)
                 # A full lap returns a verifying solution of the start type.
@@ -432,13 +444,13 @@ class TestApprovalConstructionsReference:
         election = make_election("veto", "abc", [("abc", 3), ("acb", 1), ("cba", 2)])
         instance = ControlInstance(election, "b")
         uw, nuw = T("DC-PV-TE-UW"), T("DC-PV-TE-NUW")
-        failing = [
-            solution
-            for solution in verifying_partitions(uw, instance)
-            if not verify_solution(
-                nuw, instance, keep_or_empty_voters(nuw, uw, instance, solution)
-            )
-        ]
+        keep_or_empty = TransferRule(nuw, uw, System.VETO, "keep_or_empty", keep_or_empty_voters)
+        failing = []
+        for solution in verifying_partitions(uw, instance):
+            outcome = keep_or_empty.apply(instance, solution)
+            assert isinstance(outcome, SolveOutcome) and outcome.found
+            if not verify_solution(nuw, instance, outcome.solution):
+                failing.append(solution)
         assert len(failing) == 4
         # The veto rule splits off a's vetoers, the two cba ballots: nobody
         # advances from them, a alone from the rest, and a wins the final.
@@ -471,7 +483,9 @@ class TestVetoerSplitReference:
         transferred = 0
         for instance in iter_instances(Universe(System.VETO, max_candidates, max_votes)):
             # Every input gets the builder's partition, so it is verified once.
-            built = vetoer_partition(rule.source_type, instance)
+            table = subset_winners(instance.election)
+            mask = vetoer_mask(rule.source_type, table, table.bit_of[instance.focus])
+            built = _memoized(instance, PartitionKind.VOTER, mask)
             inputs = 0
             for solution in verifying_partitions(rule.target_type, instance):
                 assert rule.apply(instance, solution).solution == built
@@ -497,9 +511,9 @@ def test_transfers_return_the_memoized_partition(system):
     """Every accepted transfer returns the election's memoized partition of
     its mask: the object a second apply returns, and the one brute force
     returns when that mask is its answer. Every rejection is the one
-    ``REJECTED``; a polynomial search finds its builder's memoized
-    partition; and no memo key holds an enum member. ``pass_through`` and
-    ``keep_or_empty_voters`` return a verified input as it is, so the inputs
+    ``NO_SOLUTION``; a polynomial search finds the memoized partition of its
+    builder's mask; and no memo key holds an enum member. A rule whose output
+    mask is its input's returns the verified input as it is, so the inputs
     are the memo's own partitions, each followed by its malformed variants."""
     subset_winners.cache_clear()
     rules = rules_for(system=system)
@@ -513,8 +527,8 @@ def test_transfers_return_the_memoized_partition(system):
                 solution = _memoized(instance, kind, mask)
                 for given in [solution, *malformed_variants(solution, instance)]:
                     outcome = rule.apply(instance, given)
-                    if outcome.rejected:
-                        assert outcome is REJECTED
+                    if not outcome.found:
+                        assert outcome is NO_SOLUTION
                         rejected += 1
                         continue
                     output = outcome.solution
@@ -529,8 +543,9 @@ def test_transfers_return_the_memoized_partition(system):
         for control_type, build in searched:
             outcome = polynomial_search(control_type, instance)
             if outcome.found:
-                assert outcome.solution is build(control_type, instance)
-                mask = _mask(instance, outcome.solution)
+                table = subset_winners(instance.election)
+                mask = build(control_type, table, table.bit_of[instance.focus])
+                assert mask == _mask(instance, outcome.solution)
                 assert outcome.solution is _memoized(instance, control_type.partition_kind, mask)
                 found += 1
         memo = subset_winners(instance.election).memo
@@ -565,7 +580,7 @@ class TestNonIntegerVoterIndices:
         assert not check.ok and check.trace is None
         assert check.diagnostic.startswith("voter index ")
         assert check.diagnostic.endswith(".0 is not an integer")
-        assert rule.apply(instance, partition) is REJECTED
+        assert rule.apply(instance, partition) is NO_SOLUTION
 
 
 class TestMalformedPartitions:
@@ -629,15 +644,16 @@ class TestMalformedPartitions:
         assert check_solution(rule.target_type, instance, partition) == (
             control.SolutionCheck(False, diagnostic, None)
         )
-        assert rule.apply(instance, partition) is REJECTED
+        assert rule.apply(instance, partition) is NO_SOLUTION
 
 
 @pytest.mark.parametrize("system", list(System))
 def test_apply_is_its_construction_and_never_explains(system, monkeypatch):
     """On every <=3-candidate, <=3-ballot instance, each rule's ``apply``
-    returns the very partition its construction returns when called with
-    four arguments, on every input that verifies for the target type, and
-    ``REJECTED`` on every other, malformed ones included. The explaining
+    returns the election's memoized partition of the mask its construction
+    maps the input's mask to (the input itself when the two masks are
+    equal), on every input that verifies for the target type, and
+    ``NO_SOLUTION`` on every other, malformed ones included. The explaining
     path raises throughout: deciding, in ``verify_solution`` and ``apply``,
     never explains."""
 
@@ -647,14 +663,34 @@ def test_apply_is_its_construction_and_never_explains(system, monkeypatch):
     monkeypatch.setattr(control, "partition_problems", explain)
     accepted = rejected = 0
     for instance in iter_instances(Universe(system, 3, 3)):
+        table = subset_winners(instance.election)
+        focus = table.bit_of[instance.focus]
         for rule in rules_for(system=system):
             source, target = rule.source_type, rule.target_type
             for given in every_partition(instance, target):
                 outcome = rule.apply(instance, given)
                 if verify_solution(target, instance, given):
-                    assert outcome.solution is rule.construction(source, target, instance, given)
+                    first = control.mask_of_partition(table, target.partition_kind, given)
+                    out = rule.construction(source, target, table, focus, first)
+                    built = control.outcome_of_mask(table, source.partition_kind, out)
+                    assert outcome.solution == built.solution
+                    assert outcome.solution is (given if out == first else built.solution)
                     accepted += 1
                 else:
-                    assert outcome is REJECTED
+                    assert outcome is NO_SOLUTION
                     rejected += 1
     assert accepted and rejected
+
+
+@pytest.mark.parametrize("max_candidates, max_votes", [(4, 4), (3, 6)])
+def test_vetoer_mask_matches_reference(max_candidates, max_votes):
+    """``vetoer_mask`` reads the vetoers off the table's rows; on every veto
+    instance it names the reference's partition of the ballots, for both types."""
+    checked = 0
+    for instance in iter_instances(Universe(System.VETO, max_candidates, max_votes)):
+        table = subset_winners(instance.election)
+        want = _mask(instance, reference_vetoer_partition(instance))
+        for control_type in VETOER_TYPES:
+            assert vetoer_mask(control_type, table, table.bit_of[instance.focus]) == want
+        checked += want != 0
+    assert checked

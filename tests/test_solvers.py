@@ -768,6 +768,25 @@ class TestCollapseRegistry:
             assert sum(1 for _ in iter_instances(universe)) == instance_count(universe)
 
 
+class TestUniverseSystemByValue:
+    """A universe takes its system by value, as ``Election`` does: a plain
+    "approval" used to enumerate order ballots, which the approval elections
+    refused, and ``describe`` raised on a plain "veto"."""
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_value_means_the_member(self, system):
+        by_value, member = Universe(system.value, 2, 1), Universe(system, 2, 1)
+        assert by_value == member and by_value.system is system
+        assert by_value.describe() == member.describe()
+        assert list(iter_instances(by_value)) == list(iter_instances(member))
+        group = COLLAPSE_GROUPS[system][0]
+        assert collapse_scan(group, by_value) == collapse_scan(group, member)
+
+    def test_unknown_system_is_refused(self):
+        with pytest.raises(ValueError):
+            Universe("borda", 2, 1)
+
+
 def _no_ballots(*args):
     raise AssertionError("a universe without ballots built its ballots")
 
