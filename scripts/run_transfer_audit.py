@@ -3,7 +3,10 @@
 
 For each transfer rule, each instance, and each partition verifying the
 rule's input type, apply the transfer and check the output verifies for the
-rule's output type. Prints per-rule counts and a total line; exits nonzero
+rule's output type. Each system's instances are walked once, outermost, so
+every rule of the system reads one election's tables while they are cached,
+and an instance's verifying partitions are kept only while it is audited.
+Prints per-rule counts, in registry order, and a total line; exits nonzero
 on any violation.
 """
 
@@ -28,36 +31,36 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    instances: dict = {}
-    verifying: dict = {}
-    violations = 0
+    rules = [rule for rule in ALL_TRANSFER_RULES if not args.tag or rule.tag == args.tag]
+    transferred = [0] * len(rules)
+    bad = [0] * len(rules)
+    seconds = [0.0] * len(rules)
     started = time.perf_counter()
-    for rule in ALL_TRANSFER_RULES:
-        if args.tag and rule.tag != args.tag:
-            continue
-        if rule.system not in instances:
-            universe = Universe(rule.system, args.max_candidates, args.max_votes)
-            instances[rule.system] = tuple(iter_instances(universe))
-        transferred = 0
-        bad = 0
-        tick = time.perf_counter()
-        for instance in instances[rule.system]:
-            key = (rule.target_type, instance)
-            if key not in verifying:
-                verifying[key] = tuple(verifying_partitions(rule.target_type, instance))
-            for solution in verifying[key]:
-                outcome = rule.apply(instance, solution)
-                transferred += 1
-                if not outcome.found or not verify_solution(
-                    rule.source_type, instance, outcome.solution
-                ):
-                    bad += 1
-        violations += bad
-        verdict = "ok" if not bad else f"{bad} VIOLATIONS"
+    for system in dict.fromkeys(rule.system for rule in rules):
+        audited = [(i, rule) for i, rule in enumerate(rules) if rule.system is system]
+        universe = Universe(system, args.max_candidates, args.max_votes)
+        for instance in iter_instances(universe):
+            verifying = {}
+            for i, rule in audited:
+                tick = time.perf_counter()
+                target = rule.target_type
+                if target not in verifying:
+                    verifying[target] = tuple(verifying_partitions(target, instance))
+                for solution in verifying[target]:
+                    outcome = rule.apply(instance, solution)
+                    transferred[i] += 1
+                    if not outcome.found or not verify_solution(
+                        rule.source_type, instance, outcome.solution
+                    ):
+                        bad[i] += 1
+                seconds[i] += time.perf_counter() - tick
+    for i, rule in enumerate(rules):
+        verdict = "ok" if not bad[i] else f"{bad[i]} VIOLATIONS"
         print(
-            f"{rule.describe():<60} {transferred:>6} transfers  {verdict}"
-            f"  ({time.perf_counter() - tick:.2f}s)"
+            f"{rule.describe():<60} {transferred[i]:>6} transfers  {verdict}"
+            f"  ({seconds[i]:.2f}s)"
         )
+    violations = sum(bad)
     print(f"total: {time.perf_counter() - started:.1f}s, {violations} violations")
     return 1 if violations else 0
 

@@ -65,6 +65,7 @@ from .reductions import TransferError, compose, find_transfer_chain
 from .solvers import (
     DEFAULT_MAX_EVALS,
     POLYNOMIAL_SEARCHES,
+    SEARCHES,
     BruteForceOracle,
     InvariantError,
     Universe,
@@ -567,21 +568,18 @@ def _cmd_solve(args, argv) -> RunReport:
         outcome = polynomial_search(control_type, instance)
         algorithm = polynomial[0]
     else:
-        oracle = BruteForceOracle() if args.algorithm == "oracle" else None
-        algorithm = "brute-force" if oracle is None else "oracle-binary-search"
-        # Worst cases for encoding length L: brute force evaluates 2^L
-        # partitions, the oracle search 2^(L+1). Brute force decides only
-        # 2^(L-1) masks under RPC and PV; the cap keeps the bound for all.
-        length = encoding_length(instance, control_type.partition_kind)
-        evaluations = (1 if oracle is None else 2) << length
+        name = "oracle" if args.algorithm == "oracle" else "brute"
+        algorithm, worst = SEARCHES[name]
+        evaluations = worst(encoding_length(instance, control_type.partition_kind))
         if evaluations > args.max_evals:
             raise UsageError(
                 f"{algorithm} needs up to {evaluations} two-stage evaluations, above "
                 f"the cap of {args.max_evals}{_RAISE_CAP}"
             )
-        if oracle is None:
+        if name == "brute":
             outcome = brute_force_search(control_type, instance)
         else:
+            oracle = BruteForceOracle()
             outcome = lex_min_search_with_oracle(control_type, instance, oracle)
             payload["oracle_calls"] = oracle.calls
     payload["algorithm"] = algorithm

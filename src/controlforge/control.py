@@ -31,11 +31,13 @@ mask, -1 if malformed (``partition_problems`` says why, for a refusal
 only), and ``focus_lost_mask`` names one round of a verified mask. A
 type's ``shape`` fixes its rounds and its ``goal`` only reads the final, so
 the four types of a shape share one mask sweep per election and focus
-(``_least_mask``), which ``least_verifying_outcome`` reads. A mask's
-``Partition`` (``partition_of_mask``) is built once per election, in the
-``SolveOutcome`` that ``outcome_of_mask`` memoizes for the searches and
-the transfers; a search that finds nothing, and a transfer that rejects its
-input, returns the one ``NO_SOLUTION``.
+(``_least_mask``). Every search is a ``MaskSearch``, from the type, the
+tables and the focus bit to a verifying mask or None, and ``search_outcome``
+maps its answer to an outcome. A mask's ``Partition``
+(``partition_of_mask``) is built once per election, in the ``SolveOutcome``
+that ``outcome_of_mask`` memoizes for the searches and the transfers; a
+search that finds nothing, and a transfer that rejects its input, returns
+the one ``NO_SOLUTION``.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -366,14 +368,18 @@ def _least_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -
     return None
 
 
-def least_verifying_outcome(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
-    """The memoized outcome (``outcome_of_mask``) of the least verifying first-block mask.
+# A mask search maps (type, table, focus bit) to the first-block mask of a
+# verifying partition, or None when no partition of the type verifies.
+MaskSearch = Callable[[ControlTypeId, SubsetWinners, int], "int | None"]
 
-    The mask comes from the instance's sweep (``_least_mask``); an answered
-    search reads its outcome inline. ``NO_SOLUTION`` when none verifies.
-    """
+
+def search_outcome(
+    control_type: ControlTypeId, instance: ControlInstance, search: MaskSearch
+) -> SolveOutcome:
+    """The memoized outcome (``outcome_of_mask``) of the mask the ``MaskSearch`` finds
+    on the instance's tables, read inline when memoized, or ``NO_SOLUTION`` for None."""
     table = subset_winners(instance.election)
-    first = _least_mask(control_type, table, table.bit_of[instance.focus])
+    first = search(control_type, table, table.bit_of[instance.focus])
     if first is None:
         return NO_SOLUTION
     outcome = table.memo.get((control_type.shape[0], first))  # an outcome is never falsy

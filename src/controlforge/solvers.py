@@ -5,46 +5,42 @@ scale), the polynomial-time approval and veto algorithms as rows of
 ``POLYNOMIAL_SEARCHES`` (each row a mask builder, whose first-block mask
 ``polynomial_search`` decides once and the transfers into the row's types
 reuse), lexicographically-least search against a pluggable decision oracle,
+the ``SEARCHES`` table of the exhaustive searches' labels and worst cases,
 and the collapse scanner that compares the types of a collapse group as
 sets of instances over a bounded universe, deciding each type once per
 instance.
 
-Partitions are encoded as the characteristic bit string of the first block
-in canonical candidate/voter order (bit i set means item i is in the first
-block); "lexicographically least" always refers to this encoding. Read as
-an integer, the encoding is the partition's first-block mask (item i of L
-is bit L-1-i, as in ``control.partition_of_mask``), so the searches decide
-masks in increasing order and build a ``Partition`` only for the answer.
-Brute force returns the election's memoized outcome for its mask sweep
-(``control.least_verifying_outcome``), which the four types of one action
-and tie rule share: a type whose sibling has swept past its answer decides
-no mask and builds nothing, and under RPC and PV, where a mask verifies
-exactly when its complement does, only the lower half is swept. A search
-that finds nothing returns ``control.NO_SOLUTION``, and one that finds a
-mask returns its memoized outcome (``control.outcome_of_mask``). ``verifying_partitions``
-and ``BruteForceOracle`` decide through ``control.decider``.
+A partition is named by its first-block mask (item i of L is bit L-1-i, as
+in ``control.partition_of_mask``), so "lexicographically least" means the
+least mask. Each search is a ``control.MaskSearch``, whose mask (or None)
+``control.search_outcome`` maps to the election's memoized outcome (or
+``NO_SOLUTION``): brute force is the mask sweep ``control._least_mask``,
+which the four types of one action and tie rule share, a polynomial row
+decides its builder's mask, and the oracle search grows an integer prefix.
+``verifying_partitions`` and ``BruteForceOracle`` decide through
+``control.decider``.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from .control import (
-    NO_SOLUTION,
     Action,
     ControlInstance,
     ControlTypeId,
     Partition,
     PartitionKind,
     SolveOutcome,
+    _least_mask,
     _verdict,
     decider,
-    least_verifying_outcome,
     outcome_of_mask,
     partition_items,
     partition_of_mask,
-    verify_solution,
+    search_outcome,
 )
 from .elections import (
     Election,
@@ -52,7 +48,6 @@ from .elections import (
     System,
     Vote,
     VoteCollection,
-    subset_winners,
     winners,  # unused here; bench/test_bench.py's Binding test looks it up
 )
 
@@ -97,15 +92,6 @@ def enumerate_partitions(
         yield partition_of_mask(kind, items, first)
 
 
-def partition_from_bits(
-    instance: ControlInstance, kind: PartitionKind, bits: str
-) -> Partition:
-    items = partition_items(instance, kind)
-    if len(bits) != len(items) or set(bits) - {"0", "1"}:
-        raise ValueError(f"encoding {bits!r} is not a bit string for {len(items)} items")
-    return partition_of_mask(kind, items, int(bits or "0", 2))
-
-
 def verifying_partitions(
     control_type: ControlTypeId, instance: ControlInstance
 ) -> Iterator[Partition]:
@@ -124,14 +110,9 @@ def verifying_partitions(
 
 
 def brute_force_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
-    """The lexicographically least verifying partition, or None if none verifies.
-
-    The election's memoized outcome for the type's shape and the focus
-    (``control.least_verifying_outcome``): the masks are decided in
-    increasing order, the lower half only under RPC and PV, and a type whose
-    sibling of the same shape has swept past its answer decides none.
-    """
-    return least_verifying_outcome(control_type, instance)
+    """The lexicographically least verifying partition, or None if none verifies:
+    the election's mask sweep for the type's shape and focus (``control._least_mask``)."""
+    return search_outcome(control_type, instance, _least_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +203,20 @@ POLYNOMIAL_SEARCHES: dict[tuple[System, ControlTypeId], tuple[str, MaskBuilder]]
 }
 
 
+def _built_mask(
+    build: MaskBuilder, control_type: ControlTypeId, table: SubsetWinners, focus: int
+) -> "int | None":
+    """The mask search of a builder: its mask if that verifies, else None."""
+    first = build(control_type, table, focus)
+    return first if _verdict(control_type, table, focus, first) else None
+
+
 def polynomial_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:
     """Decide the instance on the one mask its row's builder names.
 
     That mask verifies whenever any partition of the type does (the
-    builder's docstring holds the proof); the answer is its memoized outcome
-    (``control.outcome_of_mask``), or ``NO_SOLUTION``. Raises
-    ``UnsupportedAlgorithmError`` when ``POLYNOMIAL_SEARCHES`` has no row for
-    the (system, type).
+    builder's docstring holds the proof). Raises ``UnsupportedAlgorithmError``
+    when ``POLYNOMIAL_SEARCHES`` has no row for the (system, type).
     """
     system = instance.election.system
     row = POLYNOMIAL_SEARCHES.get((system, control_type))
@@ -237,12 +224,7 @@ def polynomial_search(control_type: ControlTypeId, instance: ControlInstance) ->
         raise UnsupportedAlgorithmError(
             f"no polynomial search covers {system.value} {control_type}"
         )
-    table = subset_winners(instance.election)
-    focus = table.bit_of[instance.focus]
-    first = row[1](control_type, table, focus)
-    if _verdict(control_type, table, focus, first):
-        return outcome_of_mask(table, control_type.partition_kind, first)
-    return NO_SOLUTION
+    return search_outcome(control_type, instance, partial(_built_mask, row[1]))
 
 
 # The benchmark tracer binds these two names; ROADMAP item 2 renames its
@@ -253,9 +235,9 @@ immunity_search_approval = cc_rpc_te_nuw_search_approval = polynomial_search
 # ---------------------------------------------------------------------------
 # Oracle-backed lexicographic search
 
-# A decision oracle answers: does some verifying partition's encoding extend
-# this bit prefix?
-DecisionOracle = Callable[[ControlTypeId, ControlInstance, str], bool]
+# A decision oracle answers: does some verifying first-block mask of the
+# type's kind have ``prefix`` as its top ``bits`` bits?
+DecisionOracle = Callable[[ControlTypeId, ControlInstance, int, int], bool]
 
 
 class BruteForceOracle:
@@ -265,43 +247,55 @@ class BruteForceOracle:
         self.calls = 0
 
     def __call__(
-        self, control_type: ControlTypeId, instance: ControlInstance, prefix: str
+        self, control_type: ControlTypeId, instance: ControlInstance, prefix: int, bits: int
     ) -> bool:
+        free = encoding_length(instance, control_type.partition_kind) - bits
+        if free < 0 or not 0 <= prefix < 1 << bits:
+            raise ValueError(f"prefix {prefix} of {bits} bits does not fit {free + bits} items")
         self.calls += 1
-        free = encoding_length(instance, control_type.partition_kind) - len(prefix)
-        # The masks extending the prefix are one run of consecutive integers.
-        start = int(prefix, 2) << free if prefix else 0
-        return any(map(decider(control_type, instance), range(start, start + (1 << free))))
+        # The masks with this prefix are one run of consecutive integers.
+        masks = range(prefix << free, (prefix + 1) << free)
+        return any(map(decider(control_type, instance), masks))
 
 
 def lex_min_search_with_oracle(
-    control_type: ControlTypeId,
-    instance: ControlInstance,
-    oracle: DecisionOracle,
+    control_type: ControlTypeId, instance: ControlInstance, oracle: DecisionOracle
 ) -> SolveOutcome:
     """Find the lexicographically least verifying partition via oracle queries.
 
-    One initial feasibility probe on the empty prefix, then the encoding is
-    fixed bit by bit, preferring 0; at most 2L+1 oracle calls for encoding
-    length L. With a truthful oracle the result equals brute_force_search.
-    Backed by BruteForceOracle, the search performs up to 2^(L+1) two-stage
-    evaluations, where brute force performs up to 2^L.
+    One initial feasibility probe on the empty prefix, then the mask is
+    fixed bit by bit from the top, preferring 0; at most 2L+1 oracle calls
+    for encoding length L. The final mask is checked by one verdict. With a
+    truthful oracle the result is brute_force_search's: the same memoized
+    outcome, or ``NO_SOLUTION``.
     """
-    if not oracle(control_type, instance, ""):
-        return NO_SOLUTION
-    kind = control_type.partition_kind
-    prefix = ""
-    for _ in range(encoding_length(instance, kind)):
-        if oracle(control_type, instance, prefix + "0"):
-            prefix += "0"
-        else:
-            prefix += "1"
-    partition = partition_from_bits(instance, kind, prefix)
-    if not verify_solution(control_type, instance, partition):
-        raise OracleInconsistencyError(
-            f"oracle answers led to non-verifying partition {partition}"
-        )
-    return SolveOutcome(partition)
+
+    def least_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -> "int | None":
+        if not oracle(control_type, instance, 0, 0):
+            return None
+        prefix = 0
+        for bits in range(1, encoding_length(instance, control_type.partition_kind) + 1):
+            prefix <<= 1
+            if not oracle(control_type, instance, prefix, bits):
+                prefix |= 1
+        if not _verdict(control_type, table, focus, prefix):
+            partition = outcome_of_mask(table, control_type.partition_kind, prefix).solution
+            raise OracleInconsistencyError(
+                f"oracle answers led to non-verifying partition {partition}"
+            )
+        return prefix
+
+    return search_outcome(control_type, instance, least_mask)
+
+
+# The exhaustive searches by ``solve --algorithm`` name: the label the CLI
+# reports and the two-stage evaluations at worst for encoding length L
+# (brute force decides only 2^(L-1) masks under RPC and PV; the cap counts
+# all). A polynomial row is labelled by its row's name and reads no cap.
+SEARCHES: dict[str, tuple[str, Callable[[int], int]]] = {
+    "brute": ("brute-force", lambda length: 1 << length),
+    "oracle": ("oracle-binary-search", lambda length: 2 << length),
+}
 
 
 # ---------------------------------------------------------------------------

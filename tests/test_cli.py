@@ -887,7 +887,7 @@ class TestRunCommand:
         class LyingOracle:
             calls = 0
 
-            def __call__(self, control_type, instance, prefix):
+            def __call__(self, control_type, instance, prefix, bits):
                 return True
 
         monkeypatch.setattr(cli, "BruteForceOracle", LyingOracle)

@@ -41,14 +41,12 @@ from controlforge.solvers import (
     brute_force_search,
     collapse_pairs,
     collapse_scan,
-    encoding_length,
     enumerate_partitions,
     estimated_scan_evaluations,
     instance_count,
     iter_elections,
     iter_instances,
     lex_min_search_with_oracle,
-    partition_from_bits,
     polynomial_search,
     verifying_partitions,
 )
@@ -96,17 +94,12 @@ class TestEnumeration:
         ):
             stream = list(enumerate_partitions(instance, kind))
             assert len(set(stream)) == count
-            length = encoding_length(instance, kind)
+            # The i-th partition is the one of first-block mask i.
+            table = subset_winners(instance.election)
             for mask, partition in enumerate(stream):
-                bits = format(mask, f"0{length}b") if length else ""
-                assert partition_from_bits(instance, kind, bits) == partition
+                assert control.mask_of_partition(table, kind, partition) == mask
+        # No voters: one partition, both blocks empty, of mask 0.
         assert stream == [Partition.of_voters((), ())]
-
-    @pytest.mark.parametrize("bits", ["01", "0101", "0x1", "0_1"])
-    def test_bits_must_be_one_digit_per_item(self, bits):
-        instance = approval_instance("abc", [], "a")
-        with pytest.raises(ValueError):
-            partition_from_bits(instance, PartitionKind.CANDIDATE, bits)
 
 
 def reference_elections(universe):
@@ -615,7 +608,7 @@ class TestOracleSearch:
 
     def test_inconsistent_oracle_detected(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
-        liar = lambda control_type, inst, prefix: True
+        liar = lambda control_type, inst, prefix, bits: True
         with pytest.raises(OracleInconsistencyError):
             lex_min_search_with_oracle(T("CC-PC-TP-NUW"), instance, liar)
 
@@ -624,8 +617,35 @@ class TestOracleSearch:
     def test_agrees_with_brute_force(self, instance, control_type):
         oracle = BruteForceOracle()
         via_oracle = lex_min_search_with_oracle(control_type, instance, oracle)
-        direct = brute_force_search(control_type, instance)
-        assert via_oracle == direct
+        assert via_oracle is brute_force_search(control_type, instance)
+
+    # Plurality CC-RPC-TE-UW on candidates p a b with no ballots (L = 3): every
+    # round ties, so p wins alone only against {a, b}: masks 011 and 100 verify.
+    @pytest.mark.parametrize(
+        "prefix, bits, answer",
+        [
+            (0, 0, True),
+            (1, 1, True),
+            (3, 2, False),
+            (1, 3, False),
+            (4, 3, True),
+            (1, 4, ValueError),
+            (15, 4, ValueError),
+            (2, 1, ValueError),
+            (-1, 1, ValueError),
+            (8, 3, ValueError),
+            (0, -1, ValueError),
+        ],
+    )
+    def test_prefix_must_fit_the_encoding(self, prefix, bits, answer):
+        instance = ControlInstance(make_election("plurality", "pab", []), "p")
+        oracle = BruteForceOracle()
+        if answer is ValueError:
+            with pytest.raises(ValueError):
+                oracle(T("CC-RPC-TE-UW"), instance, prefix, bits)
+            assert oracle.calls == 0
+        else:
+            assert oracle(T("CC-RPC-TE-UW"), instance, prefix, bits) is answer
 
 
 class TestCollapseScan:
