@@ -121,18 +121,22 @@ def _unrepeated(items: list, what: str, lineno: "int | None" = None) -> frozense
     return frozenset(held)
 
 
+# Each document reader's line patterns, compiled once.
+_HEADER_RE = re.compile(r"^(system|candidates|distinguished)\s*:\s*(.*)$")
 _BALLOT_RE = re.compile(r"^(?:(\d+)\s*x\s+)?(.*)$")  # "[<mult> x ]<ballot>"
+_BLOCKS_RE = re.compile(r"^block1\s*:(.*)\|\s*block2\s*:(.*)$")
+_HITTING_SET_LINE_RE = re.compile(r"^(elements|k|set)\s*:\s*(.*)$")
 
 
 def _ballot(text: str, lineno: int) -> Vote:
     """The ballot a line spells: ``{a,c}`` approves, ``a>b>c`` ranks."""
     if not text.startswith("{"):
-        return Vote(VoteKind.ORDER, tuple(name.strip() for name in text.split(">")))
+        return Vote(VoteKind.ORDER, tuple(map(str.strip, text.split(">"))))
     if not text.endswith("}"):
         raise DocumentParseError(f"unterminated approval ballot {text!r}", lineno)
     body = text[1:-1].strip()
     names = body.split(",") if body else ()
-    return Vote(VoteKind.APPROVAL, tuple(name.strip() for name in names))
+    return Vote(VoteKind.APPROVAL, tuple(map(str.strip, names)))
 
 
 def _build_at_line(build, whole, trials, errors):
@@ -167,7 +171,7 @@ def parse_election(text: str) -> ElectionDocument:
         line = _strip(raw)
         if not line:
             continue
-        header = re.match(r"^(system|candidates|distinguished)\s*:\s*(.*)$", line)
+        header = _HEADER_RE.match(line)
         if header:
             key, value = header.group(1), header.group(2).strip()
             if key in declared:
@@ -222,7 +226,7 @@ def serialize_election(doc: ElectionDocument) -> str:
 
 def parse_partition(text: str, kind: PartitionKind, election: Election) -> Partition:
     content = " ".join(filter(None, (_strip(line) for line in text.splitlines())))
-    matched = re.match(r"^block1\s*:(.*)\|\s*block2\s*:(.*)$", content)
+    matched = _BLOCKS_RE.match(content)
     if not matched:
         raise DocumentParseError(
             "expected 'block1: ... | block2: ...'"
@@ -271,7 +275,7 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
         line = _strip(raw)
         if not line:
             continue
-        matched = re.match(r"^(elements|k|set)\s*:\s*(.*)$", line)
+        matched = _HITTING_SET_LINE_RE.match(line)
         if not matched:
             raise DocumentParseError(f"unrecognized line {line!r}", lineno)
         key, value = matched.group(1), matched.group(2).strip()
@@ -411,7 +415,8 @@ def _at_least(low: int):
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The one parser of the process, built on the first request; parsing
-    never changes it, so every later request reuses it."""
+    never changes it, so every later request reuses it. Its ``commands``
+    map each subcommand name to that subcommand's own parser."""
     parser = _Parser(prog="controlforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -469,7 +474,26 @@ def _build_parser() -> _Parser:
     p.add_argument("--solution", required=True)
     p.add_argument("hitting_set")
 
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the subcommand's own parser.
+
+    The full parse hands everything after the subcommand name to that
+    subcommand's parser, so calling it directly gives the same namespace,
+    usage errors and ``--help`` text for less work. An argv that does not
+    start with a subcommand name goes through the full parser, whose
+    messages name the subcommands.
+    """
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.subcommand = argv[0]
+    return args
 
 
 def _read(path: str) -> str:
@@ -739,7 +763,7 @@ def run_command(argv) -> tuple[int, RunReport]:
     """Execute one CLI invocation, returning (exit code, report)."""
     argv = list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         report = _HANDLERS[args.subcommand](args, argv)
     except (UsageError, DocumentParseError, ElectionError, TransferError, ValueError) as err:
         report = RunReport(

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, Collection
 
 from .elections import Election, SubsetWinners, subset_winners
 
@@ -121,7 +121,13 @@ class ControlTypeId:
 
     @classmethod
     def parse(cls, text: str) -> "ControlTypeId":
-        parts = text.strip().upper().split("-")
+        """The canonical member of ``ALL_CONTROL_TYPES`` a tag names, in any case and
+        padding; a malformed tag is refused by its shape or by its unknown part."""
+        tag = text.strip().upper()
+        canonical = _TYPE_OF_TAG.get(tag)
+        if canonical is not None:
+            return canonical
+        parts = tag.split("-")
         if len(parts) != 4:
             raise ValueError(f"control type tag {text!r} is not of the form CC-PC-TE-UW")
         try:
@@ -136,6 +142,9 @@ ALL_CONTROL_TYPES: tuple[ControlTypeId, ...] = tuple(
     ControlTypeId(d, a, t, w)
     for d, a, t, w in product(Direction, Action, TieRule, WinnerModel)
 )
+
+# ``ControlTypeId.parse``'s lookup: one dict read instead of four enum lookups.
+_TYPE_OF_TAG = {str(t): t for t in ALL_CONTROL_TYPES}
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ def partition_items(instance: ControlInstance, kind: PartitionKind) -> tuple:
     return tuple(range(instance.voter_count))
 
 
-def partition_of_mask(kind: PartitionKind, items: tuple, mask: int) -> Partition:
+def partition_of_mask(kind: PartitionKind, items: Collection, mask: int) -> Partition:
     """The partition whose first block is the items set in ``mask`` (item 0 is the top bit)."""
     first, second = [], []
     bit = 1 << len(items)
@@ -396,7 +405,8 @@ def outcome_of_mask(table: SubsetWinners, kind: PartitionKind, first: int) -> So
     key = (kind is not _CANDIDATE, first)
     outcome = table.memo.get(key)
     if outcome is None:
-        items = tuple(table.bit_of) if kind is _CANDIDATE else range(table.all_voters.bit_length())
+        # ``bit_of`` iterates the candidates in order, and is not copied.
+        items = table.bit_of if kind is _CANDIDATE else range(table.all_voters.bit_length())
         outcome = table.memo[key] = SolveOutcome(partition_of_mask(kind, items, first))
     return outcome
 
@@ -425,6 +435,12 @@ def verify_solution(
     return first >= 0 and _verdict(control_type, table, table.bit_of[instance.focus], first)
 
 
+def _kept(won: dict, te: bool, block: int) -> int:
+    """The winners of the round on ``block`` who advance: under TE, only a unique one."""
+    winners = won[block]
+    return 0 if te and winners & (winners - 1) else winners
+
+
 def _rounds(control_type: ControlTypeId, table: SubsetWinners, first: int) -> tuple[list, int]:
     """The first rounds as (candidates, winners, survivors) masks, and the final's candidates.
 
@@ -437,9 +453,8 @@ def _rounds(control_type: ControlTypeId, table: SubsetWinners, first: int) -> tu
     blocks, final = ((first,), second) if pc else ((first, second), 0)
     rounds = []
     for block in blocks:
-        winners = won[block]
-        kept = 0 if te and winners & (winners - 1) else winners
-        rounds.append((table.everyone if pv else block, winners, kept))
+        kept = _kept(won, te, block)
+        rounds.append((table.everyone if pv else block, won[block], kept))
         final |= kept
     return rounds, final
 
@@ -452,12 +467,21 @@ def focus_lost_mask(
     That is the first round the focus sat in and did not survive, else the
     final. On a verifying destructive candidate partition under TE, or TP
     with the cowinner goal, the focus would lose a first round on this set.
+    The rounds are ``_rounds``', but only the focus's own round is looked up
+    unless the focus survives it and the final is asked for.
     """
-    rounds, final = _rounds(control_type, table, first)
-    for candidates, _, kept in rounds:
-        if candidates & focus and not kept & focus:
-            return candidates
-    return final
+    pv, pc, te = control_type.shape
+    if pv:  # the focus runs in both voter blocks' rounds, over every candidate
+        won, second = table.by_voters, table.all_voters ^ first
+        one, two = _kept(won, te, first), _kept(won, te, second)
+        return one | two if one & two & focus else table.everyone
+    won, second = table.by_candidates, table.everyone ^ first
+    if pc:  # only the first block runs a round; the second goes to the final whole
+        one = _kept(won, te, first)
+        return first if first & focus and not one & focus else one | second
+    sat, other = (first, second) if first & focus else (second, first)
+    one = _kept(won, te, sat)
+    return one | _kept(won, te, other) if one & focus else sat
 
 
 def round_focus_lost(

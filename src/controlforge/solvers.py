@@ -80,7 +80,10 @@ DEFAULT_MAX_EVALS = 10_000_000
 
 
 def encoding_length(instance: ControlInstance, kind: PartitionKind) -> int:
-    return len(partition_items(instance, kind))
+    """The number of items a partition of this kind splits (``partition_items``)."""
+    if kind is PartitionKind.CANDIDATE:
+        return len(instance.election.candidates)
+    return instance.voter_count
 
 
 def enumerate_partitions(
@@ -241,21 +244,30 @@ DecisionOracle = Callable[[ControlTypeId, ControlInstance, int, int], bool]
 
 
 class BruteForceOracle:
-    """Prefix-feasibility oracle backed by exhaustive enumeration."""
+    """Prefix-feasibility oracle backed by exhaustive enumeration.
+
+    A search asks up to 2L+1 questions about one (type, instance), so the
+    encoding length and the ``decider`` of the last pair asked are kept.
+    """
 
     def __init__(self):
         self.calls = 0
+        self._asked = (None, None, 0, None)  # type, instance, length, decider
 
     def __call__(
         self, control_type: ControlTypeId, instance: ControlInstance, prefix: int, bits: int
     ) -> bool:
-        free = encoding_length(instance, control_type.partition_kind) - bits
+        asked_type, asked_instance, length, holds = self._asked
+        if asked_type is not control_type or asked_instance is not instance:
+            length = encoding_length(instance, control_type.partition_kind)
+            holds = decider(control_type, instance)
+            self._asked = (control_type, instance, length, holds)
+        free = length - bits
         if free < 0 or not 0 <= prefix < 1 << bits:
-            raise ValueError(f"prefix {prefix} of {bits} bits does not fit {free + bits} items")
+            raise ValueError(f"prefix {prefix} of {bits} bits does not fit {length} items")
         self.calls += 1
         # The masks with this prefix are one run of consecutive integers.
-        masks = range(prefix << free, (prefix + 1) << free)
-        return any(map(decider(control_type, instance), masks))
+        return any(map(holds, range(prefix << free, (prefix + 1) << free)))
 
 
 def lex_min_search_with_oracle(

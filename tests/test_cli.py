@@ -977,13 +977,13 @@ _PARSER_SEQUENCE = [
 ]
 
 
-def _parse(parser, argv):
-    """What parsing ``argv`` gives: the namespace, the usage error, or the
+def _parse(parse_args, argv):
+    """What ``parse_args(argv)`` gives: the namespace, the usage error, or the
     exit ``--help`` requests together with the text it prints."""
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed):
-            return ("namespace", vars(parser.parse_args(argv)))
+            return ("namespace", vars(parse_args(argv)))
     except cli.UsageError as err:
         return ("usage-error", str(err))
     except SystemExit as err:
@@ -996,12 +996,35 @@ class TestSharedParser:
 
     def test_reuse_parses_like_a_fresh_parser(self):
         shared = cli._build_parser()
-        reused = [_parse(shared, argv) for argv in _PARSER_SEQUENCE]
-        fresh = [_parse(cli._build_parser.__wrapped__(), argv) for argv in _PARSER_SEQUENCE]
+        reused = [_parse(shared.parse_args, argv) for argv in _PARSER_SEQUENCE]
+        fresh = [
+            _parse(cli._build_parser.__wrapped__().parse_args, argv) for argv in _PARSER_SEQUENCE
+        ]
         assert reused == fresh
         kinds = [outcome[0] for outcome in reused]
         assert kinds.count("usage-error") == 3
         assert kinds.count("exit") == 2
+
+
+class TestDispatchMatchesReferenceParser:
+    """``run_command`` hands an argv that starts with a subcommand name to that
+    subcommand's parser; the full parser is the reference it must agree with."""
+
+    ARGVS = _PARSER_SEQUENCE + [
+        ["bogus"],
+        ["winners", "--help"],
+        ["solve", "--type", "X", "a", "b"],
+    ]
+
+    def test_same_namespace_error_or_help(self):
+        parser = cli._build_parser()
+        for argv in self.ARGVS:
+            assert _parse(cli._parse_args, argv) == _parse(parser.parse_args, argv), argv
+
+    def test_every_handler_has_its_parser(self):
+        parser = cli._build_parser()
+        assert set(parser.commands) == set(cli._HANDLERS)
+        assert parser.commands["solve"].prog == "controlforge solve"
 
 
 class TestSerializationDefaults:

@@ -19,11 +19,17 @@ from controlforge.control import (
     Action,
     PartitionKind,
     TieRule,
+    _rounds,
+    _verdict,
+    focus_lost_mask,
     mask_of_partition,
+    outcome_of_mask,
+    partition_of_mask,
     partition_problems,
     round_focus_lost,
 )
 from controlforge.elections import SubsetWinners
+from controlforge.reductions import ALL_TRANSFER_RULES, focus_lost_round
 from controlforge.solvers import Universe, enumerate_partitions, iter_elections, iter_instances
 
 import reference
@@ -63,10 +69,23 @@ class TestControlTypeId:
     def test_case_insensitive(self):
         assert T("dc-rpc-te-uw") == T("DC-RPC-TE-UW")
 
-    @pytest.mark.parametrize("bad", ["DC-RPC-TE", "XX-PC-TE-UW", "DC_PC_TE_UW", ""])
-    def test_rejects_malformed_tags(self, bad):
-        with pytest.raises(ValueError):
+    def test_parse_returns_the_canonical_member(self):
+        for t in ALL_CONTROL_TYPES:
+            for tag in (str(t), str(t).lower(), f"  {t} "):
+                assert ControlTypeId.parse(tag) is t
+
+    @pytest.mark.parametrize("bad", ["DC-RPC-TE", "DC_PC_TE_UW", "", "DC-PC-TE-UW-X"])
+    def test_rejects_tags_of_the_wrong_shape(self, bad):
+        message = f"control type tag {bad!r} is not of the form CC-PC-TE-UW"
+        with pytest.raises(ValueError) as refused:
             ControlTypeId.parse(bad)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("bad", ["XX-PC-TE-UW", "dc-pc-te-xw", " CC-PV-TP- ", "---"])
+    def test_rejects_unknown_tags(self, bad):
+        with pytest.raises(ValueError) as refused:
+            ControlTypeId.parse(bad)
+        assert str(refused.value) == f"unknown control type tag {bad!r}"
 
     def test_partition_kind(self):
         assert T("CC-PV-TE-UW").partition_kind is PartitionKind.VOTER
@@ -478,6 +497,49 @@ class TestDecidePathMatchesReference:
                             expected = reference_verifies(control_type, data, variant)
                             malformed += decide_path_agrees(control_type, instance, variant, expected)
         assert malformed > 0
+
+
+def reference_focus_lost_mask(control_type, table, focus, first):
+    """The round the focus lost, walked over every round of ``_rounds``."""
+    rounds, final = _rounds(control_type, table, first)
+    for candidates, _, kept in rounds:
+        if candidates & focus and not kept & focus:
+            return candidates
+    return final
+
+
+class TestMaskReadersMatchReference:
+    """``outcome_of_mask`` and ``focus_lost_mask`` against the per-item and
+    per-round walks they replaced. Each election gets a fresh table, so every
+    first ask misses the memo."""
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_outcome_of_every_candidate_mask(self, system):
+        # A candidate partition depends only on the candidates.
+        for election in iter_elections(Universe(system, 4, 1)):
+            table = SubsetWinners(election)
+            for first in range(table.everyone + 1):
+                outcome = outcome_of_mask(table, PartitionKind.CANDIDATE, first)
+                expected = partition_of_mask(PartitionKind.CANDIDATE, election.candidates, first)
+                assert outcome.solution == expected
+                assert outcome_of_mask(table, PartitionKind.CANDIDATE, first) is outcome
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_focus_lost_mask_on_every_verifying_input(self, system):
+        # The types ``focus_lost_round`` reads the lost round of.
+        targets = sorted(
+            {r.target_type for r in ALL_TRANSFER_RULES if r.construction is focus_lost_round}, key=str
+        )
+        checked = 0
+        for election in iter_elections(Universe(system, 4, 3)):
+            table = SubsetWinners(election)
+            for focus, control_type in itertools.product(table.bit_of.values(), targets):
+                for first in range(table.everyone + 1):
+                    if _verdict(control_type, table, focus, first):
+                        lost = focus_lost_mask(control_type, table, focus, first)
+                        assert lost == reference_focus_lost_mask(control_type, table, focus, first)
+                        checked += 1
+        assert checked > 0
 
 
 def _renamed(instance, mapping):

@@ -26,7 +26,7 @@ from controlforge import (
     winners,
 )
 from controlforge import control, solvers
-from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind
+from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind, partition_items
 from controlforge.elections import SubsetWinners, subset_winners
 from controlforge.solvers import (
     COLLAPSE_GROUPS,
@@ -41,6 +41,7 @@ from controlforge.solvers import (
     brute_force_search,
     collapse_pairs,
     collapse_scan,
+    encoding_length,
     enumerate_partitions,
     estimated_scan_evaluations,
     instance_count,
@@ -646,6 +647,34 @@ class TestOracleSearch:
             assert oracle.calls == 0
         else:
             assert oracle(T("CC-RPC-TE-UW"), instance, prefix, bits) is answer
+
+    def test_one_oracle_answers_each_question_like_a_fresh_one(self):
+        # The oracle keeps the last (type, instance)'s length and decider;
+        # a question about another pair must not read them.
+        candidates = ControlInstance(make_election("plurality", "pab", [("pab", 1)]), "p")
+        voters = ControlInstance(make_election("plurality", "pab", [("apb", 2)]), "p")
+        # Each question changes the type, the instance, or both.
+        questions = [
+            (T("CC-RPC-TE-UW"), candidates),
+            (T("CC-PV-TE-UW"), voters),
+            (T("CC-PV-TE-UW"), candidates),
+            (T("DC-PC-TE-UW"), candidates),
+            (T("DC-PV-TP-NUW"), voters),
+        ]
+        shared = BruteForceOracle()
+        for control_type, instance in questions * 2:
+            length = encoding_length(instance, control_type.partition_kind)
+            assert length == len(partition_items(instance, control_type.partition_kind))
+            for bits in range(length + 1):
+                for prefix in range(1 << bits):
+                    fresh = BruteForceOracle()(control_type, instance, prefix, bits)
+                    assert shared(control_type, instance, prefix, bits) is fresh
+        shared(T("CC-RPC-TE-UW"), candidates, 0, 3)
+        with pytest.raises(ValueError, match="does not fit 2 items"):
+            shared(T("CC-PV-TE-UW"), voters, 0, 3)
+        assert shared.calls == 2 * sum(
+            2 ** (encoding_length(i, t.partition_kind) + 1) - 1 for t, i in questions
+        ) + 1
 
 
 class TestCollapseScan:
