@@ -49,7 +49,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Collection
 
-from .elections import Election, SubsetWinners, subset_winners
+from .elections import Election, SubsetWinners, _set, subset_winners
 
 
 class Direction(str, Enum):
@@ -154,9 +154,11 @@ class ControlInstance:
     election: Election
     focus: str
 
-    def __post_init__(self):
-        if self.focus not in self.election.candidates:
-            raise ValueError(f"focus candidate {self.focus!r} is not running")
+    def __init__(self, election: Election, focus: str):
+        if focus not in election.votes.universe:
+            raise ValueError(f"focus candidate {focus!r} is not running")
+        _set(self, "election", election)
+        _set(self, "focus", focus)
 
     @property
     def voter_count(self) -> int:
@@ -175,6 +177,11 @@ class Partition:
     kind: PartitionKind
     first: frozenset
     second: frozenset
+
+    def __init__(self, kind: PartitionKind, first: frozenset, second: frozenset):
+        _set(self, "kind", kind)
+        _set(self, "first", first)
+        _set(self, "second", second)
 
     @classmethod
     def of_candidates(cls, first, second) -> "Partition":
@@ -277,6 +284,9 @@ class SolveOutcome:
     # still read this flag off a transfer's outcome; ROADMAP item 2 deletes it
     # together with those reads.
     via_fallback = False
+
+    def __init__(self, solution: "Partition | None"):
+        _set(self, "solution", solution)
 
     @property
     def found(self) -> bool:

@@ -21,7 +21,8 @@ fail walks the names for the first defect. ``VoteCollection`` walks its
 ballots once, accepting each by comparing it with the universe as a set and
 naming the first defect, or putting an approval ballot in canonical order,
 only when that fails. Errors and messages are as they always were; nothing
-is cached and there is no unchecked constructor.
+is cached and there is no unchecked constructor: each record's own
+``__init__`` runs its checks and then sets each field once.
 """
 
 import functools
@@ -41,6 +42,11 @@ class InvalidCandidateError(ElectionError):
 
 class InvalidVoteError(ElectionError):
     """A ballot does not fit its collection's kind or universe."""
+
+
+# The records below are frozen dataclasses with their own ``__init__``, which
+# checks its arguments and then sets each field once through this.
+_set = object.__setattr__
 
 
 class System(str, Enum):
@@ -150,14 +156,13 @@ class VoteCollection:
     universe: tuple[str, ...]
     groups: tuple[tuple[Vote, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, universe: tuple[str, ...], groups: tuple[tuple[Vote, int], ...]):
         """Walk the ballots once: raise on the first defect, order approval ballots canonically."""
-        universe = self.universe
         universe_set = frozenset(universe)
         m = len(universe)
         distinct = len(universe_set) == m  # the whole-ballot test needs a duplicate-free universe
         kind = position = reordered = None
-        for vote, count in self.groups:
+        for vote, count in groups:
             if count <= 0:
                 raise InvalidVoteError("vote multiplicity must be positive")
             if kind is None:
@@ -192,8 +197,9 @@ class VoteCollection:
             elif len(entries) != m:
                 raise InvalidVoteError(f"ballot {vote} is not a permutation of the candidate set")
         if reordered:
-            groups = tuple((reordered.get(id(v), v), c) for v, c in self.groups)
-            object.__setattr__(self, "groups", groups)
+            groups = tuple((reordered.get(id(v), v), c) for v, c in groups)
+        _set(self, "universe", universe)
+        _set(self, "groups", groups)
 
     @property
     def kind(self) -> VoteKind | None:
@@ -242,21 +248,28 @@ class Election:
     system: System
     votes: VoteCollection
 
-    def __post_init__(self):
+    def __init__(self, system: System, votes: VoteCollection):
+        # bench/tracer.py counts the elections built by wrapping ``__post_init__``.
+        self.__post_init__(system, votes)
+
+    def __post_init__(self, system: System, votes: VoteCollection):
+        """Check the arguments, then set each field once."""
         # A system given by its value ("veto") means that member: both key the same tables.
-        if type(self.system) is not System:
+        if type(system) is not System:
             try:
-                object.__setattr__(self, "system", System(self.system))
+                system = System(system)
             except ValueError:
-                raise ElectionError(f"unknown election system {self.system!r}") from None
-        names = self.votes.universe
+                raise ElectionError(f"unknown election system {system!r}") from None
+        names = votes.universe
         if not (names and _plain_names(names) and len(set(names)) == len(names)):
             _check_names(names)
-        kind = self.votes.kind
-        if kind is not None and kind is not vote_kind_for(self.system):
+        groups = votes.groups
+        if groups and groups[0][0].kind is not vote_kind_for(system):
             raise InvalidVoteError(
-                f"{self.system} elections take {vote_kind_for(self.system)} ballots, got {kind}"
+                f"{system} elections take {vote_kind_for(system)} ballots, got {votes.kind}"
             )
+        _set(self, "system", system)
+        _set(self, "votes", votes)
 
     def __hash__(self) -> int:
         # Elections key the table cache: hash the ballots once, not per lookup.
@@ -264,7 +277,7 @@ class Election:
             return self.__dict__["_hash"]
         except KeyError:
             value = hash((self.system, self.votes))
-            object.__setattr__(self, "_hash", value)
+            _set(self, "_hash", value)
             return value
 
     def __reduce__(self):

@@ -86,13 +86,36 @@ def encoding_length(instance: ControlInstance, kind: PartitionKind) -> int:
     return instance.voter_count
 
 
+# ``enumerate_partitions`` reads the blocks of at most this many last items
+# from a table of 2**_TABLE_ITEMS sets.
+_TABLE_ITEMS = 8
+
+
 def enumerate_partitions(
     instance: ControlInstance, kind: PartitionKind
 ) -> Iterator[Partition]:
-    """All partitions of the given kind, lexicographically by encoding."""
+    """All partitions of the given kind, lexicographically by encoding.
+
+    The blocks of the last (at most ``_TABLE_ITEMS``) items, by mask, are a
+    table built once by doubling, and a mask's complement is the table read
+    backwards; each block of a longer encoding joins the higher items' block
+    to a table entry with one union.
+    """
     items = partition_items(instance, kind)
-    for first in range(1 << len(items)):
-        yield partition_of_mask(kind, items, first)
+    split = max(len(items) - _TABLE_ITEMS, 0)
+    high, blocks = items[:split], [frozenset()]
+    for item in reversed(items[split:]):  # the last item is bit 0
+        single = frozenset((item,))
+        blocks += [block | single for block in blocks]
+    kinds = itertools.repeat(kind)
+    if not split:
+        yield from map(Partition, kinds, blocks, reversed(blocks))
+        return
+    for first in range(1 << split):
+        head = partition_of_mask(kind, high, first)
+        yield from map(
+            Partition, kinds, map(head.first.union, blocks), map(head.second.union, reversed(blocks))
+        )
 
 
 def verifying_partitions(
@@ -372,8 +395,10 @@ def iter_elections(universe: Universe) -> Iterator[Election]:
     """All elections in the universe, deterministically ordered.
 
     Pools of ballot indices are enumerated (multisets, or sequences) in the
-    order of ``all_ballots``, and each run of equal indices becomes one
-    (ballot, multiplicity) group. A candidate count above what
+    order of ``all_ballots``. A multiset pool is sorted, so its distinct
+    indices, each with its count, are its (ballot, multiplicity) groups; in a
+    sequence each run of equal indices is one group, and ``(1, 0, 1)`` is
+    three. A candidate count above what
     ``candidate_names`` supports is refused before any election is built,
     and a universe without ballots builds none of the m! (or 2^m).
     """
@@ -388,17 +413,20 @@ def iter_elections(universe: Universe) -> Iterator[Election]:
             else:
                 pools = itertools.product(codes, repeat=size)
             for pool in pools:
-                groups = tuple(
-                    (ballots[code], len(list(copies)))
-                    for code, copies in itertools.groupby(pool)
-                )
-                yield Election(universe.system, VoteCollection(candidates, groups))
+                if universe.as_multisets:
+                    groups = [(ballots[code], pool.count(code)) for code in dict.fromkeys(pool)]
+                else:
+                    groups = [
+                        (ballots[code], len(list(copies)))
+                        for code, copies in itertools.groupby(pool)
+                    ]
+                yield Election(universe.system, VoteCollection(candidates, tuple(groups)))
 
 
 def iter_instances(universe: Universe) -> Iterator[ControlInstance]:
     """All (election, focus candidate) pairs in the universe."""
     for election in iter_elections(universe):
-        for focus in election.candidates:
+        for focus in election.votes.universe:
             yield ControlInstance(election, focus)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from hypothesis import strategies as st
 from controlforge import (
     ControlInstance,
     ControlTypeId,
+    Election,
     Partition,
     System,
+    Vote,
+    VoteCollection,
     check_solution,
     make_election,
     verify_solution,
@@ -18,6 +23,7 @@ from controlforge.control import (
     ALL_CONTROL_TYPES,
     Action,
     PartitionKind,
+    SolveOutcome,
     TieRule,
     _rounds,
     _verdict,
@@ -28,7 +34,7 @@ from controlforge.control import (
     partition_problems,
     round_focus_lost,
 )
-from controlforge.elections import SubsetWinners
+from controlforge.elections import ElectionError, InvalidVoteError, SubsetWinners
 from controlforge.reductions import ALL_TRANSFER_RULES, focus_lost_round
 from controlforge.solvers import Universe, enumerate_partitions, iter_elections, iter_instances
 
@@ -540,6 +546,86 @@ class TestMaskReadersMatchReference:
                         assert lost == reference_focus_lost_mask(control_type, table, focus, first)
                         checked += 1
         assert checked > 0
+
+
+def _records():
+    """One record of each class with its own ``__init__``, with the fields it was given."""
+    votes = VoteCollection(("a", "b"), ((Vote.order("ab"), 2), (Vote.order("ba"), 1)))
+    election = Election(System.PLURALITY, votes)
+    partition = Partition(PartitionKind.CANDIDATE, frozenset("a"), frozenset("b"))
+    fields = [
+        (VoteCollection, (votes.universe, votes.groups)),
+        (Election, (System.PLURALITY, votes)),
+        (ControlInstance, (election, "b")),
+        (Partition, (PartitionKind.VOTER, frozenset({0}), frozenset({1, 2}))),
+        (SolveOutcome, (partition,)),
+        (SolveOutcome, (None,)),
+    ]
+    return [
+        pytest.param(cls, args, cls(*args), id=f"{cls.__name__}-{i}")
+        for i, (cls, args) in enumerate(fields)
+    ]
+
+
+def _generated(cls, args):
+    """The record as the generated frozen ``__init__`` builds it: each field set, nothing checked."""
+    record = object.__new__(cls)
+    for field, value in zip(dataclasses.fields(cls), args):
+        object.__setattr__(record, field.name, value)
+    return record
+
+
+class TestRecordSemanticsMatchReference:
+    """The records' own constructors against the dataclass behaviour they
+    replace: the generated frozen ``__init__``, equality, hashing, pickling,
+    ``dataclasses.replace`` and the refusals of the checks they ran after it."""
+
+    @pytest.mark.parametrize("cls, args, record", _records())
+    def test_fields_are_frozen(self, cls, args, record):
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field.name)
+
+    @pytest.mark.parametrize("cls, args, record", _records())
+    def test_equal_fields_make_equal_records(self, cls, args, record):
+        names = [field.name for field in dataclasses.fields(cls)]
+        assert [getattr(record, name) for name in names] == list(args)
+        by_keyword = cls(**dict(zip(names, args)))
+        reference = _generated(cls, args)
+        for other in (cls(*args), by_keyword, reference):
+            assert other == record and hash(other) == hash(record)
+            assert repr(other) == repr(record)
+
+    @pytest.mark.parametrize("cls, args, record", _records())
+    def test_pickle_and_replace_round_trip(self, cls, args, record):
+        for copy in (pickle.loads(pickle.dumps(record)), dataclasses.replace(record)):
+            assert type(copy) is cls
+            assert copy == record and hash(copy) == hash(record)
+
+    def test_replace_runs_the_checks(self):
+        instance = ControlInstance(make_election("plurality", "ab", [("ab", 1)]), "b")
+        assert dataclasses.replace(instance, focus="a").focus == "a"
+        with pytest.raises(ValueError, match="^focus candidate 'x' is not running$"):
+            dataclasses.replace(instance, focus="x")
+
+    def test_refusals_read_as_before(self):
+        votes = VoteCollection(("a", "b"), ((Vote.order("ab"), 1),))
+        election = Election(System.PLURALITY, votes)
+        with pytest.raises(ValueError, match="^focus candidate 'x' is not running$"):
+            ControlInstance(election, "x")
+        with pytest.raises(ValueError, match="^focus candidate 'x' is not running$"):
+            ControlInstance(election=election, focus="x")
+        with pytest.raises(ElectionError, match="^unknown election system 'bogus'$"):
+            Election("bogus", votes)
+        with pytest.raises(InvalidVoteError, match="^approval elections take approval ballots, got order$"):
+            Election(system=System.APPROVAL, votes=votes)
+        for count in (0, -1):
+            with pytest.raises(InvalidVoteError, match="^vote multiplicity must be positive$"):
+                VoteCollection(("a", "b"), ((Vote.order("ab"), count),))
+        # A system given by its value is still read as the member.
+        assert Election("plurality", votes).system is System.PLURALITY
 
 
 def _renamed(instance, mapping):

@@ -131,7 +131,10 @@ class TestEnumerationMatchesReference:
         "universe",
         [Universe(system, 3, 3) for system in System]
         + [Universe(system, 4, 2) for system in System]
-        + [Universe(system, 3, 2, as_multisets=False) for system in System],
+        + [Universe(system, 3, 2, as_multisets=False) for system in System]
+        # Three ballots in sequence: (b1, b0, b1) is three groups, where
+        # counting the codes would give two.
+        + [Universe(system, 2, 3, as_multisets=False) for system in System],
         ids=lambda universe: universe.describe(),
     )
     def test_same_elections_in_the_same_order(self, universe):
@@ -143,6 +146,37 @@ class TestEnumerationMatchesReference:
             assert ours == theirs
             count += len(ours.candidates)
         assert count == instance_count(universe)
+
+
+def _instance_of_length(kind, length):
+    """An instance whose partitions of the kind split ``length`` items."""
+    if kind is PartitionKind.CANDIDATE:
+        return approval_instance(string.ascii_lowercase[:length], [], "a")
+    return ControlInstance(make_election("plurality", "ab", [("ab", length)] if length else []), "a")
+
+
+class TestPartitionEnumerationMatchesReference:
+    # Lengths past 8 join a prefix to the enumeration's block table; no
+    # election has zero candidates, so the candidate kind starts at one.
+    @pytest.mark.parametrize(
+        "kind, length",
+        [(PartitionKind.CANDIDATE, length) for length in range(1, 13)]
+        + [(PartitionKind.VOTER, length) for length in range(13)],
+    )
+    def test_every_mask_in_order(self, kind, length):
+        instance = _instance_of_length(kind, length)
+        items = partition_items(instance, kind)
+        assert len(items) == length
+        stream = list(enumerate_partitions(instance, kind))
+        assert stream == [control.partition_of_mask(kind, items, m) for m in range(1 << length)]
+        assert all(type(p.first) is type(p.second) is frozenset for p in stream)
+
+    def test_first_partition_of_forty_voters_comes_at_once(self):
+        instance = _instance_of_length(PartitionKind.VOTER, 40)
+        start = time.perf_counter()
+        first = next(enumerate_partitions(instance, PartitionKind.VOTER))
+        assert time.perf_counter() - start < 0.5
+        assert first == Partition.of_voters((), range(40))
 
 
 class TestBruteForce:
