@@ -23,7 +23,10 @@ set against their voter block's ballots. No round builds an election of its
 own, and the final round always uses the full original vote collection.
 
 A partition is named by its first-block mask: item i of the L items it
-splits (``partition_items``) is bit L-1-i. Each round's winners are one
+splits (``partition_items``) is bit L-1-i. A mask's blocks, and a block's
+mask, are read from the items' ``elections.block_maps``: the table of up to
+8 items that every election over them shares, read by ``SubsetWinners`` as
+``named``/``mask_of`` and ``voter_blocks()``. Each round's winners are one
 lookup in the election's ``SubsetWinners`` tables, and two paths read them.
 *Deciding* (``decider``, ``verify_solution``) maps a first-block mask to a
 verdict and builds nothing; ``mask_of_partition`` reads a ``Partition``'s
@@ -47,9 +50,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
-from typing import Callable, Collection
+from typing import Callable, Sequence
 
-from .elections import Election, SubsetWinners, _set, subset_winners
+from .elections import Election, SubsetWinners, _set, block_maps, subset_winners
 
 
 class Direction(str, Enum):
@@ -199,33 +202,28 @@ def partition_items(instance: ControlInstance, kind: PartitionKind) -> tuple:
     return tuple(range(instance.voter_count))
 
 
-def partition_of_mask(kind: PartitionKind, items: Collection, mask: int) -> Partition:
-    """The partition whose first block is the items set in ``mask`` (item 0 is the top bit)."""
-    first, second = [], []
-    bit = 1 << len(items)
-    for item in items:
-        bit >>= 1
-        if mask & bit:
-            first.append(item)
-        else:
-            second.append(item)
-    return Partition(kind, frozenset(first), frozenset(second))
+def partition_of_mask(kind: PartitionKind, items: Sequence, mask: int) -> Partition:
+    """The partition whose first block is the items set in ``mask`` (item 0 is the top bit),
+    its blocks read from the items' ``block_maps``."""
+    blocks = block_maps(items)[0]
+    return Partition(kind, blocks[mask], blocks[((1 << len(items)) - 1) ^ mask])
 
 
 def mask_of_partition(table: SubsetWinners, kind: PartitionKind, partition: Partition) -> int:
     """The first-block mask of a valid partition of this kind, else -1; it builds nothing.
-    Voter indices are type-checked per call: ``{0.0}`` and ``{0}`` share a ``block_mask`` entry."""
+    Voter indices are type-checked per call: ``{0.0} == {0}``, so both read one mask."""
     first, second = partition.first, partition.second
-    try:
-        one, two = table.block_mask[first], table.block_mask[second]
-    except TypeError:  # a block that is not a frozenset, or an index that is not an int
-        return -1
     if kind is _CANDIDATE:
-        everyone = table.everyone
-    elif all(map(int.__instancecheck__, first)) and all(map(int.__instancecheck__, second)):
-        shift = len(table.bit_of)  # voter masks sit above the candidate bits
-        one, two, everyone = one >> shift, two >> shift, table.all_voters
+        mask_of, everyone = table.mask_of, table.everyone
     else:
+        mask_of, everyone = table.voter_blocks()[1], table.all_voters
+    try:
+        one, two = mask_of[first], mask_of[second]
+    except (KeyError, TypeError):  # a stray item, or a block that is not a frozenset
+        return -1
+    if kind is not _CANDIDATE and not (
+        all(map(int.__instancecheck__, first)) and all(map(int.__instancecheck__, second))
+    ):
         return -1
     return one if partition.kind is kind and not one & two and one | two == everyone else -1
 
@@ -415,9 +413,12 @@ def outcome_of_mask(table: SubsetWinners, kind: PartitionKind, first: int) -> So
     key = (kind is not _CANDIDATE, first)
     outcome = table.memo.get(key)
     if outcome is None:
-        # ``bit_of`` iterates the candidates in order, and is not copied.
-        items = table.bit_of if kind is _CANDIDATE else range(table.all_voters.bit_length())
-        outcome = table.memo[key] = SolveOutcome(partition_of_mask(kind, items, first))
+        if kind is _CANDIDATE:
+            blocks, everyone = table.named, table.everyone
+        else:
+            blocks, everyone = table.voter_blocks()[0], table.all_voters
+        partition = Partition(kind, blocks[first], blocks[everyone ^ first])
+        outcome = table.memo[key] = SolveOutcome(partition)
     return outcome
 
 

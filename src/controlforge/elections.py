@@ -12,8 +12,9 @@ masks that one walk of the ballots builds; the two-stage semantics reads
 every round from them, ``scores`` and ``winners`` read the same tables,
 and ``control`` keeps its mask sweeps and memoized ``SolveOutcome``s in
 their ``memo`` dict, keyed by plain values.
-``subset_winners`` is the bounded cache of those tables, and the library's
-only cache.
+``subset_winners`` is the bounded cache of those tables, and ``block_table``
+the bounded cache of the blocks of an item sequence by mask, which every
+table, enumeration and partition over the same items shares.
 
 Validation: ``Election`` accepts valid names by whole-value checks (the
 names joined and split back, a duplicate-free name set), and only when they
@@ -26,9 +27,11 @@ is cached and there is no unchecked constructor: each record's own
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable
 
 
@@ -333,7 +336,7 @@ def scores(system: System, candidates: Iterable[str], votes: VoteCollection) -> 
     if not keep:
         return {}
     table = subset_winners(Election(system, votes))
-    subset, n, tally = table.block_mask[keep], votes.total, {}
+    subset, n, tally = sum(map(table.bit_of.__getitem__, keep)), votes.total, {}
     for name, (c, row) in zip(votes.universe, table.rows):
         if c & subset:
             lost = 0
@@ -351,7 +354,7 @@ def winners(system: System, candidates: Iterable[str], votes: VoteCollection) ->
     if not keep:
         return frozenset()
     table = subset_winners(Election(system, votes))
-    return table.named[table.by_candidates[table.block_mask[keep]]]
+    return table.named[table.by_candidates[sum(map(table.bit_of.__getitem__, keep))]]
 
 
 class _Table(dict):
@@ -366,6 +369,71 @@ class _Table(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+# An item sequence of at most this many items has a shared table of its 2**8 blocks.
+_TABLE_ITEMS = 8
+
+
+@functools.lru_cache(maxsize=16)
+def block_table(items: tuple) -> tuple[tuple, MappingProxyType]:
+    """``(blocks, mask_of)`` of a tuple of at most ``_TABLE_ITEMS`` items.
+
+    ``blocks[mask]`` is the frozenset of the items set in ``mask`` (item 0 is
+    the top bit), built by doubling from the last item, and ``mask_of`` maps
+    each block back to its mask. Every election, enumeration and partition
+    over the same items shares the two, so both are read-only.
+    Bounded: an 8-item table holds about 90 KB, so the 16 kept hold at most
+    about 1.5 MB.
+    """
+    blocks = [frozenset()]
+    for item in reversed(items):  # the last item is bit 0
+        single = frozenset((item,))
+        blocks += [block | single for block in blocks]
+    return tuple(blocks), MappingProxyType(dict(zip(blocks, range(len(blocks)))))
+
+
+class _Computed:
+    """A lookup whose every answer ``fill`` computes and nothing keeps."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __getitem__(self, key):
+        return self.fill(key)
+
+
+def _block(items, mask: int) -> frozenset:
+    """The items set in ``mask``, item 0 being the top bit, walked item by item."""
+    flags = format(mask, "b").zfill(len(items))
+    return frozenset(itertools.compress(items, map("1".__eq__, flags)))
+
+
+def _mask(items, block: frozenset) -> int:
+    """The mask of a block of the items, read from its bit string: one shifted
+    int per item would hold n * n / 2 bits, and summing them take n * n time."""
+    if not isinstance(block, frozenset):
+        raise TypeError(f"a block is a frozenset, not a {type(block).__name__}")
+    digits, index = bytearray(b"0") * len(items), items.index
+    try:
+        for item in block:
+            digits[index(item)] = 49  # ord("1")
+    except ValueError:  # not one of the items
+        raise KeyError(item) from None
+    return int(digits, 2)
+
+
+def block_maps(items) -> tuple:
+    """``(blocks, mask_of)`` of an ordered item sequence, read as ``block_table``'s.
+
+    At most ``_TABLE_ITEMS`` items read the shared table; a longer sequence
+    computes each block and mask item by item on every lookup, and keeps none.
+    """
+    if len(items) <= _TABLE_ITEMS:
+        return block_table(tuple(items))
+    return _Computed(functools.partial(_block, items)), _Computed(functools.partial(_mask, items))
 
 
 def _candidate_winners(rows, veto: bool, subset: int) -> int:
@@ -430,13 +498,11 @@ class SubsetWinners:
 
     Entries are filled on first lookup, so a table never holds more entries
     than decisions asked for; the kernels count bits and build no votes or
-    elections. Two memo tables serve the partitions: ``block_mask[block]``
-    is the mask of a frozenset of candidate names, or of voter indices
-    shifted past the m candidate bits so that neither kind passes for the
-    other, and -1 for a frozenset of anything else; a block that is not a
-    frozenset, or an index that is not an int, raises ``TypeError`` and is
-    not kept (equal blocks share an entry, and ``{0.0} == {0}``), and
-    ``named[mask]`` holds the candidate names of a mask.
+    elections. Masks and blocks are mapped by the candidates' ``block_maps``,
+    shared with every election over the same candidates: ``named[mask]`` is
+    the frozenset of the candidate names of a mask and ``mask_of[block]``
+    the mask of a block of them; ``voter_blocks()`` returns the voter
+    indices' pair, looked up on first use.
     """
 
     def __init__(self, election: Election):
@@ -480,35 +546,31 @@ class SubsetWinners:
         self.rows = rows  # ``scores`` reads the losses too
         self.by_candidates = _Table(functools.partial(_candidate_winners, rows, veto))
         self.by_voters = _Table(functools.partial(_voter_winners, lost, veto))
-
-        def block_mask(block):
-            if bit_of.keys() >= block:  # raises TypeError unless block is a set
-                return sum(map(bit_of.__getitem__, block))
-            # A voter block is read from its bit string, voter j at digit j:
-            # n voter masks would hold n * n / 2 bits, and their sum take n * n time.
-            digits = bytearray(b"0") * (n + m)
-            for j in block:
-                if not 0 <= j < n:
-                    return -1
-                digits[j] = ord("1")
-            return int(digits, 2)
-
-        self.block_mask = _Table(block_mask)
-        self.named = _Table(
-            lambda mask: frozenset(c for c, bit in bit_of.items() if bit & mask)
-        )
+        self.named, self.mask_of = block_maps(election.candidates)
         # ``control``'s state: the searches' mask sweeps, keyed by (shape,
         # focus bit), and the outcomes of ``outcome_of_mask``, keyed by (voter
         # split, mask), which searches and transfers share. Held here, it is
         # bounded and dropped with the tables.
         self.memo = {}
+        self._voter_blocks = None
+
+    def voter_blocks(self) -> tuple:
+        """``(blocks, mask_of)`` of the voter indices (``block_maps``), looked up on first use.
+
+        Kept by plain assignment: ``functools.cached_property`` stores through
+        ``__dict__``, which on Python 3.11 materializes the instance dict and
+        slows the attribute reads of every table.
+        """
+        if self._voter_blocks is None:
+            self._voter_blocks = block_maps(range(self.all_voters.bit_length()))
+        return self._voter_blocks
 
 
 @functools.lru_cache(maxsize=256)
 def subset_winners(election: Election) -> SubsetWinners:
     """The election's winner tables, shared by every decision about it.
 
-    The only cache in the library: it holds the tables of the 256 elections
-    used last, and with them the searches' ``memo``.
+    It holds the tables of the 256 elections used last, and with them the
+    searches' ``memo``; the block tables they refer to are ``block_table``'s.
     """
     return SubsetWinners(election)

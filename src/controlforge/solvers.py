@@ -43,11 +43,13 @@ from .control import (
     search_outcome,
 )
 from .elections import (
+    _TABLE_ITEMS,
     Election,
     SubsetWinners,
     System,
     Vote,
     VoteCollection,
+    block_table,
     winners,  # unused here; bench/test_bench.py's Binding test looks it up
 )
 
@@ -86,27 +88,19 @@ def encoding_length(instance: ControlInstance, kind: PartitionKind) -> int:
     return instance.voter_count
 
 
-# ``enumerate_partitions`` reads the blocks of at most this many last items
-# from a table of 2**_TABLE_ITEMS sets.
-_TABLE_ITEMS = 8
-
-
 def enumerate_partitions(
     instance: ControlInstance, kind: PartitionKind
 ) -> Iterator[Partition]:
     """All partitions of the given kind, lexicographically by encoding.
 
-    The blocks of the last (at most ``_TABLE_ITEMS``) items, by mask, are a
-    table built once by doubling, and a mask's complement is the table read
-    backwards; each block of a longer encoding joins the higher items' block
-    to a table entry with one union.
+    The blocks of the last (at most ``_TABLE_ITEMS``) items, by mask, are
+    their shared ``elections.block_table``, and a mask's complement is the
+    table read backwards; each block of a longer encoding joins the higher
+    items' block (``partition_of_mask``) to a table entry with one union.
     """
     items = partition_items(instance, kind)
     split = max(len(items) - _TABLE_ITEMS, 0)
-    high, blocks = items[:split], [frozenset()]
-    for item in reversed(items[split:]):  # the last item is bit 0
-        single = frozenset((item,))
-        blocks += [block | single for block in blocks]
+    high, blocks = items[:split], block_table(items[split:])[0]
     kinds = itertools.repeat(kind)
     if not split:
         yield from map(Partition, kinds, blocks, reversed(blocks))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import pickle
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -418,7 +419,8 @@ class TestMaskOfPartitionMatchesReference:
     an item-by-item walk and against the explaining path: it returns a mask
     exactly when ``partition_problems`` finds nothing, and then the first
     block's mask. The pools add strays of both kinds and voter indices that
-    are equal to an index (0.0, True) or are not (-1, n)."""
+    are equal to an index (0.0, True) or are not (-1, n); every mask of up
+    to 12 items is read against the reference's own partition and bits."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -443,6 +445,43 @@ class TestMaskOfPartitionMatchesReference:
         assert valid == {(PartitionKind.CANDIDATE, mask) for mask in range(2**m)} | {
             (PartitionKind.VOTER, mask) for mask in range(2**n)
         }
+
+    @pytest.mark.parametrize(
+        "kind, length",
+        [(PartitionKind.CANDIDATE, length) for length in range(1, 13)]
+        + [(PartitionKind.VOTER, length) for length in range(13)],
+    )
+    def test_every_mask_of_each_length(self, kind, length):
+        # Every partition of up to 12 items, past the 8 of a block table,
+        # read as ``reference.partition_of_code`` builds it (its mask is its
+        # first block's ``reference.bits``), and with a stray, a missing item,
+        # an overlap, a tuple block or 0.0 for voter 0, under either expected kind.
+        if kind is PartitionKind.CANDIDATE:
+            election = make_election("approval", string.ascii_lowercase[:length], [])
+            items, stray = election.candidates, "z"
+        else:
+            election = make_election("plurality", "ab", [("ab", length)] if length else [])
+            items, stray = tuple(range(length)), length
+        table = SubsetWinners(election)
+        for mask in range(1 << length):
+            first, second = reference.partition_of_code(items, mask)
+            partition = Partition(kind, first, second)
+            bits = int("0" + reference.bits(items, first), 2)
+            assert mask_of_partition(table, kind, partition) == bits == mask
+            variants = [
+                partition,
+                Partition(kind, first | {stray}, second),
+                Partition(kind, first, tuple(item for item in items if item in second)),
+            ]
+            if first:
+                item = min(first)
+                variants += [Partition(kind, first - {item}, second), Partition(kind, first, second | {item})]
+            if kind is PartitionKind.VOTER and length:
+                variants.append(Partition(kind, *(b - {0} | {0.0} if 0 in b else b for b in (first, second))))
+            for variant in variants:
+                for expected in PartitionKind:
+                    mask = mask_of_partition(table, expected, variant)
+                    assert mask == reference_mask(variant, expected, election)
 
     @pytest.mark.parametrize("order", [(0, 0.0), (0.0, 0)], ids=["int-first", "float-first"])
     def test_equal_blocks_share_a_memo_entry(self, order):

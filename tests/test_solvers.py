@@ -27,7 +27,7 @@ from controlforge import (
 )
 from controlforge import control, solvers
 from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind, partition_items
-from controlforge.elections import SubsetWinners, subset_winners
+from controlforge.elections import SubsetWinners, block_maps, block_table, subset_winners
 from controlforge.solvers import (
     COLLAPSE_GROUPS,
     POLYNOMIAL_SEARCHES,
@@ -156,20 +156,37 @@ def _instance_of_length(kind, length):
 
 
 class TestPartitionEnumerationMatchesReference:
-    # Lengths past 8 join a prefix to the enumeration's block table; no
-    # election has zero candidates, so the candidate kind starts at one.
+    """``enumerate_partitions``, ``partition_of_mask`` and the shared blocks
+    they read (``block_maps``) against ``reference.partition_of_code``, and
+    each block's mask against ``reference.bits``, on every mask of both
+    kinds. Lengths past 8 join a prefix to the block table, and
+    ``partition_of_mask`` and ``block_maps`` walk their items one by one;
+    no election has zero candidates, so only the enumeration skips that."""
+
     @pytest.mark.parametrize(
-        "kind, length",
-        [(PartitionKind.CANDIDATE, length) for length in range(1, 13)]
-        + [(PartitionKind.VOTER, length) for length in range(13)],
+        "kind, length", [(kind, length) for kind in PartitionKind for length in range(13)]
     )
     def test_every_mask_in_order(self, kind, length):
-        instance = _instance_of_length(kind, length)
-        items = partition_items(instance, kind)
-        assert len(items) == length
-        stream = list(enumerate_partitions(instance, kind))
-        assert stream == [control.partition_of_mask(kind, items, m) for m in range(1 << length)]
-        assert all(type(p.first) is type(p.second) is frozenset for p in stream)
+        if kind is PartitionKind.CANDIDATE:
+            items = tuple(string.ascii_lowercase[:length])
+        else:
+            items = tuple(range(length))
+        everyone = (1 << length) - 1
+        blocks, mask_of = block_maps(items)
+        expected = []
+        for mask in range(1 << length):
+            first, second = reference.partition_of_code(items, mask)
+            expected.append(Partition(kind, first, second))
+            assert control.partition_of_mask(kind, items, mask) == expected[-1]
+            assert blocks[mask] == first and blocks[everyone ^ mask] == second
+            assert mask_of[first] == int("0" + reference.bits(items, first), 2) == mask
+            assert mask_of[second] == everyone ^ mask
+        if length or kind is PartitionKind.VOTER:
+            instance = _instance_of_length(kind, length)
+            assert partition_items(instance, kind) == items
+            stream = list(enumerate_partitions(instance, kind))
+            assert stream == expected
+            assert all(type(p.first) is type(p.second) is frozenset for p in stream)
 
     def test_first_partition_of_forty_voters_comes_at_once(self):
         instance = _instance_of_length(PartitionKind.VOTER, 40)
@@ -460,20 +477,38 @@ def test_one_off_decision_on_a_large_electorate_stays_small():
 
 
 def test_voter_block_mask_is_read_from_its_bit_string():
-    # One shifted int summed per voter took about a second here.
+    # One shifted int summed per voter took about a second here. Past 8
+    # voters there is no block table: each mask is read item by item.
     n = 200_000
     table = SubsetWinners(make_election("plurality", "ab", [("ab", n)]))
     block = frozenset(range(0, n, 3))
     start = time.perf_counter()
-    mask = table.block_mask[block]
+    mask = table.voter_blocks()[1][block]
     assert time.perf_counter() - start < 0.1
-    # Voter masks sit above the two candidate bits.
-    assert mask == int(reference.bits(range(n), block), 2) << 2
-    assert table.block_mask[frozenset()] == 0
+    assert mask == int(reference.bits(range(n), block), 2)
+    assert table.voter_blocks()[1][frozenset()] == 0
 
 
 def test_table_cache_is_bounded():
     assert subset_winners.cache_info().maxsize is not None
+
+
+def test_block_table_cache_is_bounded():
+    # The worst case: as many distinct 8-item tables as the cache keeps.
+    maxsize = block_table.cache_info().maxsize
+    assert maxsize is not None
+    names = [tuple(f"c{k}_{i}" for i in range(8)) for k in range(maxsize)]
+    block_table.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tables = [block_table(items) for items in names]
+        size = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block_table.cache_info().currsize == maxsize
+    assert all(len(blocks) == len(mask_of) == 256 for blocks, mask_of in tables)
+    assert size <= 2 << 20
 
 
 def test_a_dropped_table_is_freed_without_the_collector():
