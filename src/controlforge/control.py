@@ -37,10 +37,11 @@ the four types of a shape share one mask sweep per election and focus
 (``_least_mask``). Every search is a ``MaskSearch``, from the type, the
 tables and the focus bit to a verifying mask or None, and ``search_outcome``
 maps its answer to an outcome. A mask's ``Partition``
-(``partition_of_mask``) is built once per election, in the ``SolveOutcome``
-that ``outcome_of_mask`` memoizes for the searches and the transfers; a
-search that finds nothing, and a transfer that rejects its input, returns
-the one ``NO_SOLUTION``.
+(``partition_of_mask``) is built once per item sequence, in the
+``SolveOutcome`` that ``outcome_of_mask`` memoizes in the items'
+``block_maps`` for the searches and the transfers on every election over
+them; a search that finds nothing, and a transfer that rejects its input,
+returns the one ``NO_SOLUTION``.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -399,26 +400,27 @@ def search_outcome(
     first = search(control_type, table, table.bit_of[instance.focus])
     if first is None:
         return NO_SOLUTION
-    outcome = table.memo.get((control_type.shape[0], first))  # an outcome is never falsy
+    outcomes = table.voter_outcomes if control_type.shape[0] else table.outcomes
+    outcome = outcomes.get(first)  # an outcome is never falsy
     return outcome or outcome_of_mask(table, control_type.partition_kind, first)
 
 
 def outcome_of_mask(table: SubsetWinners, kind: PartitionKind, first: int) -> SolveOutcome:
     """The outcome holding the partition of first-block mask ``first`` of the table's election.
 
-    Built once per election, voter split and mask in ``table.memo``, keyed by
-    plain values (an enum member hashes in Python), and shared by the brute-force
-    and polynomial searches and the transfers: asking again returns the same object.
+    Built once per item sequence and mask, in the ``outcomes`` of the items'
+    ``block_maps``, and shared by the brute-force and polynomial searches and
+    the transfers on every election over the same items: asking again
+    returns the same object.
     """
-    key = (kind is not _CANDIDATE, first)
-    outcome = table.memo.get(key)
+    if kind is _CANDIDATE:
+        blocks, outcomes, everyone = table.named, table.outcomes, table.everyone
+    else:
+        (blocks, _, outcomes), everyone = table.voter_blocks(), table.all_voters
+    outcome = outcomes.get(first)
     if outcome is None:
-        if kind is _CANDIDATE:
-            blocks, everyone = table.named, table.everyone
-        else:
-            blocks, everyone = table.voter_blocks()[0], table.all_voters
         partition = Partition(kind, blocks[first], blocks[everyone ^ first])
-        outcome = table.memo[key] = SolveOutcome(partition)
+        outcome = outcomes[first] = SolveOutcome(partition)
     return outcome
 
 

@@ -6,15 +6,16 @@ candidate; a winner set is empty only for an empty candidate set. All
 values are immutable.
 
 ``SubsetWinners`` holds one election's winners of every candidate set (and
-voter set) as two tables keyed by bitmask, each filled on demand by its own
-bit-count kernel (``_candidate_winners``, ``_voter_winners``) over voter
-masks that one walk of the ballots builds; the two-stage semantics reads
-every round from them, ``scores`` and ``winners`` read the same tables,
-and ``control`` keeps its mask sweeps and memoized ``SolveOutcome``s in
-their ``memo`` dict, keyed by plain values.
+voter set) as two tables keyed by bitmask, each a dict that fills a missing
+entry with its own bit-count kernel (``_CandidateWinners``,
+``_VoterWinners``) over voter masks that one walk of the ballots builds; the
+two-stage semantics reads every round from them, ``scores`` and ``winners``
+read the same tables, and ``control`` keeps its mask sweeps in their
+``memo`` dict, keyed by plain values.
 ``subset_winners`` is the bounded cache of those tables, and ``block_table``
-the bounded cache of the blocks of an item sequence by mask, which every
-table, enumeration and partition over the same items shares.
+the bounded cache of the blocks of an item sequence by mask and of the
+memoized ``SolveOutcome``s of its masks, which every table, enumeration and
+partition over the same items shares.
 
 Validation: ``Election`` accepts valid names by whole-value checks (the
 names joined and split back, a duplicate-free name set), and only when they
@@ -276,9 +277,11 @@ class Election:
 
     def __hash__(self) -> int:
         # Elections key the table cache: hash the ballots once, not per lookup.
+        # Read as an attribute: ``self.__dict__`` would materialize the
+        # instance dict, which on Python 3.11 slows every field read.
         try:
-            return self.__dict__["_hash"]
-        except KeyError:
+            return self._hash
+        except AttributeError:
             value = hash((self.system, self.votes))
             _set(self, "_hash", value)
             return value
@@ -357,18 +360,16 @@ def winners(system: System, candidates: Iterable[str], votes: VoteCollection) ->
     return table.named[table.by_candidates[sum(map(table.bit_of.__getitem__, keep))]]
 
 
-class _Table(dict):
-    """A dict that computes a missing entry on first lookup and keeps it."""
+# Defined before the module's other caches: bench/run.py reports the first
+# ``cache_info`` it finds here as the winner cache.
+@functools.lru_cache(maxsize=256)
+def subset_winners(election: Election) -> "SubsetWinners":
+    """The election's winner tables, shared by every decision about it.
 
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
+    It holds the tables of the 256 elections used last, and with them the
+    searches' sweeps; the blocks and outcomes they refer to are ``block_table``'s.
+    """
+    return SubsetWinners(election)
 
 
 # An item sequence of at most this many items has a shared table of its 2**8 blocks.
@@ -376,21 +377,23 @@ _TABLE_ITEMS = 8
 
 
 @functools.lru_cache(maxsize=16)
-def block_table(items: tuple) -> tuple[tuple, MappingProxyType]:
-    """``(blocks, mask_of)`` of a tuple of at most ``_TABLE_ITEMS`` items.
+def block_table(items: tuple) -> tuple[tuple, MappingProxyType, dict]:
+    """``(blocks, mask_of, outcomes)`` of a tuple of at most ``_TABLE_ITEMS`` items.
 
     ``blocks[mask]`` is the frozenset of the items set in ``mask`` (item 0 is
     the top bit), built by doubling from the last item, and ``mask_of`` maps
-    each block back to its mask. Every election, enumeration and partition
-    over the same items shares the two, so both are read-only.
-    Bounded: an 8-item table holds about 90 KB, so the 16 kept hold at most
-    about 1.5 MB.
+    each block back to its mask. ``outcomes`` maps a mask to the
+    ``SolveOutcome`` of its partition, and only ``control.outcome_of_mask``
+    fills it. Every election, enumeration and partition over the same items
+    shares the three, so the first two are read-only.
+    Bounded: an 8-item table holds about 90 KB, and about 60 KB more with
+    every outcome filled, so the 16 kept hold at most about 2.4 MB.
     """
     blocks = [frozenset()]
     for item in reversed(items):  # the last item is bit 0
         single = frozenset((item,))
         blocks += [block | single for block in blocks]
-    return tuple(blocks), MappingProxyType(dict(zip(blocks, range(len(blocks)))))
+    return tuple(blocks), MappingProxyType(dict(zip(blocks, range(len(blocks))))), {}
 
 
 class _Computed:
@@ -426,58 +429,90 @@ def _mask(items, block: frozenset) -> int:
 
 
 def block_maps(items) -> tuple:
-    """``(blocks, mask_of)`` of an ordered item sequence, read as ``block_table``'s.
+    """``(blocks, mask_of, outcomes)`` of an ordered item sequence, read as ``block_table``'s.
 
     At most ``_TABLE_ITEMS`` items read the shared table; a longer sequence
-    computes each block and mask item by item on every lookup, and keeps none.
+    computes each block and mask item by item on every lookup, and keeps
+    none, and gets a fresh ``outcomes`` dict, which its caller keeps.
     """
     if len(items) <= _TABLE_ITEMS:
         return block_table(tuple(items))
-    return _Computed(functools.partial(_block, items)), _Computed(functools.partial(_mask, items))
+    blocks, mask_of = functools.partial(_block, items), functools.partial(_mask, items)
+    return _Computed(blocks), _Computed(mask_of), {}
 
 
-def _candidate_winners(rows, veto: bool, subset: int) -> int:
-    """Winner mask of candidate set ``subset`` under every voter's ballot.
+@functools.lru_cache(maxsize=16)
+def _bits_of(candidates: tuple) -> MappingProxyType:
+    """Each candidate's bit, candidate i of m being bit m-1-i, shared by every
+    table over the same candidates, so read-only."""
+    m = len(candidates)
+    return MappingProxyType({name: 1 << (m - 1 - i) for i, name in enumerate(candidates)})
+
+
+class _CandidateWinners(dict):
+    """Winner masks by candidate mask, each computed on first lookup and kept.
 
     ``rows`` pairs each candidate c with (rivals, voters) masks: those
-    voters give c no point whenever ``subset`` holds one of ``rivals``. The
-    candidates losing the fewest voters win; under veto, where the point is
-    a veto, those losing the most.
+    voters give c no point whenever the candidate set holds one of
+    ``rivals``. The candidates losing the fewest voters win; under veto,
+    where the point is a veto, those losing the most.
     """
-    best, won = None, 0
-    for c, row in rows:
-        if c & subset:
-            lost = 0
-            for rivals, voters in row:
-                if rivals & subset:
-                    lost |= voters
-            key = lost.bit_count()
+
+    __slots__ = ("rows", "veto")
+
+    def __init__(self, rows: tuple, veto: bool):
+        self.rows, self.veto = rows, veto
+
+    def __missing__(self, subset: int) -> int:
+        best, won, veto = None, 0, self.veto
+        for c, row in self.rows:
+            if c & subset:
+                lost = 0
+                for rivals, voters in row:
+                    if rivals & subset:
+                        lost |= voters
+                key = lost.bit_count()
+                if veto:
+                    key = -key
+                if best is None or key < best:
+                    best, won = key, c
+                elif key == best:
+                    won |= c
+        self[subset] = won
+        return won
+
+
+class _VoterWinners(dict):
+    """Winner masks of the full candidate set by voter mask, each computed on
+    first lookup and kept.
+
+    ``lost`` pairs each candidate c with the voters who give it no point
+    over the full candidate set; the winners are picked as in
+    ``_CandidateWinners``, counting the chosen voters only.
+    """
+
+    __slots__ = ("lost", "veto")
+
+    def __init__(self, lost: tuple, veto: bool):
+        self.lost, self.veto = lost, veto
+
+    def __missing__(self, chosen: int) -> int:
+        best, won, veto = None, 0, self.veto
+        for c, voters in self.lost:
+            key = (voters & chosen).bit_count()
             if veto:
                 key = -key
             if best is None or key < best:
                 best, won = key, c
             elif key == best:
                 won |= c
-    return won
+        self[chosen] = won
+        return won
 
 
-def _voter_winners(lost, veto: bool, chosen: int) -> int:
-    """Winner mask of the full candidate set under the ballots of the ``chosen`` voters.
-
-    ``lost`` pairs each candidate c with the voters who give it no point
-    over the full candidate set; the winners are picked as in
-    ``_candidate_winners``, counting the chosen voters only.
-    """
-    best, won = None, 0
-    for c, voters in lost:
-        key = (voters & chosen).bit_count()
-        if veto:
-            key = -key
-        if best is None or key < best:
-            best, won = key, c
-        elif key == best:
-            won |= c
-    return won
+# ``search_outcome`` reads a table's voter outcomes before ``voter_blocks()``
+# has looked them up: until then they are this empty, read-only mapping.
+_NO_OUTCOMES = MappingProxyType({})
 
 
 class SubsetWinners:
@@ -490,26 +525,30 @@ class SubsetWinners:
 
     * ``by_candidates[S]``: winners of candidate set S scored against the
       full votes, each ballot counting only for the candidates in S (the
-      winners of the election masked down to S), filled by
-      ``_candidate_winners``;
+      winners of the election masked down to S), a ``_CandidateWinners``;
     * ``by_voters[V]``: winners of the full candidate set under the ballots
-      of the voters in V (the winners of ``select_voters``), filled by
-      ``_voter_winners``.
+      of the voters in V (the winners of ``select_voters``), a
+      ``_VoterWinners``.
 
     Entries are filled on first lookup, so a table never holds more entries
     than decisions asked for; the kernels count bits and build no votes or
-    elections. Masks and blocks are mapped by the candidates' ``block_maps``,
-    shared with every election over the same candidates: ``named[mask]`` is
-    the frozenset of the candidate names of a mask and ``mask_of[block]``
-    the mask of a block of them; ``voter_blocks()`` returns the voter
-    indices' pair, looked up on first use.
+    elections. Masks, blocks and outcomes are mapped by the candidates'
+    ``block_maps``, shared with every election over the same candidates:
+    ``named[mask]`` is the frozenset of the candidate names of a mask,
+    ``mask_of[block]`` the mask of a block of them and ``outcomes[mask]``
+    the memoized outcome of a mask's partition; ``voter_blocks()`` returns
+    the voter indices' three, looked up on first use, and from then on
+    ``voter_outcomes`` is the third.
     """
+
+    __slots__ = (
+        "bit_of", "everyone", "all_voters", "rows", "by_candidates", "by_voters",
+        "named", "mask_of", "outcomes", "voter_outcomes", "memo", "_voter_blocks", "__weakref__",
+    )
 
     def __init__(self, election: Election):
         system = election.system
-        m = len(election.candidates)
-        bits = tuple(1 << (m - 1 - i) for i in range(m))
-        bit_of = dict(zip(election.candidates, bits))
+        self.bit_of = bit_of = _bits_of(election.candidates)
         veto = system is System.VETO
         approval = system is System.APPROVAL
         # For each candidate c and ballot group: (the candidates it ranks above
@@ -517,8 +556,8 @@ class SubsetWinners:
         # Over the full candidate set, c loses the voters of all its pairs.
         # The groups are walked last-first, so the last group's voters take
         # the lowest bits and n is counted on the way.
-        passed = {c: [] for c in bits}
-        lost = dict.fromkeys(bits, 0)
+        passed = {c: [] for c in bit_of.values()}
+        lost = dict.fromkeys(bit_of.values(), 0)
         n = 0
         for vote, count in reversed(election.votes.groups):
             voters = ((1 << count) - 1) << n
@@ -536,41 +575,24 @@ class SubsetWinners:
                     passed[c].append((before, voters))
                     lost[c] |= voters
                 before |= c
-        self.bit_of = bit_of
-        self.everyone = (1 << m) - 1
+        self.everyone = (1 << len(bit_of)) - 1
         self.all_voters = (1 << n) - 1
-        # The fills close over plain data, not over self: a table that
-        # refers back to its owner would stay in memory after the cache
-        # drops it, until a full garbage collection.
-        rows, lost = tuple(passed.items()), tuple(lost.items())
-        self.rows = rows  # ``scores`` reads the losses too
-        self.by_candidates = _Table(functools.partial(_candidate_winners, rows, veto))
-        self.by_voters = _Table(functools.partial(_voter_winners, lost, veto))
-        self.named, self.mask_of = block_maps(election.candidates)
-        # ``control``'s state: the searches' mask sweeps, keyed by (shape,
-        # focus bit), and the outcomes of ``outcome_of_mask``, keyed by (voter
-        # split, mask), which searches and transfers share. Held here, it is
-        # bounded and dropped with the tables.
+        # The fills (and ``scores``) read plain data, not self: a table that
+        # refers back to its owner would stay in memory after the cache drops
+        # it, until a full garbage collection.
+        self.rows = rows = tuple([(c, tuple(row)) for c, row in passed.items()])
+        self.by_candidates = _CandidateWinners(rows, veto)
+        self.by_voters = _VoterWinners(tuple(lost.items()), veto)
+        self.named, self.mask_of, self.outcomes = block_maps(election.candidates)
+        self.voter_outcomes, self._voter_blocks = _NO_OUTCOMES, None
+        # ``control._least_mask``'s sweeps, keyed by (shape, focus bit): held
+        # here, they are bounded and dropped with the tables.
         self.memo = {}
-        self._voter_blocks = None
 
     def voter_blocks(self) -> tuple:
-        """``(blocks, mask_of)`` of the voter indices (``block_maps``), looked up on first use.
-
-        Kept by plain assignment: ``functools.cached_property`` stores through
-        ``__dict__``, which on Python 3.11 materializes the instance dict and
-        slows the attribute reads of every table.
-        """
+        """``(blocks, mask_of, outcomes)`` of the voter indices (``block_maps``),
+        looked up on first use; ``voter_outcomes`` is then the third."""
         if self._voter_blocks is None:
             self._voter_blocks = block_maps(range(self.all_voters.bit_length()))
+            self.voter_outcomes = self._voter_blocks[2]
         return self._voter_blocks
-
-
-@functools.lru_cache(maxsize=256)
-def subset_winners(election: Election) -> SubsetWinners:
-    """The election's winner tables, shared by every decision about it.
-
-    It holds the tables of the 256 elections used last, and with them the
-    searches' ``memo``; the block tables they refer to are ``block_table``'s.
-    """
-    return SubsetWinners(election)

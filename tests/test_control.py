@@ -587,6 +587,46 @@ class TestMaskReadersMatchReference:
         assert checked > 0
 
 
+def _two_elections(kind, length):
+    """The items a partition of this kind splits, and two different elections
+    over them: the same candidates, or the same number of voters."""
+    if kind is PartitionKind.VOTER:
+        ballots = [("ab", length)] if length else []
+        return tuple(range(length)), (
+            make_election("plurality", "ab", ballots),
+            make_election("approval", "abc", [(("c",), count) for _, count in ballots]),
+        )
+    names = tuple(string.ascii_lowercase[:length])
+    return names, (
+        make_election("plurality", names, [(names, 1)]),
+        make_election("veto", names, [(names[::-1], 2)]),
+    )
+
+
+class TestSharedOutcomesMatchReference:
+    """``outcome_of_mask`` against ``reference.partition_of_code``, on every
+    mask of both kinds. Up to 8 items the outcome of a mask is built once per
+    item sequence, so two elections over the same items share the object;
+    past 8 each election's table keeps its own, equal to the other's."""
+
+    # No election has zero candidates.
+    CASES = [(PartitionKind.VOTER, 0)] + [(kind, n) for kind in PartitionKind for n in range(1, 13)]
+
+    @pytest.mark.parametrize("kind, length", CASES)
+    def test_every_mask(self, kind, length):
+        items, elections = _two_elections(kind, length)
+        one, two = map(SubsetWinners, elections)
+        for first in range(1 << length):
+            outcome = outcome_of_mask(one, kind, first)
+            other = outcome_of_mask(two, kind, first)
+            assert outcome is other if length <= 8 else outcome == other
+            assert outcome_of_mask(one, kind, first) is outcome
+            assert outcome_of_mask(two, kind, first) is other
+            solution = outcome.solution
+            assert solution.kind is kind
+            assert (solution.first, solution.second) == reference.partition_of_code(items, first)
+
+
 def _records():
     """One record of each class with its own ``__init__``, with the fields it was given."""
     votes = VoteCollection(("a", "b"), ((Vote.order("ab"), 2), (Vote.order("ba"), 1)))

@@ -512,7 +512,8 @@ def test_transfers_return_the_memoized_partition(system):
     its mask: the object a second apply returns, and the one brute force
     returns when that mask is its answer. Every rejection is the one
     ``NO_SOLUTION``; a polynomial search finds the memoized partition of its
-    builder's mask; and no memo key holds an enum member. A rule whose output
+    builder's mask; no sweep key holds an enum member, and the shared outcomes
+    are keyed by the mask alone. A rule whose output
     mask is its input's returns the verified input as it is, so the inputs
     are the memo's own partitions, each followed by its malformed variants."""
     subset_winners.cache_clear()
@@ -548,8 +549,9 @@ def test_transfers_return_the_memoized_partition(system):
                 assert mask == _mask(instance, outcome.solution)
                 assert outcome.solution is _memoized(instance, control_type.partition_kind, mask)
                 found += 1
-        memo = subset_winners(instance.election).memo
-        assert not any(isinstance(leaf, Enum) for key in memo for leaf in leaves(key))
+        table = subset_winners(instance.election)
+        assert not any(isinstance(leaf, Enum) for key in table.memo for leaf in leaves(key))
+        assert all(type(key) is int for key in [*table.outcomes, *table.voter_outcomes])
     assert transferred and rejected
     assert found or not searched
 

@@ -28,6 +28,7 @@ from controlforge import (
 from controlforge import control, solvers
 from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind, partition_items
 from controlforge.elections import SubsetWinners, block_maps, block_table, subset_winners
+from controlforge.reductions import ALL_TRANSFER_RULES
 from controlforge.solvers import (
     COLLAPSE_GROUPS,
     POLYNOMIAL_SEARCHES,
@@ -172,7 +173,7 @@ class TestPartitionEnumerationMatchesReference:
         else:
             items = tuple(range(length))
         everyone = (1 << length) - 1
-        blocks, mask_of = block_maps(items)
+        blocks, mask_of, _ = block_maps(items)
         expected = []
         for mask in range(1 << length):
             first, second = reference.partition_of_code(items, mask)
@@ -426,8 +427,9 @@ def test_searches_match_the_explaining_path(system):
 def test_an_answered_search_returns_the_memoized_outcome(system):
     """Asked again on the same cached tables, brute force returns the very
     outcome it returned first; every search that finds nothing returns the
-    one ``NO_SOLUTION``; and the searches' memo is keyed by plain values,
-    never an enum member, whose hash runs in Python."""
+    one ``NO_SOLUTION``; the searches' sweeps are keyed by plain values,
+    never an enum member, whose hash runs in Python; and the outcomes, which
+    every election over the same items shares, by the mask alone."""
     subset_winners.cache_clear()
     for instance in iter_instances(Universe(system, 3, 3)):
         first = [brute_force_search(t, instance) for t in ALL_CONTROL_TYPES]
@@ -435,8 +437,9 @@ def test_an_answered_search_returns_the_memoized_outcome(system):
         for one, two in zip(first, again):
             assert two is one
             assert one.found or one is control.NO_SOLUTION
-        memo = subset_winners(instance.election).memo
-        assert not any(isinstance(leaf, Enum) for key in memo for leaf in leaves(key))
+        table = subset_winners(instance.election)
+        assert not any(isinstance(leaf, Enum) for key in table.memo for leaf in leaves(key))
+        assert all(type(key) is int for key in [*table.outcomes, *table.voter_outcomes])
 
 
 def test_one_off_decisions_on_a_large_election_fill_lazily():
@@ -507,12 +510,69 @@ def test_block_table_cache_is_bounded():
     finally:
         tracemalloc.stop()
     assert block_table.cache_info().currsize == maxsize
-    assert all(len(blocks) == len(mask_of) == 256 for blocks, mask_of in tables)
+    assert all(len(blocks) == len(mask_of) == 256 for blocks, mask_of, _ in tables)
     assert size <= 2 << 20
 
 
+def test_shared_outcomes_are_bounded():
+    # The worst case of the outcomes the block tables keep: as many distinct
+    # 8-item tables as the cache keeps, each with the outcome of every mask.
+    maxsize = block_table.cache_info().maxsize
+    names = [tuple(f"c{k}_{i}" for i in range(8)) for k in range(maxsize)]
+    elections = [make_election("approval", items, [(items[:3], 1)]) for items in names]
+    subset_winners.cache_clear()
+    block_table.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for election in elections:
+            table = subset_winners(election)
+            for mask in range(256):
+                control.outcome_of_mask(table, PartitionKind.CANDIDATE, mask)
+        size = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(len(block_table(items)[2]) == 256 for items in names)
+    assert block_table.cache_info().misses == maxsize
+    assert size <= 3 << 20  # measured about 2.4 MB on Python 3.11
+
+
+def test_transfer_tables_stay_small():
+    # Transfer-style use: every rule applied to every verifying input of
+    # every focus of 256 desk elections, as many as the table cache keeps.
+    elections = {}
+    for system in System:
+        for instance in iter_instances(Universe(system, 4, 3)):
+            elections.setdefault(instance.election)
+    maxsize = subset_winners.cache_info().maxsize
+    picked = random.Random(7).sample(sorted(elections, key=repr), maxsize)
+    work = [[ControlInstance(e, focus) for focus in e.candidates] for e in picked]
+    subset_winners.cache_clear()
+    block_table.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for instances in work:
+            system = instances[0].election.system
+            for rule in (r for r in ALL_TRANSFER_RULES if r.system is system):
+                target = rule.target_type
+                for instance in instances:
+                    for partition in enumerate_partitions(instance, target.partition_kind):
+                        if verify_solution(target, instance, partition):
+                            rule.apply(instance, partition)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert subset_winners.cache_info().currsize == maxsize
+    # About 2.5 KB per table on Python 3.11, and 6.5 KB when each table
+    # kept its own outcomes.
+    assert retained / maxsize < 3 * 1024
+
+
 def test_a_dropped_table_is_freed_without_the_collector():
-    # The fills close over plain data, never over the table, so clearing
+    # The winner tables hold plain data, never their owner, so clearing
     # the cache frees a table by reference counting alone.
     election = make_election("plurality", "abcd", [("abcd", 1), ("bcda", 2), ("dcba", 1)])
     instance = ControlInstance(election, "b")
