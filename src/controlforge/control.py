@@ -39,9 +39,9 @@ tables and the focus bit to a verifying mask or None, and ``search_outcome``
 maps its answer to an outcome. A mask's ``Partition``
 (``partition_of_mask``) is built once per item sequence, in the
 ``SolveOutcome`` that ``outcome_of_mask`` memoizes in the items'
-``block_maps`` for the searches and the transfers on every election over
-them; a search that finds nothing, and a transfer that rejects its input,
-returns the one ``NO_SOLUTION``.
+``block_maps`` for the searches, the transfers and the enumerations (up to 8
+items) on every election over them; a search that finds nothing, and a
+transfer that rejects its input, returns the one ``NO_SOLUTION``.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -408,15 +408,20 @@ def search_outcome(
 def outcome_of_mask(table: SubsetWinners, kind: PartitionKind, first: int) -> SolveOutcome:
     """The outcome holding the partition of first-block mask ``first`` of the table's election.
 
-    Built once per item sequence and mask, in the ``outcomes`` of the items'
-    ``block_maps``, and shared by the brute-force and polynomial searches and
-    the transfers on every election over the same items: asking again
-    returns the same object.
+    Built once per item sequence and mask (``memoized_outcome``), in the
+    ``outcomes`` of the items' ``block_maps``, and shared by the searches,
+    the transfers and the partition enumerations on every election over the
+    same items: asking again returns the same object.
     """
     if kind is _CANDIDATE:
-        blocks, outcomes, everyone = table.named, table.outcomes, table.everyone
-    else:
-        (blocks, _, outcomes), everyone = table.voter_blocks(), table.all_voters
+        return memoized_outcome(kind, table.named, table.outcomes, table.everyone, first)
+    blocks, _, outcomes = table.voter_blocks()
+    return memoized_outcome(kind, blocks, outcomes, table.all_voters, first)
+
+
+def memoized_outcome(kind: PartitionKind, blocks, outcomes: dict, everyone: int, first: int):
+    """``outcomes[first]``, the outcome of the partition of mask ``first`` of an item
+    sequence's ``block_maps``, built from its blocks and kept on the first ask."""
     outcome = outcomes.get(first)
     if outcome is None:
         partition = Partition(kind, blocks[first], blocks[everyone ^ first])

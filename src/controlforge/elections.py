@@ -383,9 +383,9 @@ def block_table(items: tuple) -> tuple[tuple, MappingProxyType, dict]:
     ``blocks[mask]`` is the frozenset of the items set in ``mask`` (item 0 is
     the top bit), built by doubling from the last item, and ``mask_of`` maps
     each block back to its mask. ``outcomes`` maps a mask to the
-    ``SolveOutcome`` of its partition, and only ``control.outcome_of_mask``
-    fills it. Every election, enumeration and partition over the same items
-    shares the three, so the first two are read-only.
+    ``SolveOutcome`` of its partition, filled on first ask by
+    ``control.memoized_outcome``. Every election, enumeration and partition
+    over the same items shares the three, so the first two are read-only.
     Bounded: an 8-item table holds about 90 KB, and about 60 KB more with
     every outcome filled, so the 16 kept hold at most about 2.4 MB.
     """

@@ -8,9 +8,10 @@ decides the input once, on its first-block mask, and returns the one
 (verification is cheap: all three systems have polynomial winner
 evaluation). Otherwise it hands the table, focus bit and mask to the
 construction its row of ``_RULE_TABLE`` names, a plain function from the
-verified mask to the output's mask, and returns the verified input itself
-when the two masks are equal, else the election's memoized outcome of the
-output mask (``control.outcome_of_mask``); a transfer builds no partition.
+verified mask to the output's mask, and returns the election's memoized
+outcome of that mask (``control.outcome_of_mask``), or the verified input
+itself when the two masks are equal, in a new ``SolveOutcome`` only if it is
+not the memo's partition. A transfer builds no partition.
 There are four constructions:
 
 * ``focus_lost_round`` (destructive candidate-partition types sharing a tie
@@ -93,8 +94,9 @@ class TransferRule:
         if first < 0 or not _verdict(target, table, focus, first):
             return NO_SOLUTION
         out = self.construction(source, target, table, focus, first)
-        if out == first:  # the verified input, as it is: no memo lookup, no build
-            return SolveOutcome(solution)
+        if out == first:  # the verified input, as it is: its memoized outcome if it holds it
+            outcome = (table.voter_outcomes if source.shape[0] else table.outcomes).get(out)
+            return outcome if outcome and outcome.solution is solution else SolveOutcome(solution)
         return outcome_of_mask(table, source.partition_kind, out)
 
     def describe(self) -> str:

@@ -37,6 +37,7 @@ from .control import (
     _least_mask,
     _verdict,
     decider,
+    memoized_outcome,
     outcome_of_mask,
     partition_items,
     partition_of_mask,
@@ -93,18 +94,19 @@ def enumerate_partitions(
 ) -> Iterator[Partition]:
     """All partitions of the given kind, lexicographically by encoding.
 
-    The blocks of the last (at most ``_TABLE_ITEMS``) items, by mask, are
-    their shared ``elections.block_table``, and a mask's complement is the
-    table read backwards; each block of a longer encoding joins the higher
-    items' block (``partition_of_mask``) to a table entry with one union.
+    Up to ``_TABLE_ITEMS`` items they are the memoized partitions of the
+    items' ``elections.block_table`` (``_partitions``). A longer encoding
+    keeps nothing: each block joins the higher items' block
+    (``partition_of_mask``) to a table entry with one union, and a mask's
+    complement is the table read backwards.
     """
     items = partition_items(instance, kind)
-    split = max(len(items) - _TABLE_ITEMS, 0)
+    split = len(items) - _TABLE_ITEMS
+    if split <= 0:
+        yield from _partitions(kind, items, range(1 << len(items)))
+        return
     high, blocks = items[:split], block_table(items[split:])[0]
     kinds = itertools.repeat(kind)
-    if not split:
-        yield from map(Partition, kinds, blocks, reversed(blocks))
-        return
     for first in range(1 << split):
         head = partition_of_mask(kind, high, first)
         yield from map(
@@ -118,15 +120,25 @@ def verifying_partitions(
     """Every partition of the type's kind that verifies, lexicographically.
 
     Decides every first-block mask in increasing order, which is the
-    encoding's lexicographic order, and builds a ``Partition`` only for
-    the masks that verify.
+    encoding's lexicographic order, and yields only the partitions of the
+    masks that verify (``_partitions``).
     """
     kind = control_type.partition_kind
     items = partition_items(instance, kind)
     holds = decider(control_type, instance)
-    for first in range(1 << len(items)):
-        if holds(first):
-            yield partition_of_mask(kind, items, first)
+    yield from _partitions(kind, items, filter(holds, range(1 << len(items))))
+
+
+def _partitions(kind: PartitionKind, items: tuple, masks) -> Iterator[Partition]:
+    """The partitions of the items with these first-block masks. Up to ``_TABLE_ITEMS``
+    items they are the ones memoized in the items' ``block_table``, built on a miss: the
+    objects ``control.outcome_of_mask`` returns. Past it they are fresh and kept nowhere."""
+    if len(items) > _TABLE_ITEMS:
+        return map(partial(partition_of_mask, kind, items), masks)
+    blocks, _, outcomes = block_table(items)
+    fill = partial(memoized_outcome, kind, blocks, outcomes, len(blocks) - 1)
+    get = outcomes.get  # an outcome is never falsy
+    return ((get(first) or fill(first)).solution for first in masks)
 
 
 def brute_force_search(control_type: ControlTypeId, instance: ControlInstance) -> SolveOutcome:

@@ -684,6 +684,76 @@ def test_apply_is_its_construction_and_never_explains(system, monkeypatch):
     assert accepted and rejected
 
 
+def _pass_throughs(system):
+    """(rule, instance, table, mask, enumerated input) for every verified
+    input of every rule whose construction returns the input's own mask,
+    over the <=3-candidate, <=3-ballot instances."""
+    for instance in iter_instances(Universe(system, 3, 3)):
+        table = subset_winners(instance.election)
+        focus = table.bit_of[instance.focus]
+        for rule in rules_for(system=system):
+            source, target = rule.source_type, rule.target_type
+            for given in enumerate_partitions(instance, target.partition_kind):
+                first = control.mask_of_partition(table, target.partition_kind, given)
+                if control._verdict(target, table, focus, first) and first == rule.construction(
+                    source, target, table, focus, first
+                ):
+                    yield rule, instance, table, first, given
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_a_pass_through_returns_the_memoized_outcome(system):
+    """An enumerated input is the memo's partition, so a rule that passes it
+    through returns its memoized outcome itself and builds none."""
+    passed = 0
+    for rule, instance, table, first, given in _pass_throughs(system):
+        memoized = control.outcome_of_mask(table, rule.source_type.partition_kind, first)
+        assert memoized.solution is given
+        assert rule.apply(instance, given) is memoized
+        passed += 1
+    assert passed
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_a_pass_through_keeps_the_callers_partition(system):
+    """An equal partition the caller built is not the memo's: a pass-through
+    returns it as it is, in an outcome of its own."""
+    passed = 0
+    for rule, instance, table, first, given in _pass_throughs(system):
+        copy = Partition(given.kind, frozenset(given.first), frozenset(given.second))
+        assert copy == given and copy is not given
+        outcome = rule.apply(instance, copy)
+        assert outcome.solution is copy
+        assert outcome is not control.outcome_of_mask(table, rule.source_type.partition_kind, first)
+        passed += 1
+    assert passed
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_filled_memos_build_no_outcome(system, monkeypatch):
+    """Over the <=4-candidate, <=3-ballot instances, once one enumeration per
+    item sequence has filled the memos, enumerating, verifying and applying
+    every rule to every verifying input builds no ``SolveOutcome``."""
+    instances = list(iter_instances(Universe(system, 4, 3)))
+    for instance in instances:
+        for kind in PartitionKind:
+            list(enumerate_partitions(instance, kind))
+
+    def build(*args):
+        raise AssertionError("an outcome was built with the memos filled")
+
+    monkeypatch.setattr(SolveOutcome, "__init__", build)
+    applied = 0
+    for instance in instances:
+        for rule in rules_for(system=system):
+            target = rule.target_type
+            for given in enumerate_partitions(instance, target.partition_kind):
+                if verify_solution(target, instance, given):
+                    assert rule.apply(instance, given).found
+                    applied += 1
+    assert applied
+
+
 @pytest.mark.parametrize("max_candidates, max_votes", [(4, 4), (3, 6)])
 def test_vetoer_mask_matches_reference(max_candidates, max_votes):
     """``vetoer_mask`` reads the vetoers off the table's rows; on every veto

@@ -197,6 +197,67 @@ class TestPartitionEnumerationMatchesReference:
         assert first == Partition.of_voters((), range(40))
 
 
+def _other_election(kind, length):
+    """An election other than ``_instance_of_length``'s over the same items."""
+    if kind is PartitionKind.CANDIDATE:
+        names = string.ascii_lowercase[:length]
+        return make_election("veto", names, [(names[::-1], 2)])
+    return make_election("approval", "abc", [(("c",), length)] if length else [])
+
+
+class TestSharedPartitionsMatchReference:
+    """The partitions the enumerations yield, against
+    ``reference.partition_of_code`` in mask order, on every length of both
+    kinds. Up to 8 items each is the object ``outcome_of_mask`` memoizes for
+    its item sequence, also on another election over the same items, and a
+    second enumeration yields the same objects; past 8 they are equal but
+    fresh, and no table's outcomes gain an entry. ``verifying_partitions``
+    yields the memo's objects on the desk universes."""
+
+    # No election has zero candidates.
+    CASES = [(PartitionKind.VOTER, 0)] + [(kind, n) for kind in PartitionKind for n in range(1, 13)]
+
+    @pytest.mark.parametrize("kind, length", CASES)
+    def test_every_mask(self, kind, length):
+        instance = _instance_of_length(kind, length)
+        items = partition_items(instance, kind)
+        subset_winners.cache_clear()
+        table = subset_winners(instance.election)
+        outcomes = table.outcomes if kind is PartitionKind.CANDIDATE else table.voter_blocks()[2]
+        stream = list(enumerate_partitions(instance, kind))
+        again = list(enumerate_partitions(instance, kind))
+        assert [(p.kind, p.first, p.second) for p in stream] == [
+            (kind, *reference.partition_of_code(items, mask)) for mask in range(1 << length)
+        ]
+        # The focus wins alone or ties with everyone, so every partition verifies.
+        cowinner = T("CC-PV-TP-NUW" if kind is PartitionKind.VOTER else "CC-PC-TP-NUW")
+        verified = [list(verifying_partitions(cowinner, instance)) for _ in range(2)]
+        assert len(outcomes) == (1 << length if length <= 8 else 0)
+        other = SubsetWinners(_other_election(kind, length))
+        memo = [control.outcome_of_mask(other, kind, mask).solution for mask in range(1 << length)]
+        runs = [stream, again, *verified, memo]
+        assert all(run == stream for run in runs)
+        for one, two in itertools.combinations(runs, 2):
+            same = [a is b for a, b in zip(one, two)]
+            assert all(same) if length <= 8 else not any(same)
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_verifying_partitions_are_the_memos(self, system):
+        yielded = 0
+        for instance in iter_instances(Universe(system, 3, 4)):
+            table = subset_winners(instance.election)
+            for control_type in ALL_CONTROL_TYPES:
+                kind = control_type.partition_kind
+                holds = control.decider(control_type, instance)
+                masks = [m for m in range(1 << encoding_length(instance, kind)) if holds(m)]
+                got = list(verifying_partitions(control_type, instance))
+                assert len(got) == len(masks)
+                for mask, partition in zip(masks, got):
+                    assert partition is control.outcome_of_mask(table, kind, mask).solution
+                yielded += len(got)
+        assert yielded
+
+
 class TestBruteForce:
     def test_immune_cc_instance_has_no_solution(self):
         instance = approval_instance("pa", [(("a",), 1)], "p")
@@ -569,6 +630,26 @@ def test_transfer_tables_stay_small():
     # About 2.5 KB per table on Python 3.11, and 6.5 KB when each table
     # kept its own outcomes.
     assert retained / maxsize < 3 * 1024
+
+
+def test_long_enumerations_keep_no_outcome():
+    # Past the 8-item block table the enumerations yield fresh partitions
+    # and keep none: over all 2**10 voter masks of a 10-voter election, its
+    # table gains no voter outcome.
+    election = make_election("veto", "abc", [("abc", 4), ("bca", 3), ("cab", 3)])
+    subset_winners.cache_clear()
+    table = subset_winners(election)
+    outcomes = table.voter_blocks()[2]
+    yielded = 0
+    for focus in election.candidates:
+        instance = ControlInstance(election, focus)
+        assert sum(1 for _ in enumerate_partitions(instance, PartitionKind.VOTER)) == 1 << 10
+        for control_type in ALL_CONTROL_TYPES:
+            if control_type.action is Action.PV:
+                yielded += sum(1 for _ in verifying_partitions(control_type, instance))
+    assert yielded
+    assert subset_winners(election) is table and table.voter_outcomes is outcomes
+    assert not outcomes
 
 
 def test_a_dropped_table_is_freed_without_the_collector():
