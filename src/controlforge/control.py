@@ -103,9 +103,9 @@ class ControlTypeId:
         # The compiled rule: the partition kind and the plain values the
         # decide path branches on, worked out once, since an enum member read
         # costs about 0.1 us. Equality, hashing and repr stay on the fields.
-        # ``shape`` (voter split, PC, TE) fixes the rounds, so the four types
-        # of one shape reach the same final; ``goal`` lists the standings of
-        # the focus in that final (see ``_standing``) that achieve the goal.
+        # ``shape`` (voter split, PC, TE; ``sweep`` as 3 bits) fixes the rounds, so the
+        # four types of one shape reach the same final; ``goal`` lists the standings
+        # of the focus in that final (see ``_standing``) that achieve the goal.
         pv = self.action is Action.PV
         kind = PartitionKind.VOTER if pv else PartitionKind.CANDIDATE
         pc, te = self.action is Action.PC, self.tie_rule is TieRule.TE
@@ -116,6 +116,7 @@ class ControlTypeId:
             goal = (_SHARED, _OUT) if uw else (_OUT,)
         object.__setattr__(self, "partition_kind", kind)
         object.__setattr__(self, "shape", (pv, pc, te))
+        object.__setattr__(self, "sweep", pv << 2 | pc << 1 | te)
         object.__setattr__(self, "goal", goal)
 
     def __str__(self) -> str:
@@ -347,8 +348,9 @@ def _verdict(control_type: ControlTypeId, table: SubsetWinners, focus: int, firs
 def _least_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -> "int | None":
     """The least first-block mask that achieves the goal for the focus bit, or None.
 
-    The masks are decided in increasing order by one sweep per (shape,
-    focus), kept in ``table.memo``, which notes the least mask of each
+    The masks are decided in increasing order by one sweep per shape and focus,
+    kept in ``table.memo`` under the int ``focus << 3 | control_type.sweep``
+    (the focus bit, then PV, PC, TE), which notes the least mask of each
     standing it passes: the four types of a shape share the final, so a
     type's answer is the least mask of its goal's standings. The sweep stops
     once the asked type's answer is known, and a later type of the shape
@@ -358,8 +360,7 @@ def _least_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -
     of the masks (mask 0 alone when there are no items) is swept.
     """
     goal, shape = control_type.goal, control_type.shape
-    memo = table.memo
-    key = (shape, focus)
+    memo, key = table.memo, focus << 3 | control_type.sweep
     sweep = memo.get(key)
     if sweep is None:
         voters, pc, _ = shape

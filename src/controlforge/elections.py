@@ -7,15 +7,15 @@ values are immutable.
 
 ``SubsetWinners`` holds one election's winners of every candidate set (and
 voter set) as two tables keyed by bitmask, each a dict that fills a missing
-entry with its own bit-count kernel (``_CandidateWinners``,
-``_VoterWinners``) over voter masks that one walk of the ballots builds; the
-two-stage semantics reads every round from them, ``scores`` and ``winners``
-read the same tables, and ``control`` keeps its mask sweeps in their
-``memo`` dict, keyed by plain values.
-``subset_winners`` is the bounded cache of those tables, and ``block_table``
-the bounded cache of the blocks of an item sequence by mask and of the
-memoized ``SolveOutcome``s of its masks, which every table, enumeration and
-partition over the same items shares.
+entry with its own bit-count kernel (``_CandidateWinners``, ``_VoterWinners``)
+over voter masks that one walk of the ballots builds; the two-stage semantics
+reads every round from them, ``scores`` and ``winners`` read the same tables,
+and ``control`` keeps its mask sweeps in their ``memo`` dict, keyed by the int
+``focus << 3 | ControlTypeId.sweep``. ``subset_winners`` is the bounded cache
+of those tables (an LRU behind a slot for the election asked for last), and
+``block_table`` the bounded cache of the blocks of an item sequence by mask and
+of the memoized ``SolveOutcome``s of its masks, which every table, enumeration
+and partition over the same items shares.
 
 Validation: ``Election`` accepts valid names by whole-value checks (the
 names joined and split back, a duplicate-free name set), and only when they
@@ -360,16 +360,39 @@ def winners(system: System, candidates: Iterable[str], votes: VoteCollection) ->
     return table.named[table.by_candidates[sum(map(table.bit_of.__getitem__, keep))]]
 
 
-# Defined before the module's other caches: bench/run.py reports the first
-# ``cache_info`` it finds here as the winner cache.
-@functools.lru_cache(maxsize=256)
+_slot = _NO_SLOT = (object(), None)  # the election asked for last (none yet) and its table
+_slot_hits = 0
+
+
+# The module's first cache: bench/run.py reports the first ``cache_info`` here.
 def subset_winners(election: Election) -> "SubsetWinners":
     """The election's winner tables, shared by every decision about it.
 
-    It holds the tables of the 256 elections used last, and with them the
-    searches' sweeps; the blocks and outcomes they refer to are ``block_table``'s.
+    The LRU ``_tables`` keeps the 256 elections' tables used last, with their
+    sweeps; a slot answers the election asked for last by ``is``, not its Python
+    hash, and holds only the LRU's newest table. ``cache_info`` counts its hits.
     """
-    return SubsetWinners(election)
+    global _slot, _slot_hits
+    if _slot[0] is election:
+        _slot_hits += 1
+    else:
+        _slot = (election, _tables(election))
+    return _slot[1]
+
+
+def _cache_info():
+    info = _tables.cache_info()
+    return info._replace(hits=info.hits + _slot_hits)
+
+
+def _cache_clear():
+    global _slot, _slot_hits
+    _slot, _slot_hits = _NO_SLOT, 0
+    _tables.cache_clear()
+
+
+subset_winners.cache_info, subset_winners.cache_clear = _cache_info, _cache_clear
+_tables = functools.lru_cache(maxsize=256)(lambda election: SubsetWinners(election))
 
 
 # An item sequence of at most this many items has a shared table of its 2**8 blocks.
@@ -585,8 +608,8 @@ class SubsetWinners:
         self.by_voters = _VoterWinners(tuple(lost.items()), veto)
         self.named, self.mask_of, self.outcomes = block_maps(election.candidates)
         self.voter_outcomes, self._voter_blocks = _NO_OUTCOMES, None
-        # ``control._least_mask``'s sweeps, keyed by (shape, focus bit): held
-        # here, they are bounded and dropped with the tables.
+        # ``control._least_mask``'s sweeps, keyed by the int ``focus << 3 |
+        # sweep``: held here, they are bounded and dropped with the tables.
         self.memo = {}
 
     def voter_blocks(self) -> tuple:

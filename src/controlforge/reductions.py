@@ -47,6 +47,7 @@ from .control import (
     ControlTypeId,
     Partition,
     SolveOutcome,
+    _standing,
     _verdict,
     focus_lost_mask,
     mask_of_partition,
@@ -91,13 +92,14 @@ class TransferRule:
         table = subset_winners(instance.election)
         focus = table.bit_of[instance.focus]
         first = mask_of_partition(table, target.partition_kind, solution)
-        if first < 0 or not _verdict(target, table, focus, first):
+        # ``_verdict``'s test and ``search_outcome``'s memo read, inlined: two frames fewer.
+        if first < 0 or _standing(table, target.shape, focus, first) not in target.goal:
             return NO_SOLUTION
         out = self.construction(source, target, table, focus, first)
+        outcome = (table.voter_outcomes if source.shape[0] else table.outcomes).get(out)
         if out == first:  # the verified input, as it is: its memoized outcome if it holds it
-            outcome = (table.voter_outcomes if source.shape[0] else table.outcomes).get(out)
             return outcome if outcome and outcome.solution is solution else SolveOutcome(solution)
-        return outcome_of_mask(table, source.partition_kind, out)
+        return outcome or outcome_of_mask(table, source.partition_kind, out)
 
     def describe(self) -> str:
         return f"{self.system.value}: {self.source_type} <- {self.target_type} [{self.tag}]"
@@ -188,15 +190,8 @@ def transfer_registry() -> tuple[TransferRule, ...]:
         run = tuple(run)
         for system in systems:
             for _, source, target, tag, construction in run:
-                rules.append(
-                    TransferRule(
-                        ControlTypeId.parse(source),
-                        ControlTypeId.parse(target),
-                        system,
-                        tag,
-                        construction,
-                    )
-                )
+                source, target = ControlTypeId.parse(source), ControlTypeId.parse(target)
+                rules.append(TransferRule(source, target, system, tag, construction))
     return tuple(rules)
 
 

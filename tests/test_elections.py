@@ -1,9 +1,12 @@
+import functools
+import gc
 import itertools
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +27,12 @@ from controlforge import (
     winners,
 )
 from controlforge.control import PartitionKind, partition_of_mask
+from controlforge import elections as elections_module
 from controlforge.elections import (
     ElectionError,
     InvalidCandidateError,
     InvalidVoteError,
+    SubsetWinners,
     VoteKind,
     check_candidate_name,
     subset_winners,
@@ -612,6 +617,123 @@ class TestScoresAndWinnersMatchReference:
     def test_every_subset_at_six_candidates_and_eight_voters(self, system):
         for election in six_by_eight_elections(system):
             assert_scores_and_winners_match_the_reference(election)
+
+
+def desk_elections():
+    """Every election of up to 3 candidates and 3 ballots in the three systems:
+    406 distinct elections, more than the table cache keeps."""
+    return [e for system in System for e in iter_elections(Universe(system, 3, 3))]
+
+
+def equal_copy(election):
+    """An election equal to the given one, built anew: a distinct object."""
+    votes = election.votes
+    return Election(election.system, VoteCollection(votes.universe, votes.groups))
+
+
+def lookup_steps(rng, pool, steps=2000):
+    """A seeded run of table lookups over the pool: each step an election to
+    look up (the last one again, an equal but distinct copy of it or of
+    another, another from the pool, or a run of 300 distinct ones in a row),
+    or None to clear the cache; the step after a clear may ask the election
+    asked before it again."""
+    last = None
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.01:
+            yield None
+            continue
+        if roll < 0.02:
+            start = rng.randrange(len(pool))
+            yield from (pool[(start + i) % len(pool)] for i in range(300))
+            last = pool[(start + 299) % len(pool)]
+            continue
+        if roll < 0.4 and last is not None:
+            election = last
+        elif roll < 0.5 and last is not None:
+            election = equal_copy(last)
+        elif roll < 0.6:
+            election = equal_copy(rng.choice(pool))
+        else:
+            election = rng.choice(pool)
+        last = election
+        yield election
+
+
+class TestTableLookupMatchesReference:
+    """``subset_winners``, a slot for the election asked for last in front of an
+    LRU, against the plain ``functools.lru_cache(maxsize=256)`` of
+    ``SubsetWinners`` it stands for, on ``lookup_steps`` over the desk
+    elections. Two lookups return the same table exactly when the model's do,
+    and after every step ``cache_info`` (hits, misses, ``maxsize``,
+    ``currsize``) is the model's. Asking the last object again calls neither
+    ``Election.__hash__`` nor ``__eq__``: that is what the slot is for."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_lookups(self, seed, monkeypatch):
+        model = functools.lru_cache(maxsize=256)(SubsetWinners)
+        calls = [0]
+
+        def counted(method):
+            def counting(*args):
+                calls[0] += 1
+                return method(*args)
+
+            return counting
+
+        monkeypatch.setattr(Election, "__hash__", counted(Election.__hash__))
+        monkeypatch.setattr(Election, "__eq__", counted(Election.__eq__))
+        subset_winners.cache_clear()
+        ours_of, model_of = {}, {}  # table id -> the other side's table
+        kept = []  # every table, so that no id is reused
+        last, again, full = None, 0, False
+        for election in lookup_steps(random.Random(seed), desk_elections()):
+            if election is None:
+                subset_winners.cache_clear()
+                model.cache_clear()
+                last = None
+            else:
+                before = calls[0]
+                mine = subset_winners(election)
+                if election is last:
+                    assert calls[0] == before
+                    again += 1
+                theirs = model(election)
+                assert type(mine) is SubsetWinners
+                assert ours_of.setdefault(id(theirs), mine) is mine
+                assert model_of.setdefault(id(mine), theirs) is theirs
+                kept.append((mine, theirs))
+                last = election
+            info = subset_winners.cache_info()
+            assert info == model.cache_info()
+            full = full or info.currsize == info.maxsize
+        assert again and full
+        subset_winners.cache_clear()
+
+
+def test_the_slot_keeps_no_table_the_lru_has_dropped():
+    pool = desk_elections()
+    maxsize = subset_winners.cache_info().maxsize
+    first, others = pool[0], pool[1 : maxsize + 1]
+    subset_winners.cache_clear()
+    gc.collect()
+    table = weakref.ref(subset_winners(first))
+    assert subset_winners(first) is table()  # asked again: held by the slot too
+    for election in others:
+        subset_winners(election)
+    gc.collect()
+    assert table() is None
+    table = weakref.ref(subset_winners(others[-1]))  # the slot's table
+    subset_winners.cache_clear()
+    gc.collect()
+    assert table() is None
+
+
+def test_the_winner_cache_is_the_first_cache_of_its_module():
+    # bench/run.py reports the first ``cache_info`` in the module as the winner cache.
+    found = vars(elections_module).values()
+    caches = [value for value in found if callable(getattr(value, "cache_info", None))]
+    assert caches[0] is subset_winners
 
 
 class TestVoterSelection:
