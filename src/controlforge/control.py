@@ -183,11 +183,6 @@ class Partition:
     first: frozenset
     second: frozenset
 
-    def __init__(self, kind: PartitionKind, first: frozenset, second: frozenset):
-        _set(self, "kind", kind)
-        _set(self, "first", first)
-        _set(self, "second", second)
-
     @classmethod
     def of_candidates(cls, first, second) -> "Partition":
         return cls(PartitionKind.CANDIDATE, frozenset(first), frozenset(second))
@@ -284,9 +279,6 @@ class SolveOutcome:
     # still read this flag off a transfer's outcome; ROADMAP item 2 deletes it
     # together with those reads.
     via_fallback = False
-
-    def __init__(self, solution: "Partition | None"):
-        _set(self, "solution", solution)
 
     @property
     def found(self) -> bool:

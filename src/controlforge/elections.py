@@ -48,8 +48,9 @@ class InvalidVoteError(ElectionError):
     """A ballot does not fit its collection's kind or universe."""
 
 
-# The records below are frozen dataclasses with their own ``__init__``, which
-# checks its arguments and then sets each field once through this.
+# The records that check their arguments (``VoteCollection`` and ``Election``
+# below, ``control.ControlInstance``) are frozen dataclasses with their own
+# ``__init__``, which checks them and then sets each field once through this.
 _set = object.__setattr__
 
 

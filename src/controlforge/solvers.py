@@ -92,47 +92,29 @@ def encoding_length(instance: ControlInstance, kind: PartitionKind) -> int:
 def enumerate_partitions(
     instance: ControlInstance, kind: PartitionKind
 ) -> Iterator[Partition]:
-    """All partitions of the given kind, lexicographically by encoding.
-
-    Up to ``_TABLE_ITEMS`` items they are the memoized partitions of the
-    items' ``elections.block_table`` (``_partitions``). A longer encoding
-    keeps nothing: each block joins the higher items' block
-    (``partition_of_mask``) to a table entry with one union, and a mask's
-    complement is the table read backwards.
-    """
+    """All partitions of the given kind, lexicographically by encoding: the
+    partitions of every first-block mask in increasing order (``_partitions``)."""
     items = partition_items(instance, kind)
-    split = len(items) - _TABLE_ITEMS
-    if split <= 0:
-        yield from _partitions(kind, items, range(1 << len(items)))
-        return
-    high, blocks = items[:split], block_table(items[split:])[0]
-    kinds = itertools.repeat(kind)
-    for first in range(1 << split):
-        head = partition_of_mask(kind, high, first)
-        yield from map(
-            Partition, kinds, map(head.first.union, blocks), map(head.second.union, reversed(blocks))
-        )
+    return _partitions(kind, items, range(1 << len(items)))
 
 
 def verifying_partitions(
     control_type: ControlTypeId, instance: ControlInstance
 ) -> Iterator[Partition]:
-    """Every partition of the type's kind that verifies, lexicographically.
-
-    Decides every first-block mask in increasing order, which is the
-    encoding's lexicographic order, and yields only the partitions of the
-    masks that verify (``_partitions``).
-    """
+    """Every partition of the type's kind that verifies, lexicographically: the
+    partitions (``_partitions``) of the first-block masks that the ``decider``
+    accepts, decided in increasing order, which is the encoding's order."""
     kind = control_type.partition_kind
     items = partition_items(instance, kind)
     holds = decider(control_type, instance)
-    yield from _partitions(kind, items, filter(holds, range(1 << len(items))))
+    return _partitions(kind, items, filter(holds, range(1 << len(items))))
 
 
 def _partitions(kind: PartitionKind, items: tuple, masks) -> Iterator[Partition]:
-    """The partitions of the items with these first-block masks. Up to ``_TABLE_ITEMS``
-    items they are the ones memoized in the items' ``block_table``, built on a miss: the
-    objects ``control.outcome_of_mask`` returns. Past it they are fresh and kept nowhere."""
+    """The partitions of the items with these first-block masks, the one mask-to-partition
+    path of both enumerations. Up to ``_TABLE_ITEMS`` items they are the ones memoized in
+    the items' ``block_table``, built on a miss: the objects ``control.outcome_of_mask``
+    returns. Past it each is a fresh ``partition_of_mask``, kept nowhere."""
     if len(items) > _TABLE_ITEMS:
         return map(partial(partition_of_mask, kind, items), masks)
     blocks, _, outcomes = block_table(items)

@@ -628,7 +628,8 @@ class TestSharedOutcomesMatchReference:
 
 
 def _records():
-    """One record of each class with its own ``__init__``, with the fields it was given."""
+    """One record of each class, with the fields it was given. ``Partition`` and
+    ``SolveOutcome`` use the generated ``__init__``, and the others their own."""
     votes = VoteCollection(("a", "b"), ((Vote.order("ab"), 2), (Vote.order("ba"), 1)))
     election = Election(System.PLURALITY, votes)
     partition = Partition(PartitionKind.CANDIDATE, frozenset("a"), frozenset("b"))
@@ -655,9 +656,9 @@ def _generated(cls, args):
 
 
 class TestRecordSemanticsMatchReference:
-    """The records' own constructors against the dataclass behaviour they
-    replace: the generated frozen ``__init__``, equality, hashing, pickling,
-    ``dataclasses.replace`` and the refusals of the checks they ran after it."""
+    """The records' constructors against the generated dataclass behaviour:
+    the frozen ``__init__``, equality, hashing, pickling, ``dataclasses.replace``
+    and, for the records with their own ``__init__``, the refusals of its checks."""
 
     @pytest.mark.parametrize("cls, args, record", _records())
     def test_fields_are_frozen(self, cls, args, record):

@@ -160,9 +160,9 @@ class TestPartitionEnumerationMatchesReference:
     """``enumerate_partitions``, ``partition_of_mask`` and the shared blocks
     they read (``block_maps``) against ``reference.partition_of_code``, and
     each block's mask against ``reference.bits``, on every mask of both
-    kinds. Lengths past 8 join a prefix to the block table, and
-    ``partition_of_mask`` and ``block_maps`` walk their items one by one;
-    no election has zero candidates, so only the enumeration skips that."""
+    kinds. Past 8 items the enumeration builds each partition with
+    ``partition_of_mask``, which, like ``block_maps``, walks its items one by
+    one; no election has zero candidates, so only the enumeration skips that."""
 
     @pytest.mark.parametrize(
         "kind, length", [(kind, length) for kind in PartitionKind for length in range(13)]
