@@ -41,6 +41,7 @@ from .control import (
     PartitionKind,
     check_solution,
     mask_of_partition,
+    partition_items,
     partition_problems,
     verify_solution,
 )
@@ -72,7 +73,6 @@ from .solvers import (
     UniverseTooLargeError,
     brute_force_search,
     collapse_scan,
-    encoding_length,
     lex_min_search_with_oracle,
     polynomial_search,
 )
@@ -594,7 +594,7 @@ def _cmd_solve(args, argv) -> RunReport:
     else:
         name = "oracle" if args.algorithm == "oracle" else "brute"
         algorithm, worst = SEARCHES[name]
-        evaluations = worst(encoding_length(instance, control_type.partition_kind))
+        evaluations = worst(len(partition_items(instance, control_type.partition_kind)))
         if evaluations > args.max_evals:
             raise UsageError(
                 f"{algorithm} needs up to {evaluations} two-stage evaluations, above "

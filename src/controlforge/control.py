@@ -495,17 +495,6 @@ def focus_lost_mask(
     return one | _kept(won, te, other) if one & focus else sat
 
 
-def round_focus_lost(
-    control_type: ControlTypeId, instance: ControlInstance, partition: Partition
-) -> frozenset[str]:
-    """The candidates of the round the focus lost, on a partition the caller has
-    verified: the names of ``focus_lost_mask``, which checks nothing itself."""
-    table = subset_winners(instance.election)
-    focus = table.bit_of[instance.focus]
-    first = mask_of_partition(table, control_type.partition_kind, partition)
-    return table.named[focus_lost_mask(control_type, table, focus, first)]
-
-
 @dataclass(frozen=True)
 class SolutionCheck:
     """Outcome of checking one partition against one control problem."""

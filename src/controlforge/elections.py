@@ -341,6 +341,7 @@ def scores(system: System, candidates: Iterable[str], votes: VoteCollection) -> 
         return {}
     table = subset_winners(Election(system, votes))
     subset, n, tally = sum(map(table.bit_of.__getitem__, keep)), votes.total, {}
+    # ``table.rows`` must be in candidate order: ``_bits_of`` is built in that order.
     for name, (c, row) in zip(votes.universe, table.rows):
         if c & subset:
             lost = 0

@@ -2,10 +2,10 @@
 
 Encodes a Hitting-Set question (does the family S over ground set B have a
 hitting set of size at most k?) as a plurality DC-PC-TP-NUW instance whose
-focus candidate can be unseated iff the answer is yes. Alongside the encoder
-there is a forward witness builder (hitting set -> verifying partition), a
-backward extractor (partition -> hitting set, or None unless it verifies),
-and a brute-force Hitting-Set solver to serve as ground truth.
+focus candidate can be unseated iff the answer is yes. Alongside the encoder:
+a forward witness builder (hitting set -> verifying partition), a backward
+extractor (the registered plurality ``tp_nuw`` transfer's first block, or
+None unless the partition verifies) and a ground-truth brute-force solver.
 
 The election puts the ground-set elements, a focus candidate ``c``, and a
 spoiler ``w`` on the ballot. Vote counts are tuned so that in any subelection
@@ -19,8 +19,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .control import ControlInstance, ControlTypeId, Partition, round_focus_lost, verify_solution
+from .control import ControlInstance, ControlTypeId, Partition
 from .elections import Election, System, Vote, VoteCollection, check_candidate_name
+from .reductions import rules_for
 
 
 class InvalidInstanceError(ValueError):
@@ -34,6 +35,8 @@ class InvalidWitnessError(ValueError):
 FOCUS_NAME = "c"
 SPOILER_NAME = "w"
 ENCODED_CONTROL_TYPE = ControlTypeId.parse("DC-PC-TP-NUW")
+# The extractor's one registered rule: a registry without it fails here, at import.
+(_EXTRACTOR,) = rules_for("plurality", ControlTypeId.parse("DC-RPC-TP-NUW"), ENCODED_CONTROL_TYPE)
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,12 @@ def extract_hitting_set(
     """Read a hitting set back off a verifying partition, or None if it fails.
 
     The focus candidate lost either the first-round subelection it sat in or
-    the final round; intersecting that round's candidate set with the ground
-    set yields a hitting set within the bound.
+    the final round. The ``tp_nuw`` transfer returns ``(D, C - D)`` with D that
+    round's candidates, and rejects just the inputs that do not verify; D
+    intersected with the ground set is a hitting set within the bound.
     """
-    if not verify_solution(ENCODED_CONTROL_TYPE, encoded.instance, solution):
-        return None
-    lost_in = round_focus_lost(ENCODED_CONTROL_TYPE, encoded.instance, solution)
-    return lost_in & frozenset(encoded.source.elements)
+    outcome = _EXTRACTOR.apply(encoded.instance, solution)
+    return outcome.solution.first & frozenset(encoded.source.elements) if outcome.found else None
 
 
 def brute_force_hitting_set(hs: HittingSetInstance) -> "frozenset[str] | None":

@@ -82,13 +82,6 @@ class UniverseTooLargeError(ValueError):
 DEFAULT_MAX_EVALS = 10_000_000
 
 
-def encoding_length(instance: ControlInstance, kind: PartitionKind) -> int:
-    """The number of items a partition of this kind splits (``partition_items``)."""
-    if kind is PartitionKind.CANDIDATE:
-        return len(instance.election.candidates)
-    return instance.voter_count
-
-
 def enumerate_partitions(
     instance: ControlInstance, kind: PartitionKind
 ) -> Iterator[Partition]:
@@ -270,7 +263,7 @@ class BruteForceOracle:
     ) -> bool:
         asked_type, asked_instance, length, holds = self._asked
         if asked_type is not control_type or asked_instance is not instance:
-            length = encoding_length(instance, control_type.partition_kind)
+            length = len(partition_items(instance, control_type.partition_kind))
             holds = decider(control_type, instance)
             self._asked = (control_type, instance, length, holds)
         free = length - bits
@@ -297,7 +290,7 @@ def lex_min_search_with_oracle(
         if not oracle(control_type, instance, 0, 0):
             return None
         prefix = 0
-        for bits in range(1, encoding_length(instance, control_type.partition_kind) + 1):
+        for bits in range(1, len(partition_items(instance, control_type.partition_kind)) + 1):
             prefix <<= 1
             if not oracle(control_type, instance, prefix, bits):
                 prefix |= 1

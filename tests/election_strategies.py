@@ -113,6 +113,15 @@ def reference_verifies(control_type, data, partition):
     return reference.verifies(data, str(control_type), partition.first, partition.second)
 
 
+def reference_round_focus_lost(checked, focus):
+    """The round the focus lost, read off the explaining path's trace
+    (``check_solution``'s, on a verifying partition)."""
+    for stage in checked.trace.first_rounds:
+        if focus in stage.candidates and focus not in stage.survivors:
+            return stage.candidates
+    return checked.trace.final_candidates
+
+
 def leaves(key):
     """The plain values of a memo key, however its tuples nest."""
     if isinstance(key, tuple):

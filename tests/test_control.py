@@ -33,9 +33,8 @@ from controlforge.control import (
     outcome_of_mask,
     partition_of_mask,
     partition_problems,
-    round_focus_lost,
 )
-from controlforge.elections import ElectionError, InvalidVoteError, SubsetWinners
+from controlforge.elections import ElectionError, InvalidVoteError, SubsetWinners, subset_winners
 from controlforge.reductions import ALL_TRANSFER_RULES, focus_lost_round
 from controlforge.solvers import Universe, enumerate_partitions, iter_elections, iter_instances
 
@@ -47,6 +46,7 @@ from election_strategies import (
     malformed_variants,
     partitions_for,
     plain,
+    reference_round_focus_lost,
     reference_verifies,
 )
 
@@ -496,14 +496,6 @@ class TestMaskOfPartitionMatchesReference:
             assert mask_of_partition(table, PartitionKind.CANDIDATE, partition) == -1
 
 
-def reference_round_focus_lost(checked, focus):
-    """The round the focus lost, read off the explaining path's trace."""
-    for stage in checked.trace.first_rounds:
-        if focus in stage.candidates and focus not in stage.survivors:
-            return stage.candidates
-    return checked.trace.final_candidates
-
-
 def decide_path_agrees(control_type, instance, partition, expected):
     """Check the deciding path against the expected verdict; True if the partition is malformed."""
     checked = check_solution(control_type, instance, partition)
@@ -511,7 +503,10 @@ def decide_path_agrees(control_type, instance, partition, expected):
     assert verified == expected
     assert checked.ok == verified
     if verified:
-        lost = round_focus_lost(control_type, instance, partition)
+        table = subset_winners(instance.election)
+        focus = table.bit_of[instance.focus]
+        first = mask_of_partition(table, control_type.partition_kind, partition)
+        lost = table.named[focus_lost_mask(control_type, table, focus, first)]
         assert lost == reference_round_focus_lost(checked, instance.focus)
     return checked.trace is None
 

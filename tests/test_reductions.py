@@ -14,6 +14,12 @@ from controlforge import (
 from controlforge import control
 from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind, partition_items
 from controlforge.elections import subset_winners
+from controlforge.hardness import (
+    ENCODED_CONTROL_TYPE,
+    encode_hitting_set,
+    extract_hitting_set,
+    iter_hitting_set_instances,
+)
 from controlforge.control import NO_SOLUTION, SolveOutcome
 from controlforge.reductions import (
     ALL_TRANSFER_RULES,
@@ -47,6 +53,7 @@ from election_strategies import (
     leaves,
     malformed_variants,
     plain,
+    reference_round_focus_lost,
     reference_verifies,
 )
 
@@ -374,6 +381,33 @@ class TestConstructionsMatchReference:
                     transferred += outcome.found
                     rejected += not outcome.found
         assert transferred > 0 and rejected > 0
+
+
+class TestHittingSetExtractionMatchesReference:
+    def test_every_candidate_partition(self):
+        """``extract_hitting_set``, the registered ``tp_nuw`` transfer's first
+        block, on every candidate partition of every encoded instance of
+        ``iter_hitting_set_instances(3, 3)``, each followed by its malformed
+        variants: None unless the partition verifies (``reference.verifies``),
+        else the round the focus lost, read off ``check_solution``'s trace,
+        intersected with the ground set."""
+        checked = extracted = 0
+        for hs in iter_hitting_set_instances(3, 3):
+            encoded = encode_hitting_set(hs)
+            instance, elements = encoded.instance, frozenset(hs.elements)
+            data = plain(instance)
+            for partition in every_partition(instance, ENCODED_CONTROL_TYPE):
+                got = extract_hitting_set(encoded, partition)
+                trace = check_solution(ENCODED_CONTROL_TYPE, instance, partition)
+                assert trace.ok == reference_verifies(ENCODED_CONTROL_TYPE, data, partition)
+                if trace.ok:
+                    assert got == reference_round_focus_lost(trace, instance.focus) & elements
+                    assert hs.hits_all(got) and len(got) <= hs.bound
+                    extracted += 1
+                else:
+                    assert got is None
+                checked += 1
+        assert extracted > 0 and checked > extracted
 
 
 _TE_TYPES = tuple(

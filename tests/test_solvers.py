@@ -42,7 +42,6 @@ from controlforge.solvers import (
     brute_force_search,
     collapse_pairs,
     collapse_scan,
-    encoding_length,
     enumerate_partitions,
     estimated_scan_evaluations,
     instance_count,
@@ -249,7 +248,7 @@ class TestSharedPartitionsMatchReference:
             for control_type in ALL_CONTROL_TYPES:
                 kind = control_type.partition_kind
                 holds = control.decider(control_type, instance)
-                masks = [m for m in range(1 << encoding_length(instance, kind)) if holds(m)]
+                masks = [m for m in range(1 << len(partition_items(instance, kind))) if holds(m)]
                 got = list(verifying_partitions(control_type, instance))
                 assert len(got) == len(masks)
                 for mask, partition in zip(masks, got):
@@ -873,8 +872,7 @@ class TestOracleSearch:
         ]
         shared = BruteForceOracle()
         for control_type, instance in questions * 2:
-            length = encoding_length(instance, control_type.partition_kind)
-            assert length == len(partition_items(instance, control_type.partition_kind))
+            length = len(partition_items(instance, control_type.partition_kind))
             for bits in range(length + 1):
                 for prefix in range(1 << bits):
                     fresh = BruteForceOracle()(control_type, instance, prefix, bits)
@@ -883,7 +881,7 @@ class TestOracleSearch:
         with pytest.raises(ValueError, match="does not fit 2 items"):
             shared(T("CC-PV-TE-UW"), voters, 0, 3)
         assert shared.calls == 2 * sum(
-            2 ** (encoding_length(i, t.partition_kind) + 1) - 1 for t, i in questions
+            2 ** (len(partition_items(i, t.partition_kind)) + 1) - 1 for t, i in questions
         ) + 1
 
 
