@@ -41,7 +41,7 @@ from .control import (
     PartitionKind,
     check_solution,
     mask_of_partition,
-    partition_items,
+    partition_length,
     partition_problems,
     verify_solution,
 )
@@ -593,11 +593,13 @@ def _cmd_solve(args, argv) -> RunReport:
         algorithm = polynomial[0]
     else:
         name = "oracle" if args.algorithm == "oracle" else "brute"
-        algorithm, worst = SEARCHES[name]
-        evaluations = worst(len(partition_items(instance, control_type.partition_kind)))
-        if evaluations > args.max_evals:
+        algorithm, extra = SEARCHES[name]
+        exponent = partition_length(instance, control_type.partition_kind) + extra
+        # 2^e exceeds the cap iff e reaches its bit length: a huge e builds no 2^e.
+        if exponent >= args.max_evals.bit_length():
+            needs = 1 << exponent if exponent <= 64 else f"2^{exponent}"
             raise UsageError(
-                f"{algorithm} needs up to {evaluations} two-stage evaluations, above "
+                f"{algorithm} needs up to {needs} two-stage evaluations, above "
                 f"the cap of {args.max_evals}{_RAISE_CAP}"
             )
         if name == "brute":

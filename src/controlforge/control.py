@@ -199,6 +199,11 @@ def partition_items(instance: ControlInstance, kind: PartitionKind) -> tuple:
     return tuple(range(instance.voter_count))
 
 
+def partition_length(instance: ControlInstance, kind: PartitionKind) -> int:
+    """``len(partition_items(...))``, building no item: a voter count sums ballot lines."""
+    return len(instance.election.candidates) if kind is _CANDIDATE else instance.voter_count
+
+
 def partition_of_mask(kind: PartitionKind, items: Sequence, mask: int) -> Partition:
     """The partition whose first block is the items set in ``mask`` (item 0 is the top bit),
     its blocks read from the items' ``block_maps``."""

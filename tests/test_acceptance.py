@@ -15,7 +15,7 @@ from controlforge import (
     scores,
     verify_solution,
 )
-from controlforge.control import ALL_CONTROL_TYPES, ControlTypeId, partition_items
+from controlforge.control import ALL_CONTROL_TYPES, ControlTypeId, partition_length
 from controlforge.elections import winners
 from controlforge.hardness import (
     ENCODED_CONTROL_TYPE,
@@ -157,7 +157,7 @@ def test_criterion_4_lex_min_oracle_search():
                 direct = cached_search(control_type, instance)
                 if via_oracle.solution != direct.solution:
                     failures.append((str(control_type), instance, "output mismatch"))
-                budget = 2 * len(partition_items(instance, control_type.partition_kind)) + 1
+                budget = 2 * partition_length(instance, control_type.partition_kind) + 1
                 if oracle.calls > budget:
                     failures.append(
                         (str(control_type), instance, f"{oracle.calls} calls > {budget}")

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import string
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -846,6 +848,33 @@ class TestRunCommand:
         )
         assert (code, solved.outcome) == (2, "error")
         assert solved.payload["message"].endswith("(pass --max-evals to raise it)")
+
+    @pytest.mark.parametrize("algorithm, exponent", [("brute", 10**12), ("oracle", 10**12 + 1)])
+    def test_solve_cap_refuses_a_huge_electorate_building_nothing_per_voter(
+        self, tmp_path, algorithm, exponent
+    ):
+        # 10^12 voters on one ballot line: the cap reads their count, a sum over
+        # lines, and compares 2^L by its exponent, so neither the voters nor 2^L is built.
+        election = write(
+            tmp_path, "e.txt", "system: plurality\ncandidates: a b c\ndistinguished: a\n"
+            "1000000000000 x a>b>c\n"
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code, report = run_command(
+                ["solve", "--type", "DC-PV-TE-NUW", "--algorithm", algorithm, election]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, report.outcome) == (2, "error")
+        label = solvers.SEARCHES[algorithm][0]
+        assert report.payload["message"] == (
+            f"{label} needs up to 2^{exponent} two-stage evaluations, above the cap of "
+            "10000000 (pass --max-evals to raise it)"
+        )
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("algorithm", ["auto", "poly"])
     def test_solve_veto_row(self, tmp_path, algorithm):

@@ -26,7 +26,13 @@ from controlforge import (
     winners,
 )
 from controlforge import control, solvers
-from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind, partition_items
+from controlforge.control import (
+    ALL_CONTROL_TYPES,
+    Action,
+    PartitionKind,
+    partition_items,
+    partition_length,
+)
 from controlforge.elections import SubsetWinners, block_maps, block_table, subset_winners
 from controlforge.reductions import ALL_TRANSFER_RULES
 from controlforge.solvers import (
@@ -184,6 +190,7 @@ class TestPartitionEnumerationMatchesReference:
         if length or kind is PartitionKind.VOTER:
             instance = _instance_of_length(kind, length)
             assert partition_items(instance, kind) == items
+            assert partition_length(instance, kind) == length
             stream = list(enumerate_partitions(instance, kind))
             assert stream == expected
             assert all(type(p.first) is type(p.second) is frozenset for p in stream)
@@ -248,7 +255,7 @@ class TestSharedPartitionsMatchReference:
             for control_type in ALL_CONTROL_TYPES:
                 kind = control_type.partition_kind
                 holds = control.decider(control_type, instance)
-                masks = [m for m in range(1 << len(partition_items(instance, kind))) if holds(m)]
+                masks = [m for m in range(1 << partition_length(instance, kind)) if holds(m)]
                 got = list(verifying_partitions(control_type, instance))
                 assert len(got) == len(masks)
                 for mask, partition in zip(masks, got):
@@ -872,7 +879,8 @@ class TestOracleSearch:
         ]
         shared = BruteForceOracle()
         for control_type, instance in questions * 2:
-            length = len(partition_items(instance, control_type.partition_kind))
+            length = partition_length(instance, control_type.partition_kind)
+            assert length == len(partition_items(instance, control_type.partition_kind))
             for bits in range(length + 1):
                 for prefix in range(1 << bits):
                     fresh = BruteForceOracle()(control_type, instance, prefix, bits)
@@ -881,7 +889,7 @@ class TestOracleSearch:
         with pytest.raises(ValueError, match="does not fit 2 items"):
             shared(T("CC-PV-TE-UW"), voters, 0, 3)
         assert shared.calls == 2 * sum(
-            2 ** (len(partition_items(i, t.partition_kind)) + 1) - 1 for t, i in questions
+            2 ** (partition_length(i, t.partition_kind) + 1) - 1 for t, i in questions
         ) + 1
 
 
