@@ -43,7 +43,6 @@ from .control import (
     mask_of_partition,
     partition_length,
     partition_problems,
-    verify_solution,
 )
 from .elections import (
     Election,
@@ -62,7 +61,7 @@ from .hardness import (
     encode_hitting_set,
     extract_hitting_set,
 )
-from .reductions import TransferError, compose, find_transfer_chain
+from .reductions import TransferError, TransferRule, compose, find_transfer_chain, pass_through
 from .solvers import (
     DEFAULT_MAX_EVALS,
     POLYNOMIAL_SEARCHES,
@@ -632,15 +631,14 @@ def _cmd_reduce(args, argv) -> RunReport:
     partition = parse_partition(
         _read(args.solution), from_type.partition_kind, doc.election
     )
-    outcomes = compose(chain, instance, partition)
-    if outcomes:
-        solution = outcomes[-1].solution
-    else:
-        solution = partition if verify_solution(from_type, instance, partition) else None
-    steps = [
-        {"rule": rule.describe(), "rejected": not outcome.found}
-        for rule, outcome in zip(chain, outcomes)
-    ]
+    if chain:
+        rule = compose(chain)
+    else:  # the empty route: the input itself, if it verifies
+        rule = TransferRule(from_type, from_type, system, "identity", pass_through)
+    solution = rule.apply(instance, partition).solution
+    # One decision, on the input: every registered rule is sound, so only step 1 rejects.
+    shown = chain if solution is not None else chain[:1]
+    steps = [{"rule": step.describe(), "rejected": solution is None} for step in shown]
     lines = [f"route: {from_type} -> {to_type} in {len(chain)} step(s)"]
     lines += [f"  step {i + 1}: {s['rule']}" for i, s in enumerate(steps)]
     payload = {

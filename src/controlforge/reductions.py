@@ -33,7 +33,8 @@ There are four constructions:
   first block).
 
 Each runs in time polynomial in the instance and the given solution. A
-transfer decides; it builds no trace.
+transfer decides; it builds no trace. ``compose`` makes a chain of rules one
+rule that folds the mask through their constructions: one decision, one outcome.
 """
 
 import itertools
@@ -215,17 +216,17 @@ def rules_for(
     ]
 
 
-def compose(
-    chain: "list[TransferRule]",
-    instance: ControlInstance,
-    solution: Partition,
-) -> list[SolveOutcome]:
-    """Apply the rules in order, each to its predecessor's solution.
+def compose(chain: "list[TransferRule]") -> TransferRule:
+    """The chain as one rule, from the first rule's input to the last rule's output.
 
-    Returns every step's outcome, stopping after the first rejection.
-    Raises CompositionError unless each rule consumes what the one before
-    it produces, on the same system.
+    Its construction folds the mask through each rule's construction in order,
+    with that rule's own types: ``apply`` decides the chain's input once and
+    builds one outcome. Raises CompositionError on an empty chain, and unless
+    each rule consumes what the one before it produces, on the same system.
     """
+    chain = tuple(chain)
+    if not chain:
+        raise CompositionError("cannot compose an empty chain")
     for inner, outer in zip(chain, chain[1:]):
         if outer.system is not inner.system:
             raise CompositionError(
@@ -235,14 +236,14 @@ def compose(
             raise CompositionError(
                 f"outer consumes {outer.target_type} but inner produces {inner.source_type}"
             )
-    outcomes = []
-    for rule in chain:
-        outcome = rule.apply(instance, solution)
-        outcomes.append(outcome)
-        if not outcome.found:
-            break
-        solution = outcome.solution
-    return outcomes
+
+    def fold(source_type, target_type, table, focus, first) -> int:
+        for rule in chain:
+            first = rule.construction(rule.source_type, rule.target_type, table, focus, first)
+        return first
+
+    tag = "+".join(rule.tag for rule in chain)
+    return TransferRule(chain[-1].source_type, chain[0].target_type, chain[0].system, tag, fold)
 
 
 def find_transfer_chain(

@@ -682,6 +682,58 @@ class TestRunCommand:
         assert payload["steps"] == []
         assert payload["solution"] is None
 
+    def test_reduce_rejection_reports_the_first_step(self, tmp_path):
+        # The chain decides its input once, so a rejection is step 1's.
+        election = write(
+            tmp_path,
+            "e.txt",
+            "system: plurality\ncandidates: p a\ndistinguished: p\np>a\n",
+        )
+        solution = write(tmp_path, "s.txt", "block1: | block2: p a\n")
+        code, report = run_command(
+            [
+                "reduce",
+                "--from",
+                "DC-PC-TE-UW",
+                "--to",
+                "DC-RPC-TE-UW",
+                "--solution",
+                solution,
+                election,
+            ]
+        )
+        assert code == 1
+        payload = last_json(report)
+        assert payload["outcome"] == "transfer-rejected"
+        assert payload["steps"] == [
+            {"rule": "plurality: DC-PC-TE-NUW <- DC-PC-TE-UW [te_cycle_step]", "rejected": True}
+        ]
+        assert payload["solution"] is None
+
+    def test_reduce_zero_step_route_keeps_a_solution(self, tmp_path):
+        election = write(
+            tmp_path,
+            "e.txt",
+            "system: plurality\ncandidates: p a b\ndistinguished: p\na>p>b\na>b>p\np>a>b\n",
+        )
+        solution = write(tmp_path, "s.txt", "block1: a | block2: p b\n")
+        code, report = run_command(
+            [
+                "reduce",
+                "--from",
+                "DC-PC-TE-NUW",
+                "--to",
+                "DC-PC-TE-NUW",
+                "--solution",
+                solution,
+                election,
+            ]
+        )
+        assert code == 0
+        payload = last_json(report)
+        assert payload["steps"] == []
+        assert payload["solution"] == payload["input"] == "block1: a | block2: p b\n"
+
     def test_reduce_without_route_is_usage_error(self, tmp_path):
         election = write(
             tmp_path,

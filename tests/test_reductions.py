@@ -1,3 +1,4 @@
+import itertools
 from enum import Enum
 
 import pytest
@@ -11,7 +12,7 @@ from controlforge import (
     make_election,
     verify_solution,
 )
-from controlforge import control
+from controlforge import control, reductions
 from controlforge.control import ALL_CONTROL_TYPES, Action, PartitionKind, partition_items
 from controlforge.elections import subset_winners
 from controlforge.hardness import (
@@ -37,6 +38,7 @@ from controlforge.reductions import (
     split_off_vetoers,
 )
 from controlforge.solvers import (
+    COLLAPSE_GROUPS,
     POLYNOMIAL_SEARCHES,
     VETOER_TYPES,
     Universe,
@@ -283,34 +285,56 @@ class TestComposeAndRegistry:
     def test_compose_cycle_steps(self):
         outer = _rule(System.PLURALITY, "DC-RPC-TE-UW", "DC-RPC-TE-NUW")
         inner = _rule(System.PLURALITY, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
+        chain = [inner, outer]
+        composed = compose(chain)
+        chain.reverse()  # the composed rule keeps its own copy of the chain
+        assert composed.source_type == T("DC-RPC-TE-UW")
+        assert composed.target_type == T("DC-PC-TE-NUW")
+        assert composed.system is System.PLURALITY
         pc_solution = Partition.of_candidates({"a"}, {"p", "b"})
-        outcomes = compose([inner, outer], THREE_WAY, pc_solution)
-        assert len(outcomes) == 2
-        assert verify_solution(T("DC-RPC-TE-NUW"), THREE_WAY, outcomes[0].solution)
-        assert verify_solution(T("DC-RPC-TE-UW"), THREE_WAY, outcomes[1].solution)
+        outcome = composed.apply(THREE_WAY, pc_solution)
+        assert verify_solution(T("DC-RPC-TE-UW"), THREE_WAY, outcome.solution)
 
     def test_compose_rejects_mismatched_rules(self):
         outer = _rule(System.PLURALITY, "DC-RPC-TE-UW", "DC-RPC-TE-NUW")
         inner = _rule(System.PLURALITY, "DC-PC-TP-NUW", "DC-RPC-TP-NUW")
-        nobody = Partition.of_candidates(set(), {"p", "a", "b"})
         with pytest.raises(CompositionError):
-            compose([inner, outer], THREE_WAY, nobody)
+            compose([inner, outer])
         veto_inner = _rule(System.VETO, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
         with pytest.raises(CompositionError):
-            compose([veto_inner, outer], THREE_WAY, nobody)
+            compose([veto_inner, outer])
         # Every adjacent pair is checked, not only the first.
         first = _rule(System.PLURALITY, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
         with pytest.raises(CompositionError):
-            compose([first, outer, inner], THREE_WAY, nobody)
+            compose([first, outer, inner])
+        with pytest.raises(CompositionError):
+            compose([])
 
     def test_compose_propagates_rejection(self):
         outer = _rule(System.PLURALITY, "DC-RPC-TE-UW", "DC-RPC-TE-NUW")
         inner = _rule(System.PLURALITY, "DC-RPC-TE-NUW", "DC-PC-TE-NUW")
         instance = plurality_instance("pab", [("pab", 2), ("abp", 1)], "p")
         losing = Partition.of_candidates(set(), {"p", "a", "b"})
-        outcomes = compose([inner, outer], instance, losing)
-        assert outcomes == [NO_SOLUTION]
-        assert compose([], instance, losing) == []
+        assert compose([inner, outer]).apply(instance, losing) is NO_SOLUTION
+
+    def test_a_chain_decides_once(self, monkeypatch):
+        chain = find_transfer_chain(System.PLURALITY, T("DC-RPC-TE-UW"), T("DC-PC-TE-UW"))
+        assert len(chain) == 3
+        given = next(
+            partition
+            for partition in enumerate_partitions(THREE_WAY, PartitionKind.CANDIDATE)
+            if verify_solution(T("DC-PC-TE-UW"), THREE_WAY, partition)
+        )
+        calls, decide = [], reductions._standing
+
+        def standing(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(reductions, "_standing", standing)
+        outcome = compose(chain).apply(THREE_WAY, given)
+        assert verify_solution(T("DC-RPC-TE-UW"), THREE_WAY, outcome.solution)
+        assert len(calls) == 1
 
     def test_find_transfer_chain(self):
         chain = find_transfer_chain(System.PLURALITY, T("DC-RPC-TE-UW"), T("DC-PC-TE-NUW"))
@@ -378,6 +402,50 @@ class TestConstructionsMatchReference:
                 for solution in every_partition(instance, rule.target_type):
                     outcome = rule.apply(instance, solution)
                     assert outcome == reference_construction(rule, instance, data, solution)
+                    transferred += outcome.found
+                    rejected += not outcome.found
+        assert transferred > 0 and rejected > 0
+
+
+def reference_chain(chain, instance, data, solution):
+    """``reference_construction`` folded over the chain, stopping at the first rejection."""
+    for rule in chain:
+        outcome = reference_construction(rule, instance, data, solution)
+        if not outcome.found:
+            break
+        solution = outcome.solution
+    return outcome
+
+
+def _long_routes(system):
+    """Every route of 2 or more rules between two types of one collapse group."""
+    routes = []
+    for group in COLLAPSE_GROUPS[system]:
+        for source, target in itertools.permutations(group, 2):
+            chain = find_transfer_chain(system, source, target)
+            if chain is not None and len(chain) >= 2:
+                routes.append(chain)
+    return routes
+
+
+class TestComposedChainsMatchReference:
+    @pytest.mark.parametrize("system", list(System))
+    def test_every_input(self, system):
+        """Every composed route of 2 or more rules on every partition of its
+        input type, each followed by its malformed variants, on every
+        <=3-candidate, <=3-ballot instance of the system: the step-by-step
+        reference, and an output that verifies for the route's end type."""
+        routes = [(chain, compose(chain)) for chain in _long_routes(system)]
+        assert routes
+        transferred = rejected = 0
+        for instance in iter_instances(Universe(system, 3, 3)):
+            data = plain(instance)
+            for chain, composed in routes:
+                for solution in every_partition(instance, composed.target_type):
+                    outcome = composed.apply(instance, solution)
+                    assert outcome == reference_chain(chain, instance, data, solution)
+                    if outcome.found:
+                        assert reference_verifies(composed.source_type, data, outcome.solution)
                     transferred += outcome.found
                     rejected += not outcome.found
         assert transferred > 0 and rejected > 0
