@@ -7,10 +7,11 @@ answer; ``pinned``: it is still sound, and a test pins the code's choice)
 and the pytest ids expected to kill it. Every row runs on one temporary
 copy of ``src/``, ``tests/`` and ``bench/``, never on the checkout: its
 tests must first pass unmutated, and then the mutant is applied, its tests
-run again, and the file is restored. A row is *killed* when its tests fail,
-*survived* when they pass, and *stale* when its old text does not occur
-exactly once. Prints one line per row and a total line; exits nonzero on
-any survivor, stale row or other failure.
+run again, and the file is restored. Each list of test ids runs unmutated
+once, and the rows that name the same list share its exit code. A row is
+*killed* when its tests fail, *survived* when they pass, and *stale* when
+its old text does not occur exactly once. Prints one line per row and a
+total line; exits nonzero on any survivor, stale row or other failure.
 
     python scripts/run_mutants.py
 """
@@ -39,12 +40,17 @@ def run_tests(copy: Path, tests: list) -> int:
     ).returncode
 
 
-def verdict(copy: Path, row: dict) -> str:
+def verdict(copy: Path, row: dict, unmutated: dict) -> str:
+    """The row's verdict; ``unmutated`` maps each test-id tuple run on the restored copy
+    to its exit code."""
     path = copy / row["file"]
     original = path.read_text(encoding="utf-8")
     if original.count(row["old"]) != 1:
         return "stale"
-    code = run_tests(copy, row["tests"])
+    tests = tuple(row["tests"])
+    if tests not in unmutated:
+        unmutated[tests] = run_tests(copy, row["tests"])
+    code = unmutated[tests]
     if code != 0:
         return f"fails unmutated (pytest exit {code})"
     path.write_text(original.replace(row["old"], row["new"]), encoding="utf-8")
@@ -57,7 +63,7 @@ def verdict(copy: Path, row: dict) -> str:
 
 def main() -> int:
     rows = json.loads(REGISTRY.read_text(encoding="utf-8"))
-    counts = {}
+    counts, unmutated = {}, {}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch)
@@ -66,7 +72,7 @@ def main() -> int:
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         for row in rows:
             tick = time.perf_counter()
-            result = verdict(copy, row)
+            result = verdict(copy, row, unmutated)
             counts[result] = counts.get(result, 0) + 1
             print(
                 f"{row['name']:<32} {row['label']:<8} {result}"

@@ -24,7 +24,7 @@ alone suffices to re-verify the outcome; the exit code is a function of the
 JSON ``outcome`` field (0 success / solution found / verified / no
 counterexamples, 1 negative answer, 2 usage or parse error, 3 internal
 error: a library invariant failed, such as an oracle whose answers lead to
-a non-verifying partition).
+a non-verifying partition, or the process ran out of memory).
 """
 
 import argparse
@@ -769,9 +769,10 @@ def run_command(argv) -> tuple[int, RunReport]:
         report = RunReport(
             tuple(argv), "error", {"message": str(err)}, (f"error: {err}",)
         )
-    except InvariantError as err:
+    except (InvariantError, MemoryError) as err:
+        message = str(err) or "out of memory"
         report = RunReport(
-            tuple(argv), "internal-error", {"message": str(err)}, (f"internal error: {err}",)
+            tuple(argv), "internal-error", {"message": message}, (f"internal error: {message}",)
         )
     return exit_code_for(report.outcome), report
 

@@ -26,8 +26,11 @@ A partition is named by its first-block mask: item i of the L items it
 splits (``partition_items``) is bit L-1-i. A mask's blocks, and a block's
 mask, are read from the items' ``elections.block_maps``: the table of up to
 8 items that every election over them shares, read by ``SubsetWinners`` as
-``named``/``mask_of`` and ``voter_blocks()``. Each round's winners are one
-lookup in the election's ``SubsetWinners`` tables, and two paths read them.
+``named``/``mask_of`` and ``voter_blocks()``, whose first call builds the
+table's voter masks: ``mask_of_partition``, ``outcome_of_mask``,
+``search_outcome`` and ``decider`` make it, so every voter-partition question
+passes one of them. Each round's winners are one lookup in the election's
+``SubsetWinners`` tables, and two paths read them.
 *Deciding* (``decider``, ``verify_solution``) maps a first-block mask to a
 verdict and builds nothing; ``mask_of_partition`` reads a ``Partition``'s
 mask, -1 if malformed (``partition_problems`` says why, for a refusal
@@ -395,10 +398,10 @@ def search_outcome(
     """The memoized outcome (``outcome_of_mask``) of the mask the ``MaskSearch`` finds
     on the instance's tables, read inline when memoized, or ``NO_SOLUTION`` for None."""
     table = subset_winners(instance.election)
+    outcomes = table.voter_blocks()[2] if control_type.shape[0] else table.outcomes
     first = search(control_type, table, table.bit_of[instance.focus])
     if first is None:
         return NO_SOLUTION
-    outcomes = table.voter_outcomes if control_type.shape[0] else table.outcomes
     outcome = outcomes.get(first)  # an outcome is never falsy
     return outcome or outcome_of_mask(table, control_type.partition_kind, first)
 
@@ -435,6 +438,8 @@ def decider(control_type: ControlTypeId, instance: ControlInstance) -> Callable[
     type's kind is a valid partition, decided by table lookups alone.
     """
     table = subset_winners(instance.election)
+    if control_type.shape[0]:
+        table.voter_blocks()
     return partial(_verdict, control_type, table, table.bit_of[instance.focus])
 
 

@@ -7,10 +7,11 @@ values are immutable.
 
 ``SubsetWinners`` holds one election's winners of every candidate set (and
 voter set) as two tables keyed by bitmask, each a dict that fills a missing
-entry with its own bit-count kernel (``_CandidateWinners``, ``_VoterWinners``)
-over voter masks that one walk of the ballots builds; the two-stage semantics
-reads every round from them, ``scores`` and ``winners`` read the same tables,
-and ``control`` keeps its mask sweeps in their ``memo`` dict, keyed by the int
+entry with its own kernel: ``_CandidateWinners`` sums the counts of the ballot
+lines one walk of the ballots lists, and ``_VoterWinners`` counts the bits of
+voter masks built from those lines on the first voter-partition question. The
+two-stage semantics, ``scores`` and ``winners`` read them, and ``control``
+keeps its mask sweeps in their ``memo`` dict, keyed by the int
 ``focus << 3 | ControlTypeId.sweep``. ``subset_winners`` is the bounded cache
 of those tables (an LRU behind a slot for the election asked for last), and
 ``block_table`` the bounded cache of the blocks of an item sequence by mask and
@@ -344,11 +345,7 @@ def scores(system: System, candidates: Iterable[str], votes: VoteCollection) -> 
     # ``table.rows`` must be in candidate order: ``_bits_of`` is built in that order.
     for name, (c, row) in zip(votes.universe, table.rows):
         if c & subset:
-            lost = 0
-            for rivals, voters in row:
-                if rivals & subset:
-                    lost |= voters
-            tally[name] = n - lost.bit_count()
+            tally[name] = n - sum(count for rivals, count, _ in row if rivals & subset)
     return tally
 
 
@@ -477,10 +474,12 @@ def _bits_of(candidates: tuple) -> MappingProxyType:
 class _CandidateWinners(dict):
     """Winner masks by candidate mask, each computed on first lookup and kept.
 
-    ``rows`` pairs each candidate c with (rivals, voters) masks: those
-    voters give c no point whenever the candidate set holds one of
-    ``rivals``. The candidates losing the fewest voters win; under veto,
-    where the point is a veto, those losing the most.
+    ``rows`` pairs each candidate c with one (rivals, count, low) triple per
+    ballot line: that line's ``count`` voters give c no point whenever the
+    candidate set holds one of ``rivals`` (``low`` is the line's lowest voter
+    bit, read only by ``SubsetWinners.voter_blocks``). The candidates losing
+    the fewest voters win; under veto, where the point is a veto, those
+    losing the most.
     """
 
     __slots__ = ("rows", "veto")
@@ -492,11 +491,10 @@ class _CandidateWinners(dict):
         best, won, veto = None, 0, self.veto
         for c, row in self.rows:
             if c & subset:
-                lost = 0
-                for rivals, voters in row:
+                key = 0
+                for rivals, count, _ in row:
                     if rivals & subset:
-                        lost |= voters
-                key = lost.bit_count()
+                        key += count
                 if veto:
                     key = -key
                 if best is None or key < best:
@@ -535,11 +533,6 @@ class _VoterWinners(dict):
         return won
 
 
-# ``search_outcome`` reads a table's voter outcomes before ``voter_blocks()``
-# has looked them up: until then they are this empty, read-only mapping.
-_NO_OUTCOMES = MappingProxyType({})
-
-
 class SubsetWinners:
     """The winners of every candidate set (and, for PV, voter set) of one election.
 
@@ -556,18 +549,20 @@ class SubsetWinners:
       ``_VoterWinners``.
 
     Entries are filled on first lookup, so a table never holds more entries
-    than decisions asked for; the kernels count bits and build no votes or
-    elections. Masks, blocks and outcomes are mapped by the candidates'
-    ``block_maps``, shared with every election over the same candidates:
-    ``named[mask]`` is the frozenset of the candidate names of a mask,
-    ``mask_of[block]`` the mask of a block of them and ``outcomes[mask]``
-    the memoized outcome of a mask's partition; ``voter_blocks()`` returns
-    the voter indices' three, looked up on first use, and from then on
-    ``voter_outcomes`` is the third.
+    than decisions asked for; the kernels count and build no votes or
+    elections. A candidate question costs ballot lines, not voters: the rows
+    hold each line's count, and ``voters`` is n. Masks, blocks and outcomes
+    are mapped by the candidates' ``block_maps``, shared with every election
+    over the same candidates: ``named[mask]`` is the frozenset of the
+    candidate names of a mask, ``mask_of[block]`` the mask of a block of
+    them and ``outcomes[mask]`` the memoized outcome of a mask's partition.
+    Everything over voter masks (``all_voters``, ``by_voters`` and
+    ``voter_outcomes``) is built by the first ``voter_blocks()`` call, the
+    one entry point of every voter-partition question (through ``control``).
     """
 
     __slots__ = (
-        "bit_of", "everyone", "all_voters", "rows", "by_candidates", "by_voters",
+        "bit_of", "everyone", "voters", "all_voters", "rows", "by_candidates", "by_voters",
         "named", "mask_of", "outcomes", "voter_outcomes", "memo", "_voter_blocks", "__weakref__",
     )
 
@@ -576,48 +571,49 @@ class SubsetWinners:
         self.bit_of = bit_of = _bits_of(election.candidates)
         veto = system is System.VETO
         approval = system is System.APPROVAL
-        # For each candidate c and ballot group: (the candidates it ranks above
-        # c, its voters); below c under veto; c itself if it does not approve c.
-        # Over the full candidate set, c loses the voters of all its pairs.
-        # The groups are walked last-first, so the last group's voters take
-        # the lowest bits and n is counted on the way.
+        # For each candidate c and ballot line: (the candidates it ranks above
+        # c, its count, its lowest voter bit); below c under veto; c itself if
+        # it does not approve c. Over the full candidate set, c loses the
+        # voters of all its lines. The lines are walked last-first, so the
+        # last line's voters take the lowest bits and n is counted on the way.
         passed = {c: [] for c in bit_of.values()}
-        lost = dict.fromkeys(bit_of.values(), 0)
         n = 0
         for vote, count in reversed(election.votes.groups):
-            voters = ((1 << count) - 1) << n
-            n += count
             if approval:
                 for name in bit_of.keys() - vote.entries:
                     c = bit_of[name]
-                    passed[c].append((c, voters))
-                    lost[c] |= voters
-                continue
-            before = 0
-            for name in reversed(vote.entries) if veto else vote.entries:
-                c = bit_of[name]
-                if before:
-                    passed[c].append((before, voters))
-                    lost[c] |= voters
-                before |= c
-        self.everyone = (1 << len(bit_of)) - 1
-        self.all_voters = (1 << n) - 1
+                    passed[c].append((c, count, n))
+            else:
+                before = 0
+                for name in reversed(vote.entries) if veto else vote.entries:
+                    c = bit_of[name]
+                    if before:
+                        passed[c].append((before, count, n))
+                    before |= c
+            n += count
+        self.everyone, self.voters = (1 << len(bit_of)) - 1, n
         # The fills (and ``scores``) read plain data, not self: a table that
         # refers back to its owner would stay in memory after the cache drops
         # it, until a full garbage collection.
         self.rows = rows = tuple([(c, tuple(row)) for c, row in passed.items()])
         self.by_candidates = _CandidateWinners(rows, veto)
-        self.by_voters = _VoterWinners(tuple(lost.items()), veto)
         self.named, self.mask_of, self.outcomes = block_maps(election.candidates)
-        self.voter_outcomes, self._voter_blocks = _NO_OUTCOMES, None
+        self._voter_blocks = None
         # ``control._least_mask``'s sweeps, keyed by the int ``focus << 3 |
         # sweep``: held here, they are bounded and dropped with the tables.
         self.memo = {}
 
     def voter_blocks(self) -> tuple:
-        """``(blocks, mask_of, outcomes)`` of the voter indices (``block_maps``),
-        looked up on first use; ``voter_outcomes`` is then the third."""
+        """``(blocks, mask_of, outcomes)`` of the voter indices (``block_maps``); the first
+        call builds the n-bit voter masks, ``all_voters`` and ``by_voters`` (whose ``lost``
+        sums each candidate's row lines, disjoint voters), and ``voter_outcomes``, the third."""
         if self._voter_blocks is None:
-            self._voter_blocks = block_maps(range(self.all_voters.bit_length()))
+            lost = tuple(
+                (c, sum(((1 << count) - 1) << low for _, count, low in row))
+                for c, row in self.rows
+            )
+            self.all_voters = (1 << self.voters) - 1
+            self.by_voters = _VoterWinners(lost, self.by_candidates.veto)
+            self._voter_blocks = block_maps(range(self.voters))
             self.voter_outcomes = self._voter_blocks[2]
         return self._voter_blocks

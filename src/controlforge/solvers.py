@@ -182,11 +182,8 @@ def vetoer_mask(control_type: ControlTypeId, table: SubsetWinners, focus: int) -
     """
     if len(table.rows) < 3:
         return 0
-    # Under veto, y's row pairs exactly the ballot groups that do not rank y last.
-    row = next(row for c, row in table.rows if c != focus)
-    spared = 0
-    for _, voters in row:
-        spared |= voters
+    # Under veto, y's ``lost`` voters are exactly those who do not rank y last.
+    spared = next(voters for c, voters in table.by_voters.lost if c != focus)
     return table.all_voters ^ spared
 
 

@@ -928,6 +928,46 @@ class TestRunCommand:
         )
         assert peak < 1 << 20
 
+    HUGE_DOC = "system: {}\ncandidates: a b c\ndistinguished: {}\n1000000000000 x {}\n"
+
+    @pytest.mark.parametrize(
+        "document, argv, expected",
+        [
+            (("plurality", "b", "a>b>c"), ["winners"],
+             {"outcome": "winners", "scores": {"a": 10**12, "b": 0, "c": 0}, "winners": ["a"]}),
+            (("plurality", "b", "a>b>c"), ["verify", "--type", "DC-RPC-TE-UW", "--partition"],
+             {"outcome": "verified-true", "verdict": True}),
+            (("plurality", "b", "a>b>c"),
+             ["reduce", "--from", "DC-PC-TE-UW", "--to", "DC-RPC-TE-UW", "--solution"],
+             {"outcome": "transfer-solution", "solution": "block1: a b c | block2:\n"}),
+            (("approval", "a", "{a,b}"), ["solve", "--type", "CC-PC-TE-NUW"],
+             {"outcome": "solution-found", "algorithm": "approval-isolate"}),
+            (("plurality", "a", "a>b>c"),
+             ["solve", "--type", "DC-PC-TP-NUW", "--algorithm", "brute"],
+             {"outcome": "no-solution", "solution": None}),
+        ],
+        ids=["winners", "verify", "reduce", "approval-row", "brute"],
+    )
+    def test_candidate_questions_on_a_huge_electorate_build_nothing_per_voter(
+        self, tmp_path, document, argv, expected
+    ):
+        # 10^12 voters on one ballot line: a candidate question reads the
+        # line's count, and no voter mask is built.
+        election = write(tmp_path, "e.txt", self.HUGE_DOC.format(*document))
+        if argv[-1] in ("--partition", "--solution"):
+            argv = argv + [write(tmp_path, "p.txt", "block1: a | block2: b c\n")]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code, report = run_command(argv + [election])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = last_json(report)
+        assert code == exit_code_for(expected["outcome"])
+        assert {key: payload.get(key) for key in expected} == expected
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("algorithm", ["auto", "poly"])
     def test_solve_veto_row(self, tmp_path, algorithm):
         # The veto-vetoers row verifies one partition, so it reads no cap.
@@ -978,6 +1018,17 @@ class TestRunCommand:
         )
         assert (code, report.outcome) == (3, "internal-error")
         assert "non-verifying partition" in last_json(report)["message"]
+
+    def test_out_of_memory_is_an_internal_error(self, tmp_path, monkeypatch):
+        # A question too large for the process is no negative answer (exit 1).
+        def exhausted(args, argv):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "winners", exhausted)
+        code, report = run_command(["winners", write(tmp_path, "e.txt", PLURALITY_DOC)])
+        assert (code, report.outcome) == (3, "internal-error")
+        assert report.render().splitlines()[0] == "internal error: out of memory"
+        assert last_json(report)["message"] == "out of memory"
 
     def test_encode_then_decode_hitting_set(self, tmp_path):
         hs_file = write(tmp_path, "hs.txt", "elements: b1\nk: 1\nset: b1\n")

@@ -553,6 +553,7 @@ def assert_every_entry_matches_the_reference(election):
         names = [c for c in candidates if bit[c] & subset]
         expected = reference.winners(kind, names, ballots)
         assert table.by_candidates[subset] == sum(map(bit.get, expected))
+    table.voter_blocks()  # builds ``by_voters``
     for chosen in range(1 << n):
         voters = {j for j in range(n) if chosen >> (n - 1 - j) & 1}
         chosen_ballots = reference.voter_ballots(ballots, voters)

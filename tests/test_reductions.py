@@ -586,6 +586,7 @@ class TestVetoerSplitReference:
         for instance in iter_instances(Universe(System.VETO, max_candidates, max_votes)):
             # Every input gets the builder's partition, so it is verified once.
             table = subset_winners(instance.election)
+            table.voter_blocks()  # vetoer_mask reads the voter masks it builds
             mask = vetoer_mask(rule.source_type, table, table.bit_of[instance.focus])
             built = _memoized(instance, PartitionKind.VOTER, mask)
             inputs = 0
@@ -858,11 +859,12 @@ def test_filled_memos_build_no_outcome(system, monkeypatch):
 
 @pytest.mark.parametrize("max_candidates, max_votes", [(4, 4), (3, 6)])
 def test_vetoer_mask_matches_reference(max_candidates, max_votes):
-    """``vetoer_mask`` reads the vetoers off the table's rows; on every veto
+    """``vetoer_mask`` reads the vetoers off the table's voter masks; on every veto
     instance it names the reference's partition of the ballots, for both types."""
     checked = 0
     for instance in iter_instances(Universe(System.VETO, max_candidates, max_votes)):
         table = subset_winners(instance.election)
+        table.voter_blocks()  # builds the voter masks vetoer_mask reads
         want = _mask(instance, reference_vetoer_partition(instance))
         for control_type in VETOER_TYPES:
             assert vetoer_mask(control_type, table, table.bit_of[instance.focus]) == want
