@@ -38,8 +38,13 @@ from controlforge.cli import (
     serialize_hitting_set,
     serialize_partition,
 )
-from controlforge.control import Partition, PartitionKind
-from controlforge.elections import InvalidCandidateError, check_candidate_name, vote_kind_for
+from controlforge.control import ALL_CONTROL_TYPES, ControlTypeId, Partition, PartitionKind
+from controlforge.elections import (
+    InvalidCandidateError,
+    check_candidate_name,
+    subset_winners,
+    vote_kind_for,
+)
 from controlforge.hardness import (
     FOCUS_NAME,
     SPOILER_NAME,
@@ -62,6 +67,18 @@ system: approval
 candidates: p a
 distinguished: p
 {a}
+"""
+
+# Four candidates and four voters, so L = 4 for every type; some of the 24
+# types have a solution here and some do not.
+RACE_DOC = """\
+system: plurality
+candidates: a b c d
+distinguished: b
+a>b>c>d
+b>a>c>d
+c>a>b>d
+d>a>b>c
 """
 
 
@@ -627,18 +644,23 @@ class TestRunCommand:
         assert code == 1
         assert report.outcome == "transfer-rejected"
 
-    def test_reduce_two_step_route(self, tmp_path):
-        election = write(
-            tmp_path,
-            "e.txt",
-            "system: plurality\ncandidates: p a b\ndistinguished: p\na>p>b\na>b>p\np>a>b\n",
-        )
-        solution = write(tmp_path, "s.txt", "block1: a | block2: p b\n")
+    @pytest.mark.parametrize(
+        "document, given, source, steps",
+        [
+            ("system: plurality\ncandidates: p a b\ndistinguished: p\na>p>b\na>b>p\np>a>b\n",
+             "block1: a | block2: p b\n", "DC-PC-TE-NUW", 2),
+            (RACE_DOC, "block1: a | block2: b c d\n", "DC-PC-TE-UW", 3),
+        ],
+        ids=["two-rule", "three-rule"],
+    )
+    def test_reduce_chained_route(self, tmp_path, document, given, source, steps):
+        election = write(tmp_path, "e.txt", document)
+        solution = write(tmp_path, "s.txt", given)
         code, report = run_command(
             [
                 "reduce",
                 "--from",
-                "DC-PC-TE-NUW",
+                source,
                 "--to",
                 "DC-RPC-TE-UW",
                 "--solution",
@@ -648,7 +670,7 @@ class TestRunCommand:
         )
         assert code == 0
         payload = last_json(report)
-        assert len(payload["steps"]) == 2
+        assert len(payload["steps"]) == steps
         assert not any(step["rejected"] for step in payload["steps"])
         output = write(tmp_path, "out.txt", payload["solution"])
         code, report = run_command(
@@ -786,6 +808,25 @@ class TestRunCommand:
         )
         assert code == 1
         assert last_json(report)["counterexample_count"] > 0
+
+    def test_collapse_scan_sequences(self):
+        # Two ballots of different kinds are one multiset but two sequences.
+        # A cap equal to the scan's estimate lets it run.
+        pair = "DC-RPC-TP-NUW,DC-PC-TP-NUW"
+        sequences = solvers.Universe("plurality", 2, 2, as_multisets=False)
+        multisets = solvers.Universe("plurality", 2, 2)
+        estimate = solvers.estimated_scan_evaluations(
+            tuple(map(ControlTypeId.parse, pair.split(","))), sequences
+        )
+        code, report = run_command(
+            ["collapse-scan", "--pair", pair, "--system", "plurality", "--max-candidates", "2",
+             "--max-votes", "2", "--sequences", "--max-evals", str(estimate)]
+        )
+        assert code == 0
+        payload = last_json(report)
+        assert payload["universe"].endswith("(ballot sequences)")
+        assert payload["instances_checked"] == solvers.instance_count(sequences)
+        assert payload["instances_checked"] > solvers.instance_count(multisets)
 
     def test_collapse_scan_cap_flag(self):
         code, report = run_command(
@@ -1003,6 +1044,39 @@ class TestRunCommand:
         code, refused = run_command(reduce + ["--max-evals", "0", election])
         assert code == 2
         assert refused.payload["message"].startswith("unrecognized arguments: --max-evals")
+
+    def test_every_type_solves_alike_on_a_cleared_table_cache(self, tmp_path):
+        # The types of one action and tie rule share the election's mask
+        # sweep and winner tables within a process; a type solved after
+        # subset_winners.cache_clear() must get the same report.
+        election = write(tmp_path, "e.txt", RACE_DOC)
+
+        def solve(control_type):
+            argv = ["solve", "--type", str(control_type), "--algorithm", "brute", election]
+            return run_command(argv)[1].render()
+
+        shared = [solve(control_type) for control_type in ALL_CONTROL_TYPES]
+        fresh = []
+        for control_type in ALL_CONTROL_TYPES:
+            subset_winners.cache_clear()
+            fresh.append(solve(control_type))
+        assert shared == fresh
+        outcomes = {json.loads(report.splitlines()[-1])["outcome"] for report in shared}
+        assert outcomes == {"solution-found", "no-solution"}
+
+    @pytest.mark.parametrize("control_type", ALL_CONTROL_TYPES, ids=str)
+    def test_oracle_search_finds_brute_forces_solution(self, tmp_path, control_type):
+        # The oracle search finds the least verifying partition, brute force's
+        # answer, in at most 2L + 1 = 9 oracle calls at L = 4.
+        election = write(tmp_path, "e.txt", RACE_DOC)
+        brute, oracle = (
+            last_json(run_command(
+                ["solve", "--type", str(control_type), "--algorithm", algorithm, election]
+            )[1])
+            for algorithm in ("brute", "oracle")
+        )
+        assert oracle["solution"] == brute["solution"]
+        assert oracle["oracle_calls"] <= 2 * 4 + 1
 
     def test_lying_oracle_is_an_internal_error(self, tmp_path, monkeypatch):
         class LyingOracle:
@@ -1232,3 +1306,37 @@ class TestModuleEntryPoint:
         done = _run_python("-m", "controlforge.cli", "bogus")
         assert done.returncode == 2
         assert "invalid choice: 'bogus'" in done.stderr
+
+
+class TestMain:
+    """``main`` prints the report, on stderr for a usage or internal error,
+    and returns its exit code; a ``--help`` request returns 0."""
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], "usage: controlforge "),
+         (["verify", "--help"], "usage: controlforge verify ")],
+        ids=["top", "verify"],
+    )
+    def test_help_returns_0_on_stdout(self, argv, usage, capsys):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(usage)
+        assert err == ""
+
+    def test_missing_subcommand_returns_2_on_stderr(self, capsys):
+        assert cli.main([]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        message = "the following arguments are required: subcommand"
+        assert lines[0] == f"error: {message}"
+        assert json.loads(lines[-1]) == {"command": [], "message": message, "outcome": "error"}
+
+    def test_negative_answer_returns_1_on_stdout(self, capsys):
+        argv = ["collapse-scan", "--pair", "CC-PC-TE-UW,DC-PC-TE-UW", "--system", "approval",
+                "--max-candidates", "2", "--max-votes", "2"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out.splitlines()[-1])["outcome"] == "collapse-counterexamples"
