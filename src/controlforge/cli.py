@@ -61,7 +61,7 @@ from .hardness import (
     encode_hitting_set,
     extract_hitting_set,
 )
-from .reductions import TransferError, TransferRule, compose, find_transfer_chain, pass_through
+from .reductions import TransferRule, compose, find_transfer_chain, pass_through
 from .solvers import (
     DEFAULT_MAX_EVALS,
     POLYNOMIAL_SEARCHES,
@@ -765,7 +765,7 @@ def run_command(argv) -> tuple[int, RunReport]:
     try:
         args = _parse_args(argv)
         report = _HANDLERS[args.subcommand](args, argv)
-    except (UsageError, DocumentParseError, ElectionError, TransferError, ValueError) as err:
+    except ValueError as err:  # UsageError, DocumentParseError, ElectionError, TransferError
         report = RunReport(
             tuple(argv), "error", {"message": str(err)}, (f"error: {err}",)
         )

@@ -39,12 +39,12 @@ type's ``shape`` fixes its rounds and its ``goal`` only reads the final, so
 the four types of a shape share one mask sweep per election and focus
 (``_least_mask``). Every search is a ``MaskSearch``, from the type, the
 tables and the focus bit to a verifying mask or None, and ``search_outcome``
-maps its answer to an outcome. A mask's ``Partition``
-(``partition_of_mask``) is built once per item sequence, in the
-``SolveOutcome`` that ``outcome_of_mask`` memoizes in the items'
-``block_maps`` for the searches, the transfers and the enumerations (up to 8
-items) on every election over them; a search that finds nothing, and a
-transfer that rejects its input, returns the one ``NO_SOLUTION``.
+maps its answer to an outcome. ``outcome_of_mask`` is the one path from a
+mask to its ``SolveOutcome``, for the searches, the transfers and the
+enumerations, under ``block_maps``' one memo rule: up to 8 items the outcome
+is built once per item sequence and kept for every election over them, and
+past 8 items it is built on every ask and kept nowhere. A search that finds
+nothing, and a transfer that rejects its input, returns the one ``NO_SOLUTION``.
 *Explaining* (``check_solution``) takes its verdict from the deciding path
 and names every round in a ``TwoStageTrace`` from the same tables; the
 tests hold that verdict to the goal read off the trace's final winners.
@@ -54,9 +54,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
-from .elections import Election, SubsetWinners, _set, block_maps, subset_winners
+from .elections import Election, SubsetWinners, _set, subset_winners
 
 
 class Direction(str, Enum):
@@ -135,15 +135,10 @@ class ControlTypeId:
         canonical = _TYPE_OF_TAG.get(tag)
         if canonical is not None:
             return canonical
-        parts = tag.split("-")
-        if len(parts) != 4:
+        if tag.count("-") != 3:
             raise ValueError(f"control type tag {text!r} is not of the form CC-PC-TE-UW")
-        try:
-            return cls(
-                Direction(parts[0]), Action(parts[1]), TieRule(parts[2]), WinnerModel(parts[3])
-            )
-        except ValueError:
-            raise ValueError(f"unknown control type tag {text!r}") from None
+        # Every tag of four valid parts is a key of ``_TYPE_OF_TAG``.
+        raise ValueError(f"unknown control type tag {text!r}")
 
 
 ALL_CONTROL_TYPES: tuple[ControlTypeId, ...] = tuple(
@@ -205,13 +200,6 @@ def partition_items(instance: ControlInstance, kind: PartitionKind) -> tuple:
 def partition_length(instance: ControlInstance, kind: PartitionKind) -> int:
     """``len(partition_items(...))``, building no item: a voter count sums ballot lines."""
     return len(instance.election.candidates) if kind is _CANDIDATE else instance.voter_count
-
-
-def partition_of_mask(kind: PartitionKind, items: Sequence, mask: int) -> Partition:
-    """The partition whose first block is the items set in ``mask`` (item 0 is the top bit),
-    its blocks read from the items' ``block_maps``."""
-    blocks = block_maps(items)[0]
-    return Partition(kind, blocks[mask], blocks[((1 << len(items)) - 1) ^ mask])
 
 
 def mask_of_partition(table: SubsetWinners, kind: PartitionKind, partition: Partition) -> int:
@@ -409,20 +397,17 @@ def search_outcome(
 def outcome_of_mask(table: SubsetWinners, kind: PartitionKind, first: int) -> SolveOutcome:
     """The outcome holding the partition of first-block mask ``first`` of the table's election.
 
-    Built once per item sequence and mask (``memoized_outcome``), in the
-    ``outcomes`` of the items' ``block_maps``, and shared by the searches,
-    the transfers and the partition enumerations on every election over the
-    same items: asking again returns the same object.
+    Its blocks are read from the items' ``block_maps``, and the outcome is
+    kept in their ``outcomes`` on the first ask: up to 8 items that memo is
+    shared by the searches, the transfers and the partition enumerations on
+    every election over the same items, so asking again returns the same
+    object; past 8 items it keeps nothing, and each ask builds an equal one.
     """
     if kind is _CANDIDATE:
-        return memoized_outcome(kind, table.named, table.outcomes, table.everyone, first)
-    blocks, _, outcomes = table.voter_blocks()
-    return memoized_outcome(kind, blocks, outcomes, table.all_voters, first)
-
-
-def memoized_outcome(kind: PartitionKind, blocks, outcomes: dict, everyone: int, first: int):
-    """``outcomes[first]``, the outcome of the partition of mask ``first`` of an item
-    sequence's ``block_maps``, built from its blocks and kept on the first ask."""
+        blocks, outcomes, everyone = table.named, table.outcomes, table.everyone
+    else:
+        blocks, _, outcomes = table.voter_blocks()
+        everyone = table.all_voters
     outcome = outcomes.get(first)
     if outcome is None:
         partition = Partition(kind, blocks[first], blocks[everyone ^ first])

@@ -13,17 +13,18 @@ voter masks built from those lines on the first voter-partition question. The
 two-stage semantics, ``scores`` and ``winners`` read them, and ``control``
 keeps its mask sweeps in their ``memo`` dict, keyed by the int
 ``focus << 3 | ControlTypeId.sweep``. ``subset_winners`` is the bounded cache
-of those tables (an LRU behind a slot for the election asked for last), and
-``block_table`` the bounded cache of the blocks of an item sequence by mask and
-of the memoized ``SolveOutcome``s of its masks, which every table, enumeration
-and partition over the same items shares.
+of those tables (an LRU behind a slot for the election asked for last).
+``block_maps`` maps an item sequence's masks to blocks and back, and holds the
+one outcome memo rule: up to 8 items the ``SolveOutcome`` of each mask is kept
+in the items' ``block_table``, shared by every table, enumeration and partition
+over the same items; past 8 items the memo keeps nothing.
 
 Validation: ``Election`` accepts valid names by whole-value checks (the
 names joined and split back, a duplicate-free name set), and only when they
-fail walks the names for the first defect. ``VoteCollection`` walks its
-ballots once, accepting each by comparing it with the universe as a set and
-naming the first defect, or putting an approval ballot in canonical order,
-only when that fails. Errors and messages are as they always were; nothing
+fail walks the names for the first defect, such as a name that is not a
+``str``. ``VoteCollection`` walks its ballots once, accepting each by
+comparing it with the universe as a set and naming the first defect, or
+putting an approval ballot in canonical order, only when that fails. Nothing
 is cached and there is no unchecked constructor: each record's own
 ``__init__`` runs its checks and then sets each field once.
 """
@@ -100,6 +101,8 @@ def check_candidate_name(name: str) -> str:
     """Validate a candidate name token and return it unchanged."""
     if _plain_names((name,)):
         return name
+    if not isinstance(name, str):
+        raise InvalidCandidateError(f"candidate name {name!r} is not a string")
     if not name:
         raise InvalidCandidateError("candidate name must be nonempty")
     if any(ch.isspace() for ch in name):
@@ -405,8 +408,8 @@ def block_table(items: tuple) -> tuple[tuple, MappingProxyType, dict]:
     ``blocks[mask]`` is the frozenset of the items set in ``mask`` (item 0 is
     the top bit), built by doubling from the last item, and ``mask_of`` maps
     each block back to its mask. ``outcomes`` maps a mask to the
-    ``SolveOutcome`` of its partition, filled on first ask by
-    ``control.memoized_outcome``. Every election, enumeration and partition
+    ``SolveOutcome`` of its partition, kept on the first ask by
+    ``control.outcome_of_mask``. Every election, enumeration and partition
     over the same items shares the three, so the first two are read-only.
     Bounded: an 8-item table holds about 90 KB, and about 60 KB more with
     every outcome filled, so the 16 kept hold at most about 2.4 MB.
@@ -450,17 +453,30 @@ def _mask(items, block: frozenset) -> int:
     return int(digits, 2)
 
 
+class _KeepNone(dict):
+    """An outcome memo that keeps nothing: every write is dropped, so it stays empty."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value):
+        pass
+
+
+_KEEP_NONE = _KeepNone()
+
+
 def block_maps(items) -> tuple:
     """``(blocks, mask_of, outcomes)`` of an ordered item sequence, read as ``block_table``'s.
 
-    At most ``_TABLE_ITEMS`` items read the shared table; a longer sequence
-    computes each block and mask item by item on every lookup, and keeps
-    none, and gets a fresh ``outcomes`` dict, which its caller keeps.
+    The one outcome memo rule: at most ``_TABLE_ITEMS`` items read the shared
+    table, whose ``outcomes`` keeps each mask's outcome; a longer sequence
+    computes each block and mask item by item on every lookup, and its
+    ``outcomes`` is the one shared memo that keeps nothing.
     """
     if len(items) <= _TABLE_ITEMS:
         return block_table(tuple(items))
     blocks, mask_of = functools.partial(_block, items), functools.partial(_mask, items)
-    return _Computed(blocks), _Computed(mask_of), {}
+    return _Computed(blocks), _Computed(mask_of), _KEEP_NONE
 
 
 @functools.lru_cache(maxsize=16)
@@ -555,10 +571,11 @@ class SubsetWinners:
     are mapped by the candidates' ``block_maps``, shared with every election
     over the same candidates: ``named[mask]`` is the frozenset of the
     candidate names of a mask, ``mask_of[block]`` the mask of a block of
-    them and ``outcomes[mask]`` the memoized outcome of a mask's partition.
-    Everything over voter masks (``all_voters``, ``by_voters`` and
-    ``voter_outcomes``) is built by the first ``voter_blocks()`` call, the
-    one entry point of every voter-partition question (through ``control``).
+    them and ``outcomes[mask]`` the memoized outcome of a mask's partition
+    (up to 8 items; past 8, ``outcomes`` keeps nothing). Everything over
+    voter masks (``all_voters``, ``by_voters`` and ``voter_outcomes``) is
+    built by the first ``voter_blocks()`` call, the one entry point of every
+    voter-partition question (through ``control``).
     """
 
     __slots__ = (

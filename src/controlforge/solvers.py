@@ -11,14 +11,16 @@ sets of instances over a bounded universe, deciding each type once per
 instance.
 
 A partition is named by its first-block mask (item i of L is bit L-1-i, as
-in ``control.partition_of_mask``), so "lexicographically least" means the
-least mask. Each search is a ``control.MaskSearch``, whose mask (or None)
-``control.search_outcome`` maps to the election's memoized outcome (or
+in ``control``), so "lexicographically least" means the least mask. Each
+search is a ``control.MaskSearch``, whose mask (or None)
+``control.search_outcome`` maps to the election's outcome of that mask (or
 ``NO_SOLUTION``): brute force is the mask sweep ``control._least_mask``,
 which the four types of one action and tie rule share, a polynomial row
 decides its builder's mask, and the oracle search grows an integer prefix.
 ``verifying_partitions`` and ``BruteForceOracle`` decide through
-``control.decider``.
+``control.decider``. Every mask becomes its outcome through the election's
+table, by ``control.outcome_of_mask``, and so under one memo rule
+(``elections.block_maps``): kept up to 8 items, and past 8 kept nowhere.
 """
 
 import itertools
@@ -37,21 +39,17 @@ from .control import (
     _least_mask,
     _verdict,
     decider,
-    memoized_outcome,
     outcome_of_mask,
-    partition_items,
     partition_length,
-    partition_of_mask,
     search_outcome,
 )
 from .elections import (
-    _TABLE_ITEMS,
     Election,
     SubsetWinners,
     System,
     Vote,
     VoteCollection,
-    block_table,
+    subset_winners,
     winners,  # unused here; bench/test_bench.py's Binding test looks it up
 )
 
@@ -88,8 +86,7 @@ def enumerate_partitions(
 ) -> Iterator[Partition]:
     """All partitions of the given kind, lexicographically by encoding: the
     partitions of every first-block mask in increasing order (``_partitions``)."""
-    items = partition_items(instance, kind)
-    return _partitions(kind, items, range(1 << len(items)))
+    return _partitions(instance, kind, range(1 << partition_length(instance, kind)))
 
 
 def verifying_partitions(
@@ -99,20 +96,17 @@ def verifying_partitions(
     partitions (``_partitions``) of the first-block masks that the ``decider``
     accepts, decided in increasing order, which is the encoding's order."""
     kind = control_type.partition_kind
-    items = partition_items(instance, kind)
     holds = decider(control_type, instance)
-    return _partitions(kind, items, filter(holds, range(1 << len(items))))
+    return _partitions(instance, kind, filter(holds, range(1 << partition_length(instance, kind))))
 
 
-def _partitions(kind: PartitionKind, items: tuple, masks) -> Iterator[Partition]:
-    """The partitions of the items with these first-block masks, the one mask-to-partition
-    path of both enumerations. Up to ``_TABLE_ITEMS`` items they are the ones memoized in
-    the items' ``block_table``, built on a miss: the objects ``control.outcome_of_mask``
-    returns. Past it each is a fresh ``partition_of_mask``, kept nowhere."""
-    if len(items) > _TABLE_ITEMS:
-        return map(partial(partition_of_mask, kind, items), masks)
-    blocks, _, outcomes = block_table(items)
-    fill = partial(memoized_outcome, kind, blocks, outcomes, len(blocks) - 1)
+def _partitions(instance: ControlInstance, kind: PartitionKind, masks) -> Iterator[Partition]:
+    """The partitions of these first-block masks, the one mask-to-partition path of both
+    enumerations: the solutions of the outcomes ``control.outcome_of_mask`` returns on the
+    election's table, read inline where its memo holds them (``search_outcome`` does too)."""
+    table = subset_winners(instance.election)
+    outcomes = table.outcomes if kind is PartitionKind.CANDIDATE else table.voter_blocks()[2]
+    fill = partial(outcome_of_mask, table, kind)
     get = outcomes.get  # an outcome is never falsy
     return ((get(first) or fill(first)).solution for first in masks)
 

@@ -31,7 +31,6 @@ from controlforge.control import (
     focus_lost_mask,
     mask_of_partition,
     outcome_of_mask,
-    partition_of_mask,
     partition_problems,
 )
 from controlforge.elections import ElectionError, InvalidVoteError, SubsetWinners, subset_winners
@@ -557,10 +556,10 @@ class TestMaskReadersMatchReference:
     def test_outcome_of_every_candidate_mask(self, system):
         # A candidate partition depends only on the candidates.
         for election in iter_elections(Universe(system, 4, 1)):
-            table = SubsetWinners(election)
+            table, items = SubsetWinners(election), election.candidates
             for first in range(table.everyone + 1):
                 outcome = outcome_of_mask(table, PartitionKind.CANDIDATE, first)
-                expected = partition_of_mask(PartitionKind.CANDIDATE, election.candidates, first)
+                expected = Partition(PartitionKind.CANDIDATE, *reference.partition_of_code(items, first))
                 assert outcome.solution == expected
                 assert outcome_of_mask(table, PartitionKind.CANDIDATE, first) is outcome
 
@@ -602,7 +601,7 @@ class TestSharedOutcomesMatchReference:
     """``outcome_of_mask`` against ``reference.partition_of_code``, on every
     mask of both kinds. Up to 8 items the outcome of a mask is built once per
     item sequence, so two elections over the same items share the object;
-    past 8 each election's table keeps its own, equal to the other's."""
+    past 8 no table keeps one, and each ask builds an equal outcome."""
 
     # No election has zero candidates.
     CASES = [(PartitionKind.VOTER, 0)] + [(kind, n) for kind in PartitionKind for n in range(1, 13)]
@@ -614,12 +613,17 @@ class TestSharedOutcomesMatchReference:
         for first in range(1 << length):
             outcome = outcome_of_mask(one, kind, first)
             other = outcome_of_mask(two, kind, first)
-            assert outcome is other if length <= 8 else outcome == other
-            assert outcome_of_mask(one, kind, first) is outcome
-            assert outcome_of_mask(two, kind, first) is other
+            again = outcome_of_mask(one, kind, first)
+            if length <= 8:
+                assert outcome is other and again is outcome
+            else:
+                assert outcome == other == again and again is not outcome
             solution = outcome.solution
             assert solution.kind is kind
             assert (solution.first, solution.second) == reference.partition_of_code(items, first)
+        for table in (one, two):
+            memo = table.outcomes if kind is PartitionKind.CANDIDATE else table.voter_outcomes
+            assert len(memo) == (1 << length if length <= 8 else 0)
 
 
 def _records():

@@ -26,7 +26,7 @@ from controlforge import (
     verify_solution,
     winners,
 )
-from controlforge.control import PartitionKind, partition_of_mask
+from controlforge.control import PartitionKind
 from controlforge import elections as elections_module
 from controlforge.elections import (
     ElectionError,
@@ -71,6 +71,19 @@ class TestNames:
     def test_rejects_duplicate_candidates(self):
         with pytest.raises(InvalidCandidateError):
             make_election("approval", ["a", "a"])
+
+    @pytest.mark.parametrize("name", [("a",), 1, b"a", None], ids=repr)
+    def test_rejects_names_that_are_not_strings(self, name):
+        # A tuple name was accepted, and joined by no text format; the others
+        # raised a bare TypeError or AttributeError, or "must be nonempty".
+        message = f"candidate name {name!r} is not a string"
+        for build in (
+            lambda: check_candidate_name(name),
+            lambda: Election(System.PLURALITY, VoteCollection((name, "b"), ())),
+        ):
+            with pytest.raises(InvalidCandidateError) as refused:
+                build()
+            assert str(refused.value) == message
 
 
 class TestMasking:
@@ -270,7 +283,9 @@ class TestValidation:
         expected = reference.verifies(data, tag, partition.first, partition.second)
         assert verify_solution(control_type, instance, partition) == expected
         code = reference.least_code(data, tag)
-        least = partition_of_mask(PartitionKind.CANDIDATE, election.candidates, code)
+        least = Partition(
+            PartitionKind.CANDIDATE, *reference.partition_of_code(election.candidates, code)
+        )
         assert brute_force_search(control_type, instance).solution == least
         assert vote.entries == ("c", "b", "a") and vote == Vote.order("cba")
 
@@ -305,6 +320,8 @@ class TestValidation:
 
 
 def reference_name(name):
+    if not isinstance(name, str):
+        raise InvalidCandidateError(f"candidate name {name!r} is not a string")
     if not name:
         raise InvalidCandidateError("candidate name must be nonempty")
     if any(ch.isspace() for ch in name):
@@ -456,6 +473,7 @@ NAME_CASES = (
     + [(ch, "b") for ch in RESERVED]
     + [("a", "a"), ("a", "b", "a"), ("a", "a", "b c"), ("a b", "a", "a"), ("a", "b>", "a")]
     + [("a{b}",), ("a#:",), ("a b>",), (0,), (1,), (("a",),), ("a", ("a",))]
+    + [(b"a",), (None,), ("a", None)]
 )
 
 

@@ -10,6 +10,7 @@ from controlforge import (
     verify_solution,
 )
 from controlforge.control import ControlTypeId
+from controlforge.elections import InvalidCandidateError
 from controlforge.hardness import (
     ENCODED_CONTROL_TYPE,
     HittingSetInstance,
@@ -45,6 +46,12 @@ class TestInstanceValidation:
             HittingSetInstance(("b1",), (frozenset(),), 1)
         with pytest.raises(InvalidInstanceError):
             HittingSetInstance(("b1",), (frozenset({"b9"}),), 1)
+
+    @pytest.mark.parametrize("name", [("b",), 1, b"b", None], ids=repr)
+    def test_element_names_must_be_strings(self, name):
+        with pytest.raises(InvalidCandidateError) as refused:
+            HittingSetInstance(("a", name), (), 1)
+        assert str(refused.value) == f"candidate name {name!r} is not a string"
 
     def test_reserved_and_duplicate_names(self):
         with pytest.raises(InvalidInstanceError):

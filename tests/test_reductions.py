@@ -1,4 +1,5 @@
 import itertools
+import random
 from enum import Enum
 
 import pytest
@@ -50,6 +51,7 @@ from controlforge.solvers import (
     vetoer_mask,
 )
 
+import reference
 from election_strategies import (
     every_partition,
     leaves,
@@ -870,3 +872,57 @@ def test_vetoer_mask_matches_reference(max_candidates, max_votes):
             assert vetoer_mask(control_type, table, table.bit_of[instance.focus]) == want
         checked += want != 0
     assert checked
+
+
+def past_desk_instances(system, count):
+    """``count`` seeded random instances past the desk universes: 5-7
+    candidates, and 9-12 voters in 2-5 ballot lines, so every voter partition
+    splits more than the 8 items ``elections.block_maps`` keeps a table for."""
+    rng = random.Random(f"{system}:past-desk")
+    for _ in range(count):
+        candidates = tuple("abcdefg"[: rng.randint(5, 7)])
+        voters, lines = rng.randint(9, 12), rng.randint(2, 5)
+        cuts = sorted(rng.sample(range(1, voters), lines - 1))
+        ballots = []
+        for size in (b - a for a, b in zip([0, *cuts], [*cuts, voters])):
+            if system is System.APPROVAL:
+                entries = [c for c in candidates if rng.random() < 0.5]
+            else:
+                entries = rng.sample(candidates, len(candidates))
+            ballots.append((entries, size))
+        yield ControlInstance(make_election(system, candidates, ballots), rng.choice(candidates))
+
+
+class TestPastTheDeskMatchesReference:
+    """A seeded audit past the exhaustive universes (<=4 candidates, <=6
+    ballots), where the voter side splits 9-12 items: every type's brute-force
+    answer, every registered rule on its target type's least verifying input,
+    and every polynomial row, against the reference."""
+
+    @pytest.mark.parametrize("system", list(System))
+    def test_searches_rules_and_rows(self, system):
+        rules = rules_for(system=system)
+        rows = [t for s, t in POLYNOMIAL_SEARCHES if s is system]
+        transferred = 0
+        for instance in past_desk_instances(system, 12):
+            data = plain(instance)
+            least = {}
+            for control_type in ALL_CONTROL_TYPES:
+                kind, tag = control_type.partition_kind, str(control_type)
+                code = reference.least_code(data, tag)
+                if code is not None:
+                    items = reference.items_of(data, tag)
+                    least[control_type] = Partition(kind, *reference.partition_of_code(items, code))
+                want = least.get(control_type)
+                assert brute_force_search(control_type, instance).solution == want
+            for rule in rules:
+                given = least.get(rule.target_type)
+                if given is not None:
+                    outcome = rule.apply(instance, given)
+                    assert reference_verifies(rule.source_type, data, outcome.solution)
+                    transferred += 1
+            for control_type in rows:
+                outcome = polynomial_search(control_type, instance)
+                assert outcome.found == (control_type in least)
+                assert not outcome.found or reference_verifies(control_type, data, outcome.solution)
+        assert transferred

@@ -162,12 +162,11 @@ def _instance_of_length(kind, length):
 
 
 class TestPartitionEnumerationMatchesReference:
-    """``enumerate_partitions``, ``partition_of_mask`` and the shared blocks
-    they read (``block_maps``) against ``reference.partition_of_code``, and
-    each block's mask against ``reference.bits``, on every mask of both
-    kinds. Past 8 items the enumeration builds each partition with
-    ``partition_of_mask``, which, like ``block_maps``, walks its items one by
-    one; no election has zero candidates, so only the enumeration skips that."""
+    """``enumerate_partitions`` and the blocks it reads (``block_maps``)
+    against ``reference.partition_of_code``, and each block's mask against
+    ``reference.bits``, on every mask of both kinds. Past 8 items
+    ``block_maps`` walks its items one by one; no election has zero
+    candidates, so only the enumeration skips that."""
 
     @pytest.mark.parametrize(
         "kind, length", [(kind, length) for kind in PartitionKind for length in range(13)]
@@ -183,7 +182,6 @@ class TestPartitionEnumerationMatchesReference:
         for mask in range(1 << length):
             first, second = reference.partition_of_code(items, mask)
             expected.append(Partition(kind, first, second))
-            assert control.partition_of_mask(kind, items, mask) == expected[-1]
             assert blocks[mask] == first and blocks[everyone ^ mask] == second
             assert mask_of[first] == int("0" + reference.bits(items, first), 2) == mask
             assert mask_of[second] == everyone ^ mask
@@ -639,21 +637,26 @@ def test_transfer_tables_stay_small():
 
 
 def test_long_enumerations_keep_no_outcome():
-    # Past the 8-item block table the enumerations yield fresh partitions
-    # and keep none: over all 2**10 voter masks of a 10-voter election, its
-    # table gains no voter outcome.
+    # Past the 8-item block table nothing keeps an outcome: over all 2**10
+    # voter masks of a 10-voter election, its enumerations, searches and
+    # voter-partition transfers leave its table's voter outcomes empty.
     election = make_election("veto", "abc", [("abc", 4), ("bca", 3), ("cab", 3)])
     subset_winners.cache_clear()
     table = subset_winners(election)
     outcomes = table.voter_blocks()[2]
-    yielded = 0
+    rules = [r for r in ALL_TRANSFER_RULES if r.system is System.VETO and r.source_type.shape[0]]
+    yielded = found = applied = 0
     for focus in election.candidates:
         instance = ControlInstance(election, focus)
         assert sum(1 for _ in enumerate_partitions(instance, PartitionKind.VOTER)) == 1 << 10
         for control_type in ALL_CONTROL_TYPES:
             if control_type.action is Action.PV:
                 yielded += sum(1 for _ in verifying_partitions(control_type, instance))
-    assert yielded
+                found += brute_force_search(control_type, instance).found
+        for rule in rules:
+            for given in verifying_partitions(rule.target_type, instance):
+                applied += rule.apply(instance, given).found
+    assert yielded and found and applied
     assert subset_winners(election) is table and table.voter_outcomes is outcomes
     assert not outcomes
 
